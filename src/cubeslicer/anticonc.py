@@ -21,6 +21,7 @@ from .core import EXACT, FLOAT
 from .errors import (
     BiasOutOfRange,
     BiasTooLarge,
+    BoundViolation,
     DimensionMismatch,
     DimensionTooLargeForOracle,
     DimensionTooSmall,
@@ -113,7 +114,8 @@ def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
     values = tuple(val for val, _ in items)
     probs = tuple(pr for _, pr in items)
     mass = sum(probs)
-    assert mass == 1
+    if mass != 1:
+        raise BoundViolation(f"exact atom masses sum to {mass}, not 1")
     return AtomDistribution(values, probs, True, mass)
 
 
@@ -145,7 +147,8 @@ def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
         merged_vals = values
         merged_probs = probs
     mass = float(merged_probs.sum())
-    assert abs(mass - 1.0) <= 1e-12
+    if not abs(mass - 1.0) <= 1e-12:
+        raise BoundViolation(f"float atom masses sum to {mass!r}, not 1")
     return AtomDistribution(tuple(merged_vals.tolist()), tuple(merged_probs.tolist()), False, mass)
 
 
@@ -222,8 +225,9 @@ def littlewood_check(s: LinearFormSpec, alpha) -> tuple[int, Number, float]:
     """Small-ball check: a = #{i : |v_i| >= alpha}, q = Q(alpha, X), ratio = q*sqrt(a).
 
     In the unbiased case (p = 0) the exact Sperner bound applies and is
-    asserted: q <= C(a, floor(a/2)) / 2^a <= 1/sqrt(a).  Biased cases are
-    report-only because the universal constant is not pinned down.
+    checked, raising BoundViolation: q <= C(a, floor(a/2)) / 2^a <= 1/sqrt(a).
+    Biased cases are report-only because the universal constant is not
+    pinned down.
     """
     _require_small_bias(s)
     if alpha < 0:
@@ -234,11 +238,9 @@ def littlewood_check(s: LinearFormSpec, alpha) -> tuple[int, Number, float]:
     ratio = float(q) * math.sqrt(a)
     if a >= 1 and all(pi == 0 for pi in s.p):
         bound = sperner_bound(a)
-        if s.kind == EXACT:
-            assert q <= bound
-        else:
-            assert float(q) <= float(bound) + 1e-12
-        assert ratio <= 1.0 + 1e-12
+        within = q <= bound if s.kind == EXACT else float(q) <= float(bound) + 1e-12
+        if not (within and ratio <= 1.0 + 1e-12):
+            raise BoundViolation(f"Q(alpha, X) = {q} breaks the Sperner bound {bound} (a = {a})")
     return a, q, ratio
 
 
@@ -270,8 +272,8 @@ _HOEFFDING_CHUNK = 1 << 14
 
 def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple[float, float]:
     """Empirical two-sided tail Pr[|X - <v,p>| > sigma*||v||_2] against the
-    Hoeffding bound 2*exp(-sigma^2/2); asserts the empirical frequency stays
-    within four standard errors of the bound."""
+    Hoeffding bound 2*exp(-sigma^2/2); raises BoundViolation unless the
+    empirical frequency stays within four standard errors of the bound."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if samples < 1:
@@ -291,5 +293,6 @@ def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple
     emp = count / samples
     bound = 2.0 * math.exp(-sigma * sigma / 2.0)
     se = math.sqrt(emp * (1.0 - emp) / samples)
-    assert emp <= bound + 4.0 * se
+    if not emp <= bound + 4.0 * se:
+        raise BoundViolation(f"empirical tail {emp!r} exceeds the Hoeffding bound {bound!r} + 4 SE")
     return emp, bound

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     AllZeroCoefficients,
     DimensionMismatch,
@@ -187,29 +189,31 @@ def _side(h: Hyperplane, u: Vertex):
     return total - h.threshold
 
 
-def float_zero_tolerance(h: Hyperplane, eps: float | None = None) -> float:
-    """Scale-aware zero tolerance for float-kind sign decisions."""
-    if eps is not None:
-        return eps
-    return 1e-12 * max(1.0, abs(h.threshold), math.fsum(abs(c) for c in h.coeffs))
+def zero_tolerance(coeffs, threshold):
+    """Scale-aware zero tolerance for float-kind sign decisions:
+    1e-12 * max(1, |t|, l1(v)).  Takes one plane's coefficients and threshold,
+    or an (m, n) coefficient stack with m thresholds (one tolerance per plane)."""
+    l1 = np.abs(np.asarray(coeffs, dtype=np.float64)).sum(axis=-1)
+    return 1e-12 * np.maximum(1.0, np.maximum(np.abs(threshold), l1))
 
 
-def _sign(value, eps: float | None) -> int:
-    # eps is None in exact arithmetic: zero is decided exactly.
-    if eps is not None and abs(value) < eps:
+def _sign(value, tol) -> int:
+    # tol is None in exact arithmetic: zero is decided exactly.
+    if tol is not None and abs(value) < tol:
         return 0
     return (value > 0) - (value < 0)
 
 
-def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT, eps: float | None = None) -> bool:
+def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT) -> bool:
     """Does the edge cross the plane?
 
     With s = <v,u> - t and s' = <v,u'> - t over the endpoints: strict mode is
     s*s' < 0; relaxed mode additionally accepts exactly one of s, s' being
-    zero.  Float kind treats |s| below the zero tolerance as zero.
+    zero.  Float kind treats |s| below the zero tolerance as zero.  This is
+    the scalar reference; the array paths use sign_pair_crossings.
     """
     u, w = edge_endpoints(e)
-    tol = None if h.kind == EXACT else float_zero_tolerance(h, eps)
+    tol = None if h.kind == EXACT else zero_tolerance(h.coeffs, h.threshold)
     a = _sign(_side(h, u), tol)
     b = _sign(_side(h, w), tol)
     if mode == STRICT:
@@ -217,6 +221,21 @@ def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT, eps: float | None =
     if mode == RELAXED:
         return a * b < 0 or (a == 0) != (b == 0)
     raise ValueError(f"unknown crossing mode {mode!r}")
+
+
+def sign_pair_crossings(su: np.ndarray, sw: np.ndarray, tol=None, relaxed: bool = False) -> np.ndarray:
+    """Crossing flags for edges whose endpoint side values are su and sw.
+
+    The same rule as edge_crosses, elementwise: strict crossing needs both
+    sides nonzero with opposite signs; relaxed also accepts exactly one zero
+    side.  tol=None decides zero exactly; otherwise |s| < tol counts as zero,
+    with an array tol broadcast against the last (plane) axis.
+    """
+    zu, zw = (su == 0, sw == 0) if tol is None else (np.abs(su) < tol, np.abs(sw) < tol)
+    cross = ~(zu | zw) & ((su > 0) != (sw > 0))
+    if relaxed:
+        cross |= zu != zw
+    return cross
 
 
 def crossing_necessary(h: Hyperplane, e: Edge) -> bool:
@@ -257,6 +276,12 @@ def total_edges(n: int) -> int:
     return n * (1 << (n - 1))
 
 
+def canonical_base(k: int, comp):
+    """Base vertex mask of the canonical axis-k edge with compressed index comp:
+    comp's bits with a 0 re-inserted at position k.  Works on ints and arrays."""
+    return ((comp >> k) << (k + 1)) | (comp & ((1 << k) - 1))
+
+
 def iter_edges(n: int) -> Iterator[Edge]:
     """All edges once, in canonical form: base has coordinate -1 on the axis.
 
@@ -264,10 +289,8 @@ def iter_edges(n: int) -> Iterator[Edge]:
     with the axis bit removed), matching the exhaustive verifier.
     """
     for k in range(n):
-        low_bits = 1 << k
-        for high in range(1 << (n - 1 - k)):
-            for low in range(low_bits):
-                yield Edge(Vertex(n, (high << (k + 1)) | low), k)
+        for comp in range(1 << (n - 1)):
+            yield Edge(Vertex(n, canonical_base(k, comp)), k)
 
 
 def _scalar_to_json(x, kind: str):

@@ -67,3 +67,7 @@ class NegativeAlpha(SlicerError):
 
 class DimensionTooLarge(SlicerError):
     """Exhaustive verification refuses dimensions above its cap."""
+
+
+class BoundViolation(SlicerError):
+    """A computed quantity broke a bound that the mathematics guarantees."""

@@ -20,7 +20,10 @@ from .core import (
     RELAXED,
     STRICT,
     Configuration,
+    canonical_base,
     make_hyperplane,
+    sign_pair_crossings,
+    zero_tolerance,
 )
 from .errors import DimensionTooLarge, SlicerError
 from .sampler import (
@@ -38,7 +41,8 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo point estimate with its normal-approximation 95% interval."""
+    """A Monte Carlo point estimate with its 95% interval (Wilson score for
+    frequencies, normal approximation for means)."""
 
     point_estimate: float
     std_error: float
@@ -51,7 +55,12 @@ class EstimateReport:
 def _bernoulli_report(count: int, samples: int, seed: int, target: float | None) -> EstimateReport:
     p = count / samples
     se = math.sqrt(p * (1.0 - p) / samples)
-    ci = (max(0.0, p - _Z95 * se), min(1.0, p + _Z95 * se))
+    # Wilson score interval: valid at small p and nondegenerate at p = 0; it
+    # always contains p, so min/max below only absorb rounding at p = 0 or 1
+    z2n = _Z95 * _Z95 / samples
+    center = (p + z2n / 2.0) / (1.0 + z2n)
+    half = _Z95 * math.sqrt(p * (1.0 - p) / samples + z2n / (4.0 * samples)) / (1.0 + z2n)
+    ci = (max(0.0, min(p, center - half)), min(1.0, max(p, center + half)))
     return EstimateReport(p, se, ci, samples, seed, target)
 
 
@@ -85,25 +94,6 @@ def _require_spec(rng) -> RngSpec:
     return rng
 
 
-def _plane_eps(V: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 1e-12 * np.maximum(1.0, np.maximum(np.abs(t), np.abs(V).sum(axis=1)))
-
-
-def _batch_crossings(
-    U: np.ndarray, k: np.ndarray, V: np.ndarray, t: np.ndarray, eps: np.ndarray, relaxed: bool
-) -> np.ndarray:
-    """Per-(sample, plane) crossing flags for the edges (U_b, k_b)."""
-    s0 = U @ V.T - t
-    uk = U[np.arange(U.shape[0]), k].astype(np.float64)
-    s1 = s0 - 2.0 * uk[:, None] * V.T[k]
-    zu = np.abs(s0) < eps
-    zw = np.abs(s1) < eps
-    cross = ~(zu | zw) & ((s0 > 0) != (s1 > 0))
-    if relaxed:
-        cross = cross | (zu != zw)
-    return cross
-
-
 def estimate_evasion(
     c: Configuration,
     samples: int,
@@ -119,7 +109,7 @@ def estimate_evasion(
     the unit-norm float copies under c.mode."""
     spec = _require_spec(rng)
     setup = bias_setup(c, log_base=log_base, damping=damping)
-    eps = _plane_eps(setup.V, setup.t)
+    tol = zero_tolerance(setup.V, setup.t)
     relaxed = c.mode == RELAXED
     sizes = _chunk_sizes(samples)
 
@@ -128,7 +118,10 @@ def estimate_evasion(
         P = batch_bias_conditioned(setup, gen, sizes[i], max_retries)
         U = batch_mu(P, gen).astype(np.float64)
         k = gen.integers(c.n, size=sizes[i])
-        cross = _batch_crossings(U, k, setup.V, setup.t, eps, relaxed)
+        # side values at the endpoints U and U with coordinate k flipped
+        s0 = U @ setup.V.T - setup.t
+        s1 = s0 - 2.0 * U[np.arange(sizes[i]), k][:, None] * setup.V.T[k]
+        cross = sign_pair_crossings(s0, s1, tol, relaxed)
         return cross.sum(axis=0), int(cross.any(axis=1).sum())
 
     parts = _run_ordered(chunk, len(sizes), threads)
@@ -334,25 +327,15 @@ def _edge_tables(n: int):
         [[1 if (mask >> i) & 1 else -1 for i in range(n)] for mask in range(1 << n)],
         dtype=np.int64,
     )
-    base_rows = []
-    partner_rows = []
     comp = np.arange(1 << (n - 1))
-    for k in range(n):
-        bases = ((comp >> k) << (k + 1)) | (comp & ((1 << k) - 1))
-        base_rows.append(bases)
-        partner_rows.append(bases | (1 << k))
-    return verts, np.array(base_rows), np.array(partner_rows)
+    bases = np.array([canonical_base(k, comp) for k in range(n)])
+    return verts, bases, bases | (1 << np.arange(n))[:, None]
 
 
 def _plane_edge_mask(tables, coeffs: np.ndarray, t: int, relaxed: bool) -> np.ndarray:
     verts, bases, partners = tables
-    dots = verts @ coeffs
-    su = dots[bases] - t
-    sw = dots[partners] - t
-    cross = ((su > 0) != (sw > 0)) & (su != 0) & (sw != 0)
-    if relaxed:
-        cross = cross | ((su == 0) != (sw == 0))
-    return cross.reshape(-1)
+    side = verts @ coeffs - t
+    return sign_pair_crossings(side[bases], side[partners], None, relaxed).reshape(-1)
 
 
 def _random_plane(gen: np.random.Generator, n: int, coeff_range: int):

@@ -26,10 +26,12 @@ from .core import (
     Edge,
     Hyperplane,
     Vertex,
-    float_zero_tolerance,
+    canonical_base,
+    sign_pair_crossings,
     total_edges,
+    zero_tolerance,
 )
-from .errors import DimensionTooLarge
+from .errors import BoundViolation, DimensionTooLarge
 
 VERIFY_MAX_DIM = 28
 _SAMPLE_CAP = 100
@@ -84,7 +86,7 @@ def _side_values(h: Hyperplane) -> tuple[np.ndarray, float | None]:
     else:
         cs = np.array(h.coeffs, dtype=np.float64)
         t = h.threshold
-        tol = float_zero_tolerance(h)
+        tol = zero_tolerance(cs, t)
     # S[mask] = sum of coefficients over set bits; dot = 2S - sum(coeffs)
     s = np.zeros(1, dtype=cs.dtype)
     for i in range(h.n):
@@ -92,34 +94,7 @@ def _side_values(h: Hyperplane) -> tuple[np.ndarray, float | None]:
     return 2 * s - cs.sum() - t, tol
 
 
-def _axis_pass(side, tol, k: int, relaxed: bool) -> tuple[np.ndarray, int]:
-    """Crossing flags for all canonical axis-k edges against one plane."""
-    cube = side.reshape(-1, 2, 1 << k)
-    su = cube[:, 0, :].reshape(-1)
-    sw = cube[:, 1, :].reshape(-1)
-    if tol is None:
-        zu = su == 0
-        zw = sw == 0
-        pu = su > 0
-        pw = sw > 0
-    else:
-        zu = np.abs(su) < tol
-        zw = np.abs(sw) < tol
-        pu = su > 0
-        pw = sw > 0
-    nz = ~(zu | zw)
-    cross = nz & (pu != pw)
-    if relaxed:
-        cross = cross | (zu != zw)
-    return cross, int(np.count_nonzero(cross))
-
-
-def _base_vertex(n: int, k: int, compressed: int) -> Vertex:
-    high, low = compressed >> k, compressed & ((1 << k) - 1)
-    return Vertex(n, (high << (k + 1)) | low)
-
-
-def verify_slicing(c: Configuration, threads: int = 1, eps: float | None = None) -> SlicingReport:
+def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     """Test every edge of the n-cube against every plane under c.mode.
 
     Deterministic and independent of the thread count: the vertex space is
@@ -131,23 +106,22 @@ def verify_slicing(c: Configuration, threads: int = 1, eps: float | None = None)
         raise DimensionTooLarge(f"exhaustive verification capped at n <= {VERIFY_MAX_DIM}")
     start = time.perf_counter()
     relaxed = c.mode == RELAXED
-    sides = []
-    for h in c.planes:
-        side, tol = _side_values(h)
-        if eps is not None and tol is not None:
-            tol = eps
-        sides.append((side, tol))
+    sides = [_side_values(h) for h in c.planes]
 
     def axis_task(k: int):
+        # cube[high, bit k, low]: the canonical axis-k edge with compressed
+        # index high * 2^k + low joins cube[high, 0, low] and cube[high, 1, low],
+        # so the C-order flat index of `crossed` is the compressed index
         counts = [0] * c.m
-        crossed = np.zeros(1 << (n - 1), dtype=bool)
+        crossed = np.zeros((1 << (n - 1 - k), 1 << k), dtype=bool)
         for ell, (side, tol) in enumerate(sides):
-            cross, cnt = _axis_pass(side, tol, k, relaxed)
-            counts[ell] = cnt
+            cube = side.reshape(-1, 2, 1 << k)
+            cross = sign_pair_crossings(cube[:, 0, :], cube[:, 1, :], tol, relaxed)
+            counts[ell] = int(np.count_nonzero(cross))
             crossed |= cross
         missing = np.flatnonzero(~crossed)
-        sample = [_base_vertex(n, k, int(i)) for i in missing[:_SAMPLE_CAP]]
-        return counts, int(missing.size), [Edge(v, k) for v in sample]
+        bases = canonical_base(k, missing[:_SAMPLE_CAP])
+        return counts, int(missing.size), [Edge(Vertex(n, int(b)), k) for b in bases]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -178,11 +152,13 @@ def verify_slicing(c: Configuration, threads: int = 1, eps: float | None = None)
 
 
 def crossing_counts(c: Configuration, threads: int = 1) -> tuple[int, ...]:
-    """Edges crossed per plane.  In strict mode every count is asserted
-    against the counting bound; relaxed mode can exceed it (a plane through
-    a weight level touches every incident edge), so no assert there."""
+    """Edges crossed per plane.  In strict mode every count is checked
+    against the counting bound (BoundViolation otherwise); relaxed mode can
+    exceed it (a plane through a weight level touches every incident edge),
+    so no check there."""
     report = verify_slicing(c, threads=threads)
     if c.mode == STRICT:
         bound = max_crossings_bound(c.n)
-        assert all(cnt <= bound for cnt in report.per_plane_crossings)
+        if any(cnt > bound for cnt in report.per_plane_crossings):
+            raise BoundViolation(f"crossings {report.per_plane_crossings} exceed the counting bound {bound}")
     return report.per_plane_crossings

@@ -20,6 +20,7 @@ from cubeslicer import (
     total_edges,
     verify_slicing,
 )
+from cubeslicer.core import canonical_base, sign_pair_crossings, zero_tolerance
 from cubeslicer.errors import (
     AllZeroCoefficients,
     DimensionMismatch,
@@ -156,6 +157,51 @@ class TestEdgeCrosses:
             for e in iter_edges(n):
                 for mode in ("strict", "relaxed"):
                     assert edge_crosses(h, e, mode) == edge_crosses(scaled, e, mode)
+
+
+class TestSignPairKernel:
+    def test_matches_scalar_rule_on_every_sign_pair(self):
+        # the plane x_0 = t over the one-dimensional cube: sides -1 - t, 1 - t
+        for t in (-2, -1, 0, 1, 2):
+            for kind in ("exact", "float"):
+                h = make_hyperplane([1], t, kind)
+                su, sw = np.array([-1 - t]), np.array([1 - t])
+                tol = None if kind == "exact" else zero_tolerance(h.coeffs, h.threshold)
+                for mode in ("strict", "relaxed"):
+                    flags = sign_pair_crossings(su, sw, tol, mode == "relaxed")
+                    assert bool(flags[0]) == edge_crosses(h, Edge(vertex(-1), 0), mode)
+
+    def test_keeps_input_shape(self):
+        su = np.array([[1, -1, 0], [2, 0, 0]])
+        sw = np.array([[-1, -2, 1], [3, 0, -1]])
+        assert sign_pair_crossings(su, sw).tolist() == [[True, False, False], [False, False, False]]
+        assert sign_pair_crossings(su, sw, None, True).tolist() == [[True, False, True], [False, False, True]]
+
+    def test_tolerance_broadcasts_per_plane(self):
+        # column l is plane l; a side value of 1e-3 is zero for plane 0 only
+        su = np.array([[1e-3, 1e-3]])
+        sw = np.array([[-1.0, -1.0]])
+        tol = np.array([1e-2, 1e-4])
+        assert sign_pair_crossings(su, sw, tol).tolist() == [[False, True]]
+        assert sign_pair_crossings(su, sw, tol, True).tolist() == [[True, True]]
+
+    def test_zero_tolerance_rule(self):
+        assert zero_tolerance([0.5, -0.25], 0.0) == 1e-12
+        assert zero_tolerance([3.0, -4.0], 2.0) == 7e-12
+        assert zero_tolerance([1.0], -9.0) == 9e-12
+        V = np.array([[0.5, -0.25], [3.0, -4.0], [1.0, 0.0]])
+        t = np.array([0.0, 2.0, -9.0])
+        stacked = zero_tolerance(V, t)
+        assert stacked.tolist() == [zero_tolerance(r, s) for r, s in zip(V, t)]
+
+    def test_canonical_base_enumerates_axis_clear_masks(self):
+        for n in range(1, 7):
+            comp = np.arange(1 << (n - 1))
+            for k in range(n):
+                bases = canonical_base(k, comp)
+                expected = [mask for mask in range(1 << n) if not (mask >> k) & 1]
+                assert bases.tolist() == expected
+                assert [canonical_base(k, int(i)) for i in comp] == expected
 
 
 class TestCrossingNecessary:

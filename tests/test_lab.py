@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.stats import binom
 
 from cubeslicer import (
     Configuration,
     RngSpec,
     SweepCell,
+    construction,
     estimate_evasion,
     estimate_glue_sum,
     estimate_linf_tail,
@@ -18,6 +21,8 @@ from cubeslicer import (
     verify_slicing,
 )
 from cubeslicer.errors import DimensionTooLarge
+from cubeslicer.lab import _bernoulli_report, _search_replica
+from helpers import naive_slicing
 
 
 def single_axis_config(n=8, t=0.0):
@@ -58,12 +63,49 @@ class TestEstimateEvasion:
         ratio = big.std_error / small.std_error
         assert 0.4 <= ratio <= 0.6
 
+    @pytest.mark.parametrize("name", ["axis", "middle_layers"])
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_complete_constructions_catch_every_edge(self, name, mode):
+        c = construction(name, 8, kind="float", mode=mode)
+        _, union = estimate_evasion(c, 5000, RngSpec(31))
+        assert union.point_estimate == 1.0
+
+    def test_rounding_level_sides_count_as_zero(self):
+        # 0.1 x0 + 0.2 x1 + 0.3 x2 = 0.6 meets the cube only where x0 = x1 = x2 = 1,
+        # so no edge crosses it strictly; the float side value there is a
+        # rounding residue that the zero tolerance must call zero
+        plane = make_hyperplane([0.1, 0.2, 0.3] + [0.0] * 5, 0.6, "float")
+        strict, relaxed = (
+            estimate_evasion(Configuration(8, (plane,), mode), 5000, RngSpec(33))[0][0].point_estimate
+            for mode in ("strict", "relaxed")
+        )
+        assert strict == 0.0 < relaxed
+
     def test_target_bound_shape(self):
         c = random_unit_configuration(16, 4, RngSpec(9, 1))
         per, union = estimate_evasion(c, 1000, RngSpec(9))
         shape = math.sqrt(4) * math.log(16) ** 2 / 16
         assert per[0].target_bound == pytest.approx(shape)
         assert union.target_bound == pytest.approx(min(1.0, 4 * shape))
+
+
+class TestBernoulliInterval:
+    @pytest.mark.parametrize("p", [1e-3, 1e-2])
+    @pytest.mark.parametrize("samples", [1000, 10000])
+    def test_exact_coverage_at_small_p(self, p, samples):
+        counts = np.arange(samples + 1)
+        inside = np.array([
+            lo <= p <= hi for lo, hi in (_bernoulli_report(int(k), samples, 0, None).ci95 for k in counts)
+        ])
+        coverage = float(binom.pmf(counts[inside], samples, p).sum())
+        assert coverage >= 0.91
+
+    def test_extreme_estimates_get_nondegenerate_intervals(self):
+        zero = _bernoulli_report(0, 1000, 0, None)
+        assert zero.point_estimate == 0.0 and zero.std_error == 0.0
+        assert zero.ci95[0] == 0.0 < zero.ci95[1]
+        one = _bernoulli_report(1000, 1000, 0, None)
+        assert one.ci95[0] < one.ci95[1] == 1.0
 
 
 class TestEstimateLinfTail:
@@ -164,6 +206,17 @@ class TestLocalSearch:
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
             local_search_slicing(9, 3, 10, RngSpec(27))
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_replica_energy_is_unsliced_count(self, relaxed):
+        # the annealer's incremental energy against the per-edge reference;
+        # short runs keep random planes through vertices, where modes differ
+        for seed, iters in enumerate((0, 0, 5, 5, 300, 300)):
+            gen = np.random.default_rng(seed)
+            energy, coeffs, ts = _search_replica(4, 2, iters, gen, 3, relaxed, 50, 2.0, 0.05)
+            planes = tuple(make_hyperplane([int(x) for x in row], int(t)) for row, t in zip(coeffs, ts))
+            c = Configuration(4, planes, "relaxed" if relaxed else "strict")
+            assert energy == naive_slicing(c)[0]
 
     def test_integer_coefficients_within_range(self):
         config, _ = local_search_slicing(3, 2, 500, RngSpec(28), coeff_range=4)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeslicer import (
     Configuration,
@@ -99,6 +101,24 @@ class TestVerifySlicing:
                 make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in rows
             )
             c = Configuration(n, planes)
+            rep = verify_slicing(c)
+            unsliced, counts = naive_slicing(c)
+            assert rep.unsliced_count == unsliced
+            assert list(rep.per_plane_crossings) == counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_naive_on_float_planes_with_zero_sides(self, data):
+        # small-integer float planes put vertices exactly on planes, so the
+        # zero-tolerance branch decides both modes
+        n = data.draw(st.integers(1, 5), label="n")
+        ints = st.integers(-2, 2)
+        planes = []
+        for _ in range(data.draw(st.integers(1, 3), label="m")):
+            row = data.draw(st.lists(ints, min_size=n, max_size=n).filter(any), label="coeffs")
+            planes.append(make_hyperplane([float(x) for x in row], float(data.draw(ints, label="t")), "float"))
+        for mode in ("strict", "relaxed"):
+            c = Configuration(n, tuple(planes), mode)
             rep = verify_slicing(c)
             unsliced, counts = naive_slicing(c)
             assert rep.unsliced_count == unsliced
