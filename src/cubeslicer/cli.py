@@ -1,7 +1,7 @@
 """Command-line entry point wiring all modules.
 
 Results go to stdout (JSON, JSON-lines, or CSV).  A run manifest (flags,
-seed, code version, wall time, input hashes) accompanies every run: with
+seed, code version, wall time, peak RSS, input hashes) accompanies every run: with
 --out DIR the result and manifest.json are written into DIR, otherwise the
 manifest is a single JSON line on stderr.  Result artifacts never contain
 wall-clock data, so fixed seeds give byte-identical outputs regardless of
@@ -359,6 +359,17 @@ def _cmd_sweep(args):
 # --------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _default_threads() -> int:
     try:
         return max(1, int(os.environ.get("SLICER_THREADS", "1")))
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--stream", type=int, default=0, help="substream index")
-    common.add_argument("--threads", type=int, default=None, help="worker count (default $SLICER_THREADS or 1)")
+    common.add_argument("--threads", type=_thread_count, default=None, help="worker count (default $SLICER_THREADS or 1)")
     common.add_argument("--out", type=str, default=None, help="directory for result + run manifest")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -441,6 +452,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far, in MB (None where the
+    resource module is missing)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere; either
+    # quotient is a short dyadic fraction, so it prints exactly
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _manifest(args, argv, wall_time: float) -> dict:
     flags = {
         k: v
@@ -454,6 +478,7 @@ def _manifest(args, argv, wall_time: float) -> dict:
         "seed": getattr(args, "seed", None),
         "code_version": __version__,
         "wall_time_s": wall_time,
+        "peak_rss_mb": _peak_rss_mb(),
         "input_hashes": getattr(args, "_input_hashes", {}),
     }
 

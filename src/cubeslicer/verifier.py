@@ -1,12 +1,22 @@
 """Exhaustive verification that a configuration slices every edge of the n-cube.
 
-Per plane, the dot products over all 2^n vertices are built by a doubling
-recursion over coordinates (one flip adds or removes 2*v_k, the incremental
-Gray-walk identity).  Each edge is visited once in canonical form: the base
-vertex has coordinate -1 on the edge axis.  Exact-kind planes are scaled to
-integers by clearing denominators; the int64 fast path falls back to
-arbitrary-precision object arrays when scaled magnitudes approach 2^63, so
-exact verification never overflows.
+The sweep is blocked: each vertex mask splits into its low b bits and its
+high n - b bits (b = min(n, _BLOCK_BITS)), and one block holds the 2^b
+vertices that share a high part.  A vertex's side value <v, u> - t is a
+low-part table entry plus a per-block offset; both tables come from the
+doubling recursion over coordinates (one flip adds or removes 2*v_k), so a
+block costs one addition per plane and vertex.  Edges along low axes k < b
+join two vertices of the same block.  On a high axis k >= b, only blocks
+whose high bit k - b is clear hold base vertices, and the other endpoint's
+side is the base side plus 2*v_k (the endpoint identity), so no partner
+block is built.  Memory is O(m * 2^b) per worker plus the m * 2^(n-b)
+offsets.
+
+Each edge is visited once in canonical form: the base vertex has coordinate
+-1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
+denominators; the int64 fast path falls back to arbitrary-precision object
+arrays when scaled magnitudes approach 2^63, so exact verification never
+overflows.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .errors import BoundViolation, DimensionTooLarge
 
 VERIFY_MAX_DIM = 28
 _SAMPLE_CAP = 100
+_BLOCK_BITS = 13
 _INT64_GUARD = 1 << 62
 
 
@@ -63,90 +74,120 @@ def max_crossings_bound(n: int) -> int:
     return half * math.comb(n, half)
 
 
-def _int_plane(h: Hyperplane) -> tuple[np.ndarray, int, int]:
-    """Clear denominators: integer coefficients plus integer threshold.
-
-    The magnitude bound covers every intermediate of the doubling recursion
-    (2 * partial sums) as well as the final side values; above the int64
-    guard the arrays fall back to arbitrary-precision Python integers.
-    """
+def _int_plane(h: Hyperplane) -> tuple[list[int], int]:
+    """Clear denominators: integer coefficients plus integer threshold."""
     den = math.lcm(*(c.denominator for c in h.coeffs), h.threshold.denominator)
-    cs = [int(c * den) for c in h.coeffs]
-    t = int(h.threshold * den)
-    bound = 2 * (sum(abs(c) for c in cs) + abs(t))
-    arr = np.array(cs, dtype=np.int64 if bound < _INT64_GUARD else object)
-    return arr, t, bound
+    return [int(c * den) for c in h.coeffs], int(h.threshold * den)
 
 
-def _side_values(h: Hyperplane) -> tuple[np.ndarray, float | None]:
-    """(<v, u> - t) over all 2^n vertices (mask order) plus the float zero tolerance."""
-    if h.kind == EXACT:
-        cs, t, _ = _int_plane(h)
-        tol = None
-    else:
-        cs = np.array(h.coeffs, dtype=np.float64)
-        t = h.threshold
-        tol = zero_tolerance(cs, t)
-    # S[mask] = sum of coefficients over set bits; dot = 2S - sum(coeffs)
-    s = np.zeros(1, dtype=cs.dtype)
-    for i in range(h.n):
-        s = np.concatenate([s, s + cs[i]])
-    return 2 * s - cs.sum() - t, tol
+def _plane_stack(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The planes as an (m, n) coefficient array, m thresholds and m float
+    zero tolerances (None in exact arithmetic).
+
+    Exact planes are int64 when 2 * (l1(v) + |t|) stays below the guard for
+    every plane.  That bound covers every intermediate of the sweep (the
+    doubled partial sums, the offsets, 2 * v_k and every side value);
+    otherwise the stack holds arbitrary-precision Python integers.
+    """
+    if c.kind == EXACT:
+        rows = [_int_plane(h) for h in c.planes]
+        fits = all(2 * (sum(abs(x) for x in cs) + abs(t)) < _INT64_GUARD for cs, t in rows)
+        dtype = np.int64 if fits else object
+        coeffs = np.array([cs for cs, _ in rows], dtype=dtype).reshape(c.m, c.n)
+        return coeffs, np.array([t for _, t in rows], dtype=dtype), None
+    coeffs = np.array([h.coeffs for h in c.planes], dtype=np.float64).reshape(c.m, c.n)
+    thresholds = np.array([h.threshold for h in c.planes], dtype=np.float64)
+    return coeffs, thresholds, zero_tolerance(coeffs, thresholds)
+
+
+def _subset_sums(cs: np.ndarray) -> np.ndarray:
+    """(m, d) coefficients -> (m, 2^d): each row's sum over the set bits of
+    every mask, by the doubling recursion."""
+    s = np.zeros((cs.shape[0], 1), dtype=cs.dtype)
+    for i in range(cs.shape[1]):
+        s = np.concatenate([s, s + cs[:, i : i + 1]], axis=1)
+    return s
 
 
 def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     """Test every edge of the n-cube against every plane under c.mode.
 
-    Deterministic and independent of the thread count: the vertex space is
-    partitioned by edge axis, per-axis partial counts are integers, and the
-    merge folds axes in order.
+    Deterministic and independent of the thread count: the blocks are split
+    into contiguous runs, per-run counts are integers, and the merge folds
+    the runs in block order.
     """
-    n = c.n
+    n, m = c.n, c.m
     if n > VERIFY_MAX_DIM:
         raise DimensionTooLarge(f"exhaustive verification capped at n <= {VERIFY_MAX_DIM}")
     start = time.perf_counter()
     relaxed = c.mode == RELAXED
-    sides = [_side_values(h) for h in c.planes]
+    b = min(n, _BLOCK_BITS)
+    coeffs, thresholds, tol = _plane_stack(c)
+    # side(h * 2^b + lo) = low[:, lo] + off[:, h], with low = 2*S_low - sum(v) - t
+    # and off = 2*S_high for the subset sums S of the low and the high coefficients
+    low = 2 * _subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
+    off = 2 * _subset_sums(coeffs[:, b:])
+    twice = 2 * coeffs
+    tol_low, tol_high = (None, None) if tol is None else (tol[:, None, None], tol[:, None])
 
-    def axis_task(k: int):
-        # cube[high, bit k, low]: the canonical axis-k edge with compressed
-        # index high * 2^k + low joins cube[high, 0, low] and cube[high, 1, low],
-        # so the C-order flat index of `crossed` is the compressed index
-        counts = [0] * c.m
-        crossed = np.zeros((1 << (n - 1 - k), 1 << k), dtype=bool)
-        for ell, (side, tol) in enumerate(sides):
-            cube = side.reshape(-1, 2, 1 << k)
-            cross = sign_pair_crossings(cube[:, 0, :], cube[:, 1, :], tol, relaxed)
-            counts[ell] = int(np.count_nonzero(cross))
-            crossed |= cross
-        missing = np.flatnonzero(~crossed)
-        bases = canonical_base(k, missing[:_SAMPLE_CAP])
-        return counts, int(missing.size), [Edge(Vertex(n, int(b)), k) for b in bases]
+    def sweep_run(first: int, stop: int):
+        # per-plane crossings, unsliced count and, per axis, the first
+        # _SAMPLE_CAP unsliced compressed indices of blocks first..stop-1
+        counts = [0] * m
+        unsliced = 0
+        samples: list[list[int]] = [[] for _ in range(n)]
+        for h in range(first, stop):
+            side = low + off[:, h : h + 1]
+            for k in range(n):
+                if k < b:
+                    # halves[:, high, bit k, low]: the block's canonical axis-k
+                    # edge with index high * 2^k + low joins [..., 0, low] and
+                    # [..., 1, low], and the block's edges follow the 2^(b-1)
+                    # edges of the blocks before it
+                    halves = side.reshape(m, 1 << (b - 1 - k), 2, 1 << k)
+                    cross = sign_pair_crossings(halves[:, :, 0, :], halves[:, :, 1, :], tol_low, relaxed)
+                    first_edge = h << (b - 1)
+                else:
+                    j = k - b
+                    if (h >> j) & 1:
+                        continue
+                    cross = sign_pair_crossings(side, side + twice[:, k : k + 1], tol_high, relaxed)
+                    # h with bit j removed, times 2^b: the block's first edge index
+                    first_edge = (((h >> (j + 1)) << j) | (h & ((1 << j) - 1))) << b
+                for ell, plane_cross in enumerate(cross):
+                    counts[ell] += int(np.count_nonzero(plane_cross))
+                hit = cross.any(axis=0)
+                missing = hit.size - int(np.count_nonzero(hit))
+                if missing:
+                    unsliced += missing
+                    room = _SAMPLE_CAP - len(samples[k])
+                    if room > 0:
+                        samples[k].extend((np.flatnonzero(~hit)[:room] + first_edge).tolist())
+        return counts, unsliced, samples
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_axis = list(ex.map(axis_task, range(n)))
+    nblocks = 1 << (n - b)
+    runs = max(1, min(threads, nblocks))
+    cuts = [nblocks * r // runs for r in range(runs + 1)]
+    if runs > 1:
+        with ThreadPoolExecutor(max_workers=runs) as ex:
+            results = list(ex.map(sweep_run, cuts[:-1], cuts[1:]))
     else:
-        per_axis = [axis_task(k) for k in range(n)]
+        results = [sweep_run(0, nblocks)]
 
-    per_plane = [0] * c.m
-    unsliced = 0
+    per_plane = tuple(sum(col) for col in zip(*(counts for counts, _, _ in results)))
     sample: list[Edge] = []
-    for counts, miss, edges in per_axis:
-        for ell in range(c.m):
-            per_plane[ell] += counts[ell]
-        unsliced += miss
-        if len(sample) < _SAMPLE_CAP:
-            sample.extend(edges[: _SAMPLE_CAP - len(sample)])
+    for k in range(n):
+        comps = [comp for _, _, samples in results for comp in samples[k]]
+        sample += [Edge(Vertex(n, canonical_base(k, comp)), k) for comp in comps[: _SAMPLE_CAP - len(sample)]]
 
     elapsed = (time.perf_counter() - start) * 1000.0
     return SlicingReport(
         n=n,
-        m=c.m,
+        m=m,
         total_edges=total_edges(n),
-        unsliced_count=unsliced,
+        unsliced_count=sum(unsliced for _, unsliced, _ in results),
         unsliced_sample=tuple(sample),
-        per_plane_crossings=tuple(per_plane),
+        per_plane_crossings=per_plane,
         elapsed_ms=elapsed,
     )
 

@@ -7,6 +7,25 @@ import pytest
 
 from cubeslicer.cli import dispatch, to_json_text
 
+TWO_AXIS_PLANES_Q3 = {
+    "n": 3,
+    "planes": [{"coeffs": [1, 0, 0], "threshold": 0}, {"coeffs": [0, 1, 0], "threshold": 0}],
+}
+# the verify report of TWO_AXIS_PLANES_Q3: the four axis-2 edges stay unsliced
+TWO_AXIS_PLANES_Q3_REPORT = {
+    "n": 3,
+    "m": 2,
+    "mode": "strict",
+    "total_edges": 12,
+    "unsliced_count": 4,
+    "complete": False,
+    "per_plane_crossings": [4, 4],
+    "unsliced_sample": [
+        {"axis": 2, "base_signs": signs}
+        for signs in ([-1, -1, -1], [1, -1, -1], [-1, 1, -1], [1, 1, -1])
+    ],
+}
+
 
 def run(capsys, argv):
     code = dispatch(argv)
@@ -76,6 +95,13 @@ class TestUsageAndErrors:
         code, _, err = run(capsys, ["verify", "--report", "yaml"])
         assert code == 2
         assert "usage" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, err = run(capsys, ["construct", "axis", "--n", "3", "--threads", threads])
+        assert code == 2
+        assert out == ""
+        assert "usage" in err and "--threads" in err
 
     def test_unknown_subcommand_exit_two(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
@@ -225,3 +251,32 @@ class TestArtifacts:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,m,construction")
         assert len(lines) == 2
+
+class TestPeakRss:
+    def test_manifest_reports_peak_rss_on_stderr(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(TWO_AXIS_PLANES_Q3))
+        code, out, err = run(capsys, ["verify", "--config", str(cfg)])
+        assert code == 1
+        assert out == to_json_text(TWO_AXIS_PLANES_Q3_REPORT, indent=2) + "\n"
+        assert json.loads(err)["peak_rss_mb"] > 0
+
+    def test_manifest_reports_peak_rss_with_out(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(TWO_AXIS_PLANES_Q3))
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, ["verify", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 1
+        assert err == ""
+        assert out == (out_dir / "report.json").read_text()
+        assert out == to_json_text(TWO_AXIS_PLANES_Q3_REPORT, indent=2) + "\n"
+        assert json.loads((out_dir / "manifest.json").read_text())["peak_rss_mb"] > 0
+
+    def test_error_manifest_reports_peak_rss(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"n": 2, "planes": [{"coeffs": [0, 0], "threshold": 1}]}))
+        out_dir = tmp_path / "run"
+        assert run(capsys, ["verify", "--config", str(cfg), "--out", str(out_dir)])[0] == 1
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["error"]["error"] == "AllZeroCoefficients"
+        assert manifest["peak_rss_mb"] > 0

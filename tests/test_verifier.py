@@ -1,20 +1,29 @@
 """Exhaustive slicing verification against the per-edge reference sweep."""
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubeslicer
 from cubeslicer import (
     Configuration,
     construction,
     crossing_counts,
+    edge_crosses,
+    iter_edges,
     make_hyperplane,
     max_crossings_bound,
     verify_slicing,
 )
+from cubeslicer import verifier
 from cubeslicer.errors import DimensionTooLarge
 from helpers import naive_slicing, random_rational_config
 
@@ -177,3 +186,143 @@ class TestVerifySlicing:
         rep = verify_slicing(construction("axis", 4))
         assert rep.elapsed_ms >= 0.0
         assert rep.complete
+
+
+def _first_unsliced(c, cap=100):
+    """The first `cap` unsliced edges in iter_edges order, by the scalar predicate."""
+    out = []
+    for e in iter_edges(c.n):
+        if not any(edge_crosses(h, e, c.mode) for h in c.planes):
+            out.append(e)
+            if len(out) == cap:
+                break
+    return out
+
+
+def _axis_planes(n, axes, kind="exact"):
+    planes = []
+    for k in axes:
+        coeffs = [0] * n
+        coeffs[k] = 1
+        planes.append(make_hyperplane(coeffs, 0, kind))
+    return planes
+
+
+class TestBlockedSweep:
+    """Small block sizes put n = 3..8 over many blocks, so the high-axis
+    endpoint identity, the per-block edge offsets and the run merge all
+    run against the per-edge reference."""
+
+    BITS = (1, 2, 3)
+
+    def _check(self, monkeypatch, c, threads=(1,)):
+        unsliced, counts = naive_slicing(c)
+        first = _first_unsliced(c)
+        for bits in self.BITS:
+            monkeypatch.setattr(verifier, "_BLOCK_BITS", bits)
+            for t in threads:
+                rep = verify_slicing(c, threads=t)
+                assert rep.unsliced_count == unsliced, (bits, t)
+                assert list(rep.per_plane_crossings) == counts, (bits, t)
+                assert list(rep.unsliced_sample) == first, (bits, t)
+
+    def test_random_exact_configs(self, monkeypatch):
+        gen = np.random.default_rng(101)
+        for n in range(3, 9):
+            for mode in ("strict", "relaxed"):
+                m = int(gen.integers(1, 4))
+                self._check(monkeypatch, random_rational_config(gen, n, m, mode=mode), threads=(1, 2, 3))
+
+    def test_random_float_configs(self, monkeypatch):
+        gen = np.random.default_rng(103)
+        for n in range(3, 9):
+            rows = gen.standard_normal((2, n))
+            planes = tuple(make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in rows)
+            self._check(monkeypatch, Configuration(n, planes))
+
+    def test_relaxed_configs_with_zero_sides(self, monkeypatch):
+        # small integer planes put vertices on planes, in both arithmetic kinds
+        gen = np.random.default_rng(107)
+        for n in range(3, 9):
+            for kind in ("exact", "float"):
+                planes = []
+                for _ in range(int(gen.integers(1, 4))):
+                    row = gen.integers(-2, 3, size=n)
+                    if not row.any():
+                        row[0] = 1
+                    cast = int if kind == "exact" else float
+                    planes.append(make_hyperplane([cast(x) for x in row], cast(gen.integers(-2, 3)), kind))
+                self._check(monkeypatch, Configuration(n, tuple(planes), "relaxed"))
+
+    def test_huge_rationals_object_fallback(self, monkeypatch):
+        primes = [999999937, 999999893, 999999883, 999999867, 999999863]
+        coeffs = [F(1, p) for p in primes]
+        plane = make_hyperplane(coeffs, F(1, 999999797))
+        assert verifier._plane_stack(Configuration(5, (plane,)))[0].dtype == object
+        self._check(monkeypatch, Configuration(5, (plane,)))
+
+    def test_empty_configuration_and_n1(self, monkeypatch):
+        self._check(monkeypatch, Configuration(6, ()), threads=(1, 2, 3))
+        self._check(monkeypatch, Configuration(1, ()), threads=(1, 2))
+        self._check(monkeypatch, construction("axis", 1), threads=(1, 2))
+
+    @pytest.mark.parametrize(
+        "n, unsliced_axes",
+        [
+            (8, (0, 1, 2)),  # more than 100 unsliced low-axis edges
+            (8, (5, 6, 7)),  # low axes all sliced, more than 100 on high axes
+            (7, (1, 4, 6)),  # 64 per axis: the sample runs from a low axis into high ones
+            (7, (2, 3, 5)),
+        ],
+    )
+    def test_capped_sample_spans_low_and_high_axes(self, monkeypatch, n, unsliced_axes):
+        planes = _axis_planes(n, [k for k in range(n) if k not in unsliced_axes])
+        # one more plane makes the unsliced pattern inside each axis irregular
+        planes.append(make_hyperplane([1, -2, 3, 1, -1, 2, -3, 1][:n], 1))
+        c = Configuration(n, tuple(planes))
+        unsliced, _ = naive_slicing(c)
+        assert unsliced > 100
+        self._check(monkeypatch, c, threads=(1, 2, 3))
+
+    def test_worker_count_capped_by_threads_and_blocks(self, monkeypatch):
+        seen = []
+
+        class RecordingExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingExecutor)
+        c = construction("axis", 6)
+        monkeypatch.setattr(verifier, "_BLOCK_BITS", 5)
+        verify_slicing(c, threads=64)  # 2 blocks
+        monkeypatch.setattr(verifier, "_BLOCK_BITS", 1)
+        verify_slicing(c, threads=3)  # 32 blocks
+        monkeypatch.setattr(verifier, "_BLOCK_BITS", 6)
+        verify_slicing(c, threads=4)  # 1 block: no pool
+        assert seen == [2, 3]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_peak_memory_stays_bounded_at_n20():
+    # A child process runs the verification in a grandchild and reports its
+    # RUSAGE_CHILDREN peak, which covers only that grandchild.  (A process's
+    # own peak starts at the RSS of the process it was forked from, here the
+    # whole test session.)  Exact middle layers at n = 20: their 20 full side
+    # arrays alone would take 168 MB.
+    src = str(Path(cubeslicer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    verify = (
+        "import sys; from cubeslicer import construction, verify_slicing; "
+        "sys.exit(0 if verify_slicing(construction('middle_layers', 20)).complete else 3)"
+    )
+    child = (
+        "import resource, subprocess, sys\n"
+        f"code = subprocess.call([sys.executable, '-c', {verify!r}])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=600)
+    code, peak = (int(x) for x in proc.stdout.split())
+    assert code == 0, proc.stderr
+    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mb <= 120, f"peak RSS {peak_mb:.0f} MB"
