@@ -28,7 +28,7 @@ from .errors import (
     NegativeAlpha,
     NonFiniteEntry,
 )
-from .sampler import as_generator
+from .sampler import as_generator, batch_mu
 
 ORACLE_MAX_DIM = 22
 MERGE_RTOL = 1e-12
@@ -287,7 +287,7 @@ def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple
     left = samples
     while left > 0:
         b = min(left, _HOEFFDING_CHUNK)
-        x = np.where(gen.random((b, v.size)) < (1.0 + p) / 2.0, 1.0, -1.0)
+        x = batch_mu(np.broadcast_to(p, (b, v.size)), gen).astype(np.float64)
         count += int(np.count_nonzero(np.abs(x @ v - mean) > dev))
         left -= b
     emp = count / samples

@@ -30,6 +30,7 @@ from .core import (
     EXACT,
     FLOAT,
     Configuration,
+    Edge,
     config_from_json_dict,
     config_to_json_dict,
     construction,
@@ -46,7 +47,7 @@ from .lab import (
     random_unit_configuration,
     sweep,
 )
-from .sampler import RngSpec, sample_bias_simple, sample_evasive_edge, sample_mu
+from .sampler import RngSpec, sample_bias_conditioned, sample_bias_simple, sample_evasive_edge, sample_mu
 from .verifier import verify_slicing
 
 
@@ -221,31 +222,20 @@ def _cmd_sample(args):
     config, hashes = _load_config(args.config)
     args._input_hashes = hashes
     gen = _rng_from_args(args).generator()
+    dyadic = args.variant == "dyadic"
     lines = []
     for _ in range(args.count):
-        if args.emit == "bias":
-            if args.variant == "dyadic":
-                from .sampler import sample_bias_conditioned
-
-                bv = sample_bias_conditioned(config, gen, args.max_retries)
-            else:
-                bv = sample_bias_simple(config, gen)
-            lines.append(
-                to_json_text(
-                    {"p": bv.p.tolist(), "conditioned": bv.conditioned, "clamped": bv.clamped}
-                )
-            )
+        if dyadic and args.emit == "edges":
+            edge = sample_evasive_edge(config, gen, args.max_retries)
         else:
-            if args.variant == "dyadic":
-                edge = sample_evasive_edge(config, gen, args.max_retries)
-            else:
-                bv = sample_bias_simple(config, gen)
-                u = sample_mu(bv.p, gen)
-                k = int(gen.integers(config.n))
-                from .core import Edge
-
-                edge = Edge(u, k)
-            lines.append(to_json_text(_edge_dict(edge)))
+            bv = sample_bias_conditioned(config, gen, args.max_retries) if dyadic else sample_bias_simple(config, gen)
+            if args.emit == "bias":
+                lines.append(
+                    to_json_text({"p": bv.p.tolist(), "conditioned": bv.conditioned, "clamped": bv.clamped})
+                )
+                continue
+            edge = Edge(sample_mu(bv.p, gen), int(gen.integers(config.n)))
+        lines.append(to_json_text(_edge_dict(edge)))
     return 0, "\n".join(lines) + "\n", "samples.jsonl"
 
 
@@ -437,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--coeff-range", type=int, default=8)
-    p.add_argument("--report", choices=["json"], default="json")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("sweep", parents=[common], help="estimator grid over (n, m) cells")
@@ -521,3 +510,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -163,6 +163,12 @@ class Configuration:
         kinds = {h.kind for h in self.planes}
         if len(kinds) > 1:
             raise MixedScalarKinds("configuration mixes exact and float planes")
+        # the fields are frozen, so hash them once: cache lookups such as
+        # sampler.bias_setup hash the configuration on every call
+        object.__setattr__(self, "_hash", hash((self.n, self.planes, self.mode)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

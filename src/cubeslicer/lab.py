@@ -21,6 +21,7 @@ from .core import (
     STRICT,
     Configuration,
     canonical_base,
+    construction,
     make_hyperplane,
     sign_pair_crossings,
     zero_tolerance,
@@ -28,8 +29,10 @@ from .core import (
 from .errors import DimensionTooLarge, SlicerError
 from .sampler import (
     RngSpec,
+    as_generator,
     batch_bias,
     batch_bias_conditioned,
+    batch_evasive_edges,
     batch_mu,
     bias_setup,
 )
@@ -99,25 +102,20 @@ def estimate_evasion(
     samples: int,
     rng,
     threads: int = 1,
-    *,
-    max_retries: int = 1000,
-    log_base: float = math.e,
-    damping: float = 10.0,
 ) -> tuple[list[EstimateReport], EstimateReport]:
     """Frequency with which the evasive random edge crosses each plane, plus
     the union frequency Pr[some plane is crossed].  Crossing is evaluated on
     the unit-norm float copies under c.mode."""
     spec = _require_spec(rng)
-    setup = bias_setup(c, log_base=log_base, damping=damping)
+    setup = bias_setup(c)
     tol = zero_tolerance(setup.V, setup.t)
     relaxed = c.mode == RELAXED
     sizes = _chunk_sizes(samples)
 
     def chunk(i: int):
         gen = spec.child(i).generator()
-        P = batch_bias_conditioned(setup, gen, sizes[i], max_retries)
-        U = batch_mu(P, gen).astype(np.float64)
-        k = gen.integers(c.n, size=sizes[i])
+        U, k = batch_evasive_edges(setup, gen, sizes[i])
+        U = U.astype(np.float64)
         # side values at the endpoints U and U with coordinate k flipped
         s0 = U @ setup.V.T - setup.t
         s1 = s0 - 2.0 * U[np.arange(sizes[i]), k][:, None] * setup.V.T[k]
@@ -144,14 +142,11 @@ def estimate_linf_tail(
     samples: int,
     rng,
     threads: int = 1,
-    *,
-    log_base: float = math.e,
-    damping: float = 10.0,
 ) -> EstimateReport:
     """Frequency of max|P_i| > 1/2 under the unconditioned dyadic bias;
     the target bound is 2/n."""
     spec = _require_spec(rng)
-    setup = bias_setup(c, log_base=log_base, damping=damping)
+    setup = bias_setup(c)
     sizes = _chunk_sizes(samples)
 
     def chunk(i: int) -> int:
@@ -170,10 +165,6 @@ def estimate_glue_sum(
     samples: int,
     rng,
     threads: int = 1,
-    *,
-    max_retries: int = 1000,
-    log_base: float = math.e,
-    damping: float = 10.0,
 ) -> EstimateReport:
     """Monte Carlo estimate of sum_k Pr[|<v,x> - t| < 2|v_k|] for one plane's
     unit-norm copy v, with x drawn from the conditioned-bias product
@@ -183,7 +174,7 @@ def estimate_glue_sum(
     spec = _require_spec(rng)
     if not 0 <= plane_index < c.m:
         raise SlicerError(f"plane index {plane_index} out of range for m={c.m}")
-    setup = bias_setup(c, log_base=log_base, damping=damping)
+    setup = bias_setup(c)
     v = setup.V[plane_index]
     tval = setup.t[plane_index] if t is None else float(t)
     gates = 2.0 * np.abs(v)
@@ -191,7 +182,7 @@ def estimate_glue_sum(
 
     def chunk(i: int) -> tuple[int, int]:
         gen = spec.child(i).generator()
-        P = batch_bias_conditioned(setup, gen, sizes[i], max_retries)
+        P = batch_bias_conditioned(setup, gen, sizes[i])
         x = batch_mu(P, gen).astype(np.float64)
         s = x @ v - tval
         cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
@@ -204,15 +195,10 @@ def estimate_glue_sum(
     return _mean_report(total, total_sq, samples, spec.seed, target)
 
 
-def random_unit_configuration(
-    n: int, m: int, rng, mode: str = STRICT, threshold_spread: float = 0.0
-) -> Configuration:
+def random_unit_configuration(n: int, m: int, rng, threshold_spread: float = 0.0) -> Configuration:
     """m random unit-norm float planes (Gaussian directions); thresholds are 0
     or uniform on [-spread, spread]."""
-    if isinstance(rng, RngSpec):
-        gen = rng.generator()
-    else:
-        gen = rng
+    gen = as_generator(rng)
     planes = []
     for _ in range(m):
         row = gen.standard_normal(n)
@@ -223,7 +209,7 @@ def random_unit_configuration(
         row /= norm
         t = float(gen.uniform(-threshold_spread, threshold_spread)) if threshold_spread else 0.0
         planes.append(make_hyperplane(row.tolist(), t, "float"))
-    return Configuration(n, tuple(planes), mode)
+    return Configuration(n, tuple(planes))
 
 
 @dataclass(frozen=True)
@@ -247,8 +233,6 @@ def sweep(
     Per-cell failures are recorded in the row's `error` field and the sweep
     continues.  Cell i derives its config stream from child(i, 0) and its
     estimation stream from child(i, 1)."""
-    from .core import construction as build_construction
-
     spec = _require_spec(rng)
     rows: list[dict] = []
     for idx, cell in enumerate(cells):
@@ -263,39 +247,26 @@ def sweep(
             if cell.construction == "random":
                 config = random_unit_configuration(cell.n, cell.m, spec.child(idx, 0))
             else:
-                config = build_construction(cell.construction, cell.n, kind="float")
+                config = construction(cell.construction, cell.n, kind="float")
                 row["m"] = config.m
             est_rng = spec.child(idx, 1)
             if estimator == "evasion":
-                per_plane, union = estimate_evasion(config, samples, est_rng, threads)
-                row.update(
-                    point_estimate=union.point_estimate,
-                    std_error=union.std_error,
-                    ci95_low=union.ci95[0],
-                    ci95_high=union.ci95[1],
-                    target_bound=union.target_bound,
-                    max_plane_estimate=max(r.point_estimate for r in per_plane),
-                )
+                per_plane, rep = estimate_evasion(config, samples, est_rng, threads)
             elif estimator == "linf_tail":
                 rep = estimate_linf_tail(config, samples, est_rng, threads)
-                row.update(
-                    point_estimate=rep.point_estimate,
-                    std_error=rep.std_error,
-                    ci95_low=rep.ci95[0],
-                    ci95_high=rep.ci95[1],
-                    target_bound=rep.target_bound,
-                )
             elif estimator == "glue":
                 rep = estimate_glue_sum(config, 0, None, samples, est_rng, threads)
-                row.update(
-                    point_estimate=rep.point_estimate,
-                    std_error=rep.std_error,
-                    ci95_low=rep.ci95[0],
-                    ci95_high=rep.ci95[1],
-                    target_bound=rep.target_bound,
-                )
             else:
                 raise SlicerError(f"unknown estimator {estimator!r}")
+            row.update(
+                point_estimate=rep.point_estimate,
+                std_error=rep.std_error,
+                ci95_low=rep.ci95[0],
+                ci95_high=rep.ci95[1],
+                target_bound=rep.target_bound,
+            )
+            if estimator == "evasion":
+                row["max_plane_estimate"] = max(r.point_estimate for r in per_plane)
             row["error"] = None
         except SlicerError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -309,6 +280,11 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 SEARCH_MAX_DIM = 8
+# annealing schedule: restart after this many accepted moves without a new
+# best; cool geometrically from T0 to T_END
+RESTART_AFTER = 1000
+T0 = 2.0
+T_END = 0.05
 
 
 @dataclass
@@ -434,9 +410,6 @@ def local_search_slicing(
     replicas: int = 1,
     threads: int = 1,
     mode: str = STRICT,
-    restart_after: int = 1000,
-    t0: float = 2.0,
-    t_end: float = 0.05,
 ) -> tuple[Configuration, SlicingReport]:
     """Anneal integer-coefficient planes toward a complete slicing of the
     n-cube, minimizing the unsliced-edge count.  The returned report comes
@@ -454,7 +427,7 @@ def local_search_slicing(
 
     def replica(r: int):
         gen = spec.child(r).generator()
-        return _search_replica(n, m, iters, gen, coeff_range, relaxed, restart_after, t0, t_end)
+        return _search_replica(n, m, iters, gen, coeff_range, relaxed, RESTART_AFTER, T0, T_END)
 
     results = _run_ordered(replica, replicas, threads)
     # deterministic best-of: ties broken by replica index

@@ -2,9 +2,11 @@
 and the evasive-edge sampler.
 
 Every sampler is a deterministic function of an RngSpec: the same
-(seed, stream) reproduces the same draw sequence.  Batch helpers used by the
-Monte Carlo estimators live here as well, so scalar and batch paths share
-the plane-normalization and dyadic-term logic.
+(seed, stream) reproduces the same draw sequence.  The batch helpers, which
+the Monte Carlo estimators call, are the one implementation of each law:
+sample_mu and sample_evasive_edge are batch-of-one draws through them and
+consume the same random stream.  The bias is damped by the paper's constant
+1/(10 sqrt(m ln n)).
 """
 
 from __future__ import annotations
@@ -125,37 +127,25 @@ def _check_dims(c: Configuration) -> None:
         raise DimensionTooSmall("bias sampler needs m >= 1")
 
 
-def _log_n(n: int, log_base: float) -> float:
-    val = math.log(n, log_base)
-    if val <= 0.0:
-        raise DimensionTooSmall(f"log base {log_base} gives nonpositive log({n})")
-    return val
-
-
-def sample_bias(c: Configuration, rng, *, log_base: float = math.e, damping: float = 10.0) -> BiasVector:
+def sample_bias(c: Configuration, rng) -> BiasVector:
     """Draw the dyadic random bias
 
-        P = (1 / (damping * sqrt(m log n))) * sum_l sum_j alpha_{lj} 2^j v_l^(j)
+        P = (1 / (10 sqrt(m ln n))) * sum_l sum_j alpha_{lj} 2^j v_l^(j)
 
     with alpha_{lj} independent uniform on [-1,1] over the unit-norm float
-    copies of the planes.  damping=10 and natural log are the defaults; both
-    are exposed for sensitivity sweeps.
+    copies of the planes.  The draw is recorded in BiasVector.draws.
     """
+    # The one draw that keeps its multipliers.  batch_bias returns only P:
+    # keeping alphas there would hold a (count x K) float array per estimator
+    # chunk (16384 x 1220, ~160 MB, at n=1024, m=100) and raise peak RSS.
     gen = as_generator(rng)
-    setup = bias_setup(c, log_base=log_base, damping=damping)
+    setup = bias_setup(c)
     alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
     p = setup.scale * (alphas @ setup.W)
     return BiasVector(p, dict(zip(setup.keys, alphas.tolist())), conditioned=False)
 
 
-def sample_bias_conditioned(
-    c: Configuration,
-    rng,
-    max_retries: int = 1000,
-    *,
-    log_base: float = math.e,
-    damping: float = 10.0,
-) -> BiasVector:
+def sample_bias_conditioned(c: Configuration, rng, max_retries: int = 1000) -> BiasVector:
     """Rejection-sample the dyadic bias until max|P_i| <= 1/2.
 
     Rejection reproduces the conditional law exactly; the acceptance
@@ -164,7 +154,7 @@ def sample_bias_conditioned(
     """
     gen = as_generator(rng)
     for _ in range(max_retries + 1):
-        bv = sample_bias(c, gen, log_base=log_base, damping=damping)
+        bv = sample_bias(c, gen)
         if np.max(np.abs(bv.p)) <= 0.5:
             return dataclasses.replace(bv, conditioned=True)
     raise RetriesExhausted(f"no acceptance within {max_retries} retries")
@@ -186,40 +176,24 @@ def sample_bias_simple(c: Configuration, rng) -> BiasVector:
 def sample_mu(p, rng) -> Vertex:
     """One vertex from the product distribution with coordinate means p:
     Pr[z_i = +1] = (1 + p_i) / 2, independently."""
-    gen = as_generator(rng)
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise BiasOutOfRange("bias must be a nonempty vector")
     if np.max(np.abs(arr)) > 1.0:
         raise BiasOutOfRange("bias entries must lie in [-1, 1]")
-    ups = gen.random(arr.size) < (1.0 + arr) / 2.0
-    mask = 0
-    for i, b in enumerate(ups):
-        if b:
-            mask |= 1 << i
-    return Vertex(arr.size, mask)
+    return Vertex.from_signs(batch_mu(arr[None, :], as_generator(rng))[0].tolist())
 
 
-def sample_evasive_edge(
-    c: Configuration,
-    rng,
-    max_retries: int = 1000,
-    *,
-    log_base: float = math.e,
-    damping: float = 10.0,
-) -> Edge:
+def sample_evasive_edge(c: Configuration, rng, max_retries: int = 1000) -> Edge:
     """The evasive random edge (U, k): U from the product distribution with
     conditioned bias P, and k a uniform axis independent of U given P."""
-    gen = as_generator(rng)
-    bv = sample_bias_conditioned(c, gen, max_retries, log_base=log_base, damping=damping)
-    u = sample_mu(bv.p, gen)
-    k = int(gen.integers(c.n))
-    return Edge(u, k)
+    U, k = batch_evasive_edges(bias_setup(c), as_generator(rng), 1, max_retries)
+    return Edge(Vertex.from_signs(U[0].tolist()), int(k[0]))
 
 
 # ---------------------------------------------------------------------------
-# Batch helpers (vectorized across samples) used by the Monte Carlo
-# estimators.  Same distributions as the scalar samplers above.
+# Batch helpers (vectorized across samples): the one implementation of each
+# law.  sample_mu and sample_evasive_edge above are batch-of-one views.
 # ---------------------------------------------------------------------------
 
 
@@ -235,14 +209,13 @@ class BiasSetup:
 
 
 @functools.lru_cache(maxsize=64)
-def bias_setup(c: Configuration, *, log_base: float = math.e, damping: float = 10.0) -> BiasSetup:
+def bias_setup(c: Configuration) -> BiasSetup:
     # Configurations are frozen and hashable, so the setup (normalization +
     # dyadic split) is computed once per config; arrays are treated read-only.
     _check_dims(c)
     V, t = normalized_float_planes(c)
     keys, W = dyadic_terms(V)
-    scale = 1.0 / (damping * math.sqrt(c.m * _log_n(c.n, log_base)))
-    return BiasSetup(V, t, keys, W, scale)
+    return BiasSetup(V, t, keys, W, 1.0 / (10.0 * math.sqrt(c.m * math.log(c.n))))
 
 
 def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -265,3 +238,12 @@ def batch_bias_conditioned(
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Rows of +-1 vertices drawn coordinate-wise with means P (one row per sample)."""
     return np.where(gen.random(P.shape) < (1.0 + P) / 2.0, 1, -1).astype(np.int8)
+
+
+def batch_evasive_edges(
+    setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
+) -> tuple[np.ndarray, np.ndarray]:
+    """count evasive edges (U, k): +-1 rows U drawn with conditioned biases,
+    and axes k uniform on range(n)."""
+    U = batch_mu(batch_bias_conditioned(setup, gen, count, max_retries), gen)
+    return U, gen.integers(setup.V.shape[1], size=count)

@@ -1,7 +1,12 @@
 """CLI dispatch: exit codes, piping, determinism, artifacts."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +185,35 @@ class TestSample:
         )
         assert json.loads(out2.splitlines()[0])["conditioned"] is False
 
+    # Two planes on disjoint coordinates with integer norms (3 and 7): every
+    # bias entry is one product and every norm is exact, so the bytes do not
+    # depend on the BLAS summation order.
+    GOLDEN_CONFIG = {
+        "n": 6,
+        "mode": "strict",
+        "planes": [
+            {"coeffs": [1, 2, 2, 0, 0, 0], "threshold": 0},
+            {"coeffs": [0, 0, 0, 2, -3, 6], "threshold": "1/2"},
+        ],
+    }
+    GOLDEN_SHA256 = {
+        ("dyadic", "edges"): "a1f0d6ee0e14cd889131e7727364b90f590b06869735661f81ff5bcd275d1f2b",
+        ("dyadic", "bias"): "006dbe19227eb756efadae01492431c71d85309c14337a4e9faca04b92c70165",
+        ("simple", "edges"): "715d7489fd28230b782626fff666709e0b5f7c0955c91f1a6deed1a559814d8b",
+        ("simple", "bias"): "3521bd3b14b49ccd229f65ab4ccbb1db897f2c8b239af663e8a0727728844a9e",
+    }
+
+    @pytest.mark.parametrize("variant,emit", sorted(GOLDEN_SHA256))
+    def test_fixed_seed_output_is_pinned(self, capsys, tmp_path, variant, emit):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.GOLDEN_CONFIG))
+        argv = ["sample", "--config", str(path), "--count", "6", "--variant", variant,
+                "--emit", emit, "--seed", "7", "--stream", "3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_SHA256[variant, emit]
+
 
 class TestThreadInvariance:
     @pytest.mark.parametrize(
@@ -280,3 +314,19 @@ class TestPeakRss:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["error"]["error"] == "AllZeroCoefficients"
         assert manifest["peak_rss_mb"] > 0
+
+
+class TestModuleEntryPoint:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("module", ["cubeslicer", "cubeslicer.cli"])
+    def test_python_dash_m_runs_the_cli(self, capsys, module):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "construct", "axis", "--n", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        _, expected, _ = run(capsys, ["construct", "axis", "--n", "3"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+        assert json.loads(proc.stderr)["subcommand"] == "construct"

@@ -9,7 +9,9 @@ from scipy import stats
 import cubeslicer.sampler as sampler_mod
 from cubeslicer import (
     Configuration,
+    Edge,
     RngSpec,
+    Vertex,
     make_hyperplane,
     sample_bias,
     sample_bias_conditioned,
@@ -18,7 +20,7 @@ from cubeslicer import (
     sample_mu,
 )
 from cubeslicer.errors import BiasOutOfRange, DimensionTooSmall, RetriesExhausted
-from cubeslicer.sampler import BiasVector, batch_bias, batch_mu, bias_setup
+from cubeslicer.sampler import BiasVector, batch_bias, batch_evasive_edges, batch_mu, bias_setup
 
 
 def single_axis_config(n=8):
@@ -112,13 +114,14 @@ class TestSampleBias:
         with pytest.raises(UnnormalizedPlane):
             sample_bias(huge, RngSpec(0))
 
-    def test_log_base_knob(self):
+    def test_scale_is_paper_constant(self):
+        # one plane, one dyadic term of weight 1 on coordinate 0, so p[0] is
+        # the multiplier times the paper's damping 1/(10 sqrt(m ln n)), m = 1
         c = single_axis_config(8)
-        natural = sample_bias(c, RngSpec(3))
-        base2 = sample_bias(c, RngSpec(3), log_base=2.0)
-        # same alpha draw, different damping scale: ln(8) vs log2(8) = 3
-        ratio = natural.p[0] / base2.p[0]
-        assert abs(ratio - math.sqrt(3.0 / math.log(8))) < 1e-12
+        for seed in range(20):
+            bv = sample_bias(c, RngSpec(seed))
+            assert bv.p[0] == bv.draws[(0, 0)] * (1.0 / (10.0 * math.sqrt(math.log(8))))
+            assert bv.p[0] == pytest.approx(bv.draws[(0, 0)] / (10.0 * math.sqrt(math.log(8))), rel=1e-15)
 
     def test_determinism(self):
         gen = np.random.default_rng(10)
@@ -147,7 +150,7 @@ class TestSampleBiasConditioned:
     def test_retries_exhausted(self, monkeypatch):
         c = single_axis_config(8)
 
-        def always_reject(config, rng, *, log_base=math.e, damping=10.0):
+        def always_reject(config, rng):
             return BiasVector(np.ones(config.n), {}, conditioned=False)
 
         monkeypatch.setattr(sampler_mod, "sample_bias", always_reject)
@@ -276,3 +279,59 @@ class TestSampleEvasiveEdge:
         e1 = sample_evasive_edge(c, RngSpec(5, 6))
         e2 = sample_evasive_edge(c, RngSpec(5, 6))
         assert e1 == e2
+
+
+def scalar_reference_edge(c, gen):
+    """The evasive edge drawn with the scalar forms of every draw: a (K,)
+    multiplier vector per attempt, one random(n) row and one integers(n)."""
+    setup = bias_setup(c)
+    while True:
+        alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
+        p = setup.scale * (alphas @ setup.W)
+        if np.max(np.abs(p)) <= 0.5:
+            break
+    ups = gen.random(c.n) < (1.0 + p) / 2.0
+    mask = sum(1 << i for i, up in enumerate(ups) if up)
+    return Edge(Vertex(c.n, mask), int(gen.integers(c.n)))
+
+
+class TestBatchOfOne:
+    # (6, 8) rejects often enough to exercise redraws inside one call
+    CASES = [(2, 1), (6, 8), (9, 3), (40, 6), (256, 12)]
+
+    @pytest.mark.parametrize("n,m", CASES)
+    def test_scalar_samplers_are_row_zero_of_a_batch(self, n, m):
+        c = random_unit_config(np.random.default_rng(n * 100 + m), n, m)
+        setup = bias_setup(c)
+        for seed in range(25):
+            U, k = batch_evasive_edges(setup, RngSpec(seed).generator(), 1)
+            assert U.shape == (1, n) and k.shape == (1,)
+            edge = sample_evasive_edge(c, RngSpec(seed))
+            assert edge == Edge(Vertex.from_signs(U[0].tolist()), int(k[0]))
+            p = sample_bias(c, RngSpec(seed, 1)).p
+            row = batch_mu(p[None, :], RngSpec(seed, 2).generator())[0]
+            assert sample_mu(p, RngSpec(seed, 2)) == Vertex.from_signs(row.tolist())
+
+    @pytest.mark.parametrize("n,m", CASES)
+    def test_batch_of_one_consumes_the_scalar_stream(self, n, m):
+        # a shared generator: any difference in how many numbers a draw takes
+        # would shift every later edge
+        c = random_unit_config(np.random.default_rng(n * 100 + m), n, m)
+        gen, ref_gen = RngSpec(7, n).generator(), RngSpec(7, n).generator()
+        for _ in range(40):
+            assert sample_evasive_edge(c, gen) == scalar_reference_edge(c, ref_gen)
+        assert gen.random() == ref_gen.random()
+
+
+class TestBiasSetupCache:
+    def test_equal_configs_hash_once_and_share_the_setup(self):
+        rows = np.random.default_rng(3).standard_normal((4, 64)).tolist()
+        a = Configuration(64, tuple(make_hyperplane(r, 0.0, "float") for r in rows))
+        b = Configuration(64, tuple(make_hyperplane(r, 0.0, "float") for r in rows))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.n, a.planes, a.mode))
+        assert a != Configuration(64, a.planes, "relaxed")
+        setup = bias_setup(a)
+        assert bias_setup(a) is setup
+        assert bias_setup(b) is setup
