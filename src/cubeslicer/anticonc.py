@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import decomp
-from .core import EXACT, FLOAT
+from .core import EXACT, FLOAT, as_scalar, scalar_kind
 from .errors import (
     BiasOutOfRange,
     BiasTooLarge,
@@ -26,7 +26,6 @@ from .errors import (
     DimensionTooLargeForOracle,
     DimensionTooSmall,
     NegativeAlpha,
-    NonFiniteEntry,
 )
 from .sampler import as_generator, batch_mu
 
@@ -36,19 +35,11 @@ MERGE_RTOL = 1e-12
 Number = Union[Fraction, float, int]
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) or isinstance(x, str)
-
-
-def _to_exact(x) -> Fraction:
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class LinearFormSpec:
     """The random variable <v, x> where x has independent +-1 coordinates
-    with means p.  Entries are normalized to all-Fraction (exact kind) when
-    every input is an integer, Fraction, or "p/q" string, else to floats."""
+    with means p.  Entries are normalized by core.as_scalar to the
+    core.scalar_kind of all of v and p: all Fractions or all finite floats."""
 
     v: tuple
     p: tuple
@@ -58,16 +49,9 @@ class LinearFormSpec:
             raise DimensionMismatch("v and p must have equal lengths")
         if len(self.v) == 0:
             raise DimensionMismatch("empty linear form")
-        if all(_is_exact(x) for x in self.v) and all(_is_exact(x) for x in self.p):
-            v = tuple(_to_exact(x) for x in self.v)
-            p = tuple(_to_exact(x) for x in self.p)
-        else:
-            v = tuple(float(Fraction(x)) if isinstance(x, str) else float(x) for x in self.v)
-            p = tuple(float(Fraction(x)) if isinstance(x, str) else float(x) for x in self.p)
-            if not all(math.isfinite(x) for x in v + p):
-                raise NonFiniteEntry("linear form entries must be finite")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "p", p)
+        kind = scalar_kind([*self.v, *self.p])
+        object.__setattr__(self, "v", tuple(as_scalar(x, kind) for x in self.v))
+        object.__setattr__(self, "p", tuple(as_scalar(x, kind) for x in self.p))
         if max(abs(x) for x in self.p) > 1:
             raise BiasOutOfRange("bias entries must lie in [-1, 1]")
 
@@ -250,10 +234,8 @@ def group_bound_r(v: Sequence, alpha, n: int) -> int:
     if n < 2:
         raise DimensionTooSmall("scale count bound needs n >= 2")
     d = decomp.binary_decompose(list(v))
-    if isinstance(alpha, (Fraction, int)):
-        count = sum(1 for j in d.parts if decomp._pow2(j + 1) >= alpha)
-    else:
-        count = sum(1 for j in d.parts if math.ldexp(1.0, -j - 1) >= alpha)
+    # Fraction comparisons are exact against Fraction, int and float alpha alike
+    count = sum(1 for j in d.parts if decomp._pow2(j + 1) >= alpha)
     return int(count / (2.0 * math.log(n)))
 
 

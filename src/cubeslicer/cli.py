@@ -31,13 +31,15 @@ from .core import (
     FLOAT,
     Configuration,
     Edge,
+    as_scalar,
     config_from_json_dict,
     config_to_json_dict,
     construction,
+    total_edges,
 )
 from .anticonc import LinearFormSpec, levy_q, linear_form_atoms, sperner_bound
 from .decomp import binary_decompose
-from .errors import SlicerError
+from .errors import MalformedInput, SlicerError
 from .lab import (
     SweepCell,
     estimate_evasion,
@@ -71,7 +73,7 @@ def _json_token(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, Fraction):
-        return json.dumps(str(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}")
+        return json.dumps(str(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
@@ -119,23 +121,17 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _parse_scalars(text: str, kind: str) -> list:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(Fraction(token) if kind == EXACT else float(Fraction(token)))
-    return out
+    return [as_scalar(token, kind) for token in text.split(",") if token.strip()]
 
 
 def _load_config(path: str) -> tuple[Configuration, dict]:
-    if path == "-":
-        data = sys.stdin.read()
-        digest = {"<stdin>": hashlib.sha256(data.encode()).hexdigest()}
-    else:
-        data = Path(path).read_text()
-        digest = {path: hashlib.sha256(data.encode()).hexdigest()}
-    return config_from_json_dict(json.loads(data)), digest
+    name = "<stdin>" if path == "-" else path
+    try:
+        data = sys.stdin.read() if path == "-" else Path(path).read_text()
+        config = config_from_json_dict(json.loads(data))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MalformedInput(f"configuration {name}: {type(exc).__name__}: {exc}") from exc
+    return config, {name: hashlib.sha256(data.encode()).hexdigest()}
 
 
 def _rng_from_args(args) -> RngSpec:
@@ -165,7 +161,7 @@ def _verify_dict(c: Configuration, report) -> dict:
         "mode": c.mode,
         "total_edges": report.total_edges,
         "unsliced_count": report.unsliced_count,
-        "complete": report.unsliced_count == 0,
+        "complete": report.complete,
         "per_plane_crossings": list(report.per_plane_crossings),
         "unsliced_sample": [_edge_dict(e) for e in report.unsliced_sample],
     }
@@ -183,7 +179,7 @@ def _cmd_construct(args):
 
 
 def _cmd_decompose(args):
-    vec = _parse_scalars(args.v, EXACT if args.mode == EXACT else FLOAT)
+    vec = _parse_scalars(args.v, args.mode)
     d = binary_decompose(vec)
     rows = [
         {"j": j, "indices": list(d.parts[j][0]), "values": list(d.parts[j][1])}
@@ -198,14 +194,14 @@ def _cmd_verify(args):
     if args.mode:
         config = Configuration(config.n, config.planes, args.mode)
     if config.n > 24:
-        per_plane = config.n * (1 << (config.n - 1))
+        per_plane = total_edges(config.n)
         print(
             f"# cost estimate: {config.m} planes x {per_plane} edges = "
             f"{config.m * per_plane} edge tests",
             file=sys.stderr,
         )
     report = verify_slicing(config, threads=args.threads)
-    result = _verify_dict(config, report)
+    code = 0 if report.complete else 1
     if args.report == "csv":
         rows = [
             [report.n, report.m, config.mode, report.total_edges, report.unsliced_count, ell, cnt]
@@ -214,8 +210,8 @@ def _cmd_verify(args):
         text = csv_text(
             ["n", "m", "mode", "total_edges", "unsliced_count", "plane_index", "crossings"], rows
         )
-        return (0 if report.unsliced_count == 0 else 1), text, "report.csv"
-    return (0 if report.unsliced_count == 0 else 1), to_json_text(result, indent=2) + "\n", "report.json"
+        return code, text, "report.csv"
+    return code, to_json_text(_verify_dict(config, report), indent=2) + "\n", "report.json"
 
 
 def _cmd_sample(args):
@@ -242,10 +238,8 @@ def _cmd_sample(args):
 def _cmd_qfunc(args):
     v = _parse_scalars(args.v, args.mode)
     p = _parse_scalars(args.p, args.mode) if args.p else [0] * len(v)
-    if args.mode == FLOAT:
-        p = [float(x) for x in p]
     spec = LinearFormSpec(tuple(v), tuple(p))
-    alpha = Fraction(args.alpha) if args.mode == EXACT else float(Fraction(args.alpha))
+    alpha = as_scalar(args.alpha, args.mode)
     d = linear_form_atoms(spec)
     q = levy_q(d, alpha)
     a = sum(1 for vi in spec.v if abs(vi) >= alpha)

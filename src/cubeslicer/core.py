@@ -23,6 +23,7 @@ from .errors import (
     AllZeroCoefficients,
     DimensionMismatch,
     DimensionZero,
+    MalformedInput,
     MixedScalarKinds,
     NonFiniteScalar,
     UnknownConstruction,
@@ -103,47 +104,47 @@ class Hyperplane:
         return len(self.coeffs)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def scalar_kind(xs) -> str:
+    """EXACT when every entry is an int, a Fraction or a string (strings parse
+    as rationals, "p/q"), else FLOAT."""
+    return EXACT if all(isinstance(x, (int, Fraction, str)) for x in xs) else FLOAT
+
+
+def as_scalar(x, kind: str) -> Scalar:
+    """The one conversion of an input scalar: a Fraction in exact kind, a
+    finite float in float kind.  Strings parse as rationals ("-2/7", "1.5",
+    "1e-3").  NaN, infinities and float overflow raise NonFiniteScalar;
+    any other string or type raises MalformedInput."""
+    if kind not in (EXACT, FLOAT):
+        raise ValueError(f"unknown arithmetic kind {kind!r}")
+    r = x
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise NonFiniteScalar(f"non-finite scalar {x!r}")
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _as_float(x) -> float:
+        try:
+            r = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput(f"not a rational number: {x!r}") from None
+    elif not isinstance(x, (float, int, Fraction)):
+        raise MalformedInput(f"not an int, a float, a Fraction or a string: {x!r}")
     try:
-        v = float(Fraction(x)) if isinstance(x, str) else float(x)
-    except OverflowError as exc:
-        raise NonFiniteScalar(f"scalar {x!r} does not fit float range") from exc
-    if not math.isfinite(v):
-        raise NonFiniteScalar(f"non-finite scalar {x!r}")
-    return v
+        if kind == EXACT:
+            return Fraction(r)  # NaN raises ValueError, infinities OverflowError
+        v = float(r)  # rationals beyond the double range raise OverflowError
+        if math.isfinite(v):
+            return v
+    except (ValueError, OverflowError):
+        pass
+    raise NonFiniteScalar(f"not a finite number: {x!r}")
 
 
 def make_hyperplane(coeffs: Sequence, threshold, kind: str = EXACT) -> Hyperplane:
     """Validate and build a hyperplane in the requested arithmetic kind."""
-    coeffs = list(coeffs)
-    if len(coeffs) == 0:
+    cs = tuple(as_scalar(c, kind) for c in coeffs)
+    if not cs:
         raise DimensionZero("hyperplane needs at least one coefficient")
-    if kind == EXACT:
-        cs = tuple(_as_fraction(c) for c in coeffs)
-        if all(c == 0 for c in cs):
-            raise AllZeroCoefficients("all coefficients are zero")
-        return Hyperplane(cs, _as_fraction(threshold), EXACT, None)
-    if kind == FLOAT:
-        cs = tuple(_as_float(c) for c in coeffs)
-        if all(c == 0.0 for c in cs):
-            raise AllZeroCoefficients("all coefficients are zero")
-        norm = math.sqrt(math.fsum(c * c for c in cs))
-        return Hyperplane(cs, _as_float(threshold), FLOAT, norm)
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
+    if not any(cs):
+        raise AllZeroCoefficients("all coefficients are zero")
+    norm = math.sqrt(math.fsum(c * c for c in cs)) if kind == FLOAT else None
+    return Hyperplane(cs, as_scalar(threshold, kind), kind, norm)
 
 
 @dataclass(frozen=True)
@@ -299,11 +300,10 @@ def iter_edges(n: int) -> Iterator[Edge]:
             yield Edge(Vertex(n, canonical_base(k, comp)), k)
 
 
-def _scalar_to_json(x, kind: str):
-    if kind == EXACT:
-        f = _as_fraction(x)
-        return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return float(x)
+def _scalar_to_json(x):
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else str(x)
+    return x
 
 
 def config_to_json_dict(c: Configuration) -> dict:
@@ -312,8 +312,8 @@ def config_to_json_dict(c: Configuration) -> dict:
         "mode": c.mode,
         "planes": [
             {
-                "coeffs": [_scalar_to_json(v, h.kind) for v in h.coeffs],
-                "threshold": _scalar_to_json(h.threshold, h.kind),
+                "coeffs": [_scalar_to_json(v) for v in h.coeffs],
+                "threshold": _scalar_to_json(h.threshold),
             }
             for h in c.planes
         ],
@@ -323,17 +323,13 @@ def config_to_json_dict(c: Configuration) -> dict:
 def config_from_json_dict(d: dict) -> Configuration:
     """Parse the configuration schema.
 
-    Scalars may be JSON numbers or strings "p/q"; a plane whose scalars are
-    all integers or "p/q" strings is exact, any float scalar makes the plane
-    float-kind.
+    Scalars may be JSON numbers or strings "p/q"; each plane takes the
+    scalar_kind of its coefficients and threshold.
     """
     n = int(d["n"])
     mode = d.get("mode", STRICT)
     planes = []
     for entry in d.get("planes", []):
-        scalars = list(entry["coeffs"]) + [entry["threshold"]]
-        exact = all(isinstance(s, (int, str)) for s in scalars)
-        planes.append(
-            make_hyperplane(entry["coeffs"], entry["threshold"], EXACT if exact else FLOAT)
-        )
+        kind = scalar_kind([*entry["coeffs"], entry["threshold"]])
+        planes.append(make_hyperplane(entry["coeffs"], entry["threshold"], kind))
     return Configuration(n, tuple(planes), mode)

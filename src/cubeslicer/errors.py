@@ -17,6 +17,10 @@ class NonFiniteScalar(SlicerError):
     """Float-kind scalar was NaN or infinite."""
 
 
+class MalformedInput(SlicerError):
+    """An input scalar or document is not what the schema expects."""
+
+
 class DimensionMismatch(SlicerError):
     """Objects of incompatible dimensions were combined."""
 

@@ -287,17 +287,6 @@ T0 = 2.0
 T_END = 0.05
 
 
-@dataclass
-class SearchState:
-    """Mutable annealing state for one replica."""
-
-    coeffs: np.ndarray  # (m, n) int64
-    thresholds: np.ndarray  # (m,) int64
-    objective: int
-    temperature: float
-    iteration: int
-
-
 def _edge_tables(n: int):
     verts = np.array(
         [[1 if (mask >> i) & 1 else -1 for i in range(n)] for mask in range(1 << n)],

@@ -227,12 +227,13 @@ def batch_bias_conditioned(
     setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
 ) -> np.ndarray:
     P = batch_bias(setup, gen, count)
-    for _ in range(max_retries + 1):
+    for attempt in range(max_retries + 1):
         bad = np.flatnonzero(np.abs(P).max(axis=1) > 0.5)
         if bad.size == 0:
             return P
-        P[bad] = batch_bias(setup, gen, bad.size)
-    raise RetriesExhausted(f"batch rejection exceeded {max_retries} retries")
+        if attempt < max_retries:
+            P[bad] = batch_bias(setup, gen, bad.size)
+    raise RetriesExhausted(f"no acceptance within {max_retries} retries")
 
 
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:

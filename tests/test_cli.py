@@ -122,6 +122,33 @@ class TestUsageAndErrors:
         assert payload["error"] == "AllZeroCoefficients"
 
 
+# (stdin document or None, argv, expected error); "{tmp}" is the test's tmp_path
+MALFORMED_INPUTS = {
+    "invalid_json": ("{", ["verify"], "MalformedInput"),
+    "missing_config_file": (None, ["verify", "--config", "{tmp}/missing.json"], "MalformedInput"),
+    "plane_without_threshold": ('{"n": 2, "planes": [{"coeffs": [1, 0]}]}', ["verify"], "MalformedInput"),
+    "null_threshold": ('{"n": 2, "planes": [{"coeffs": [1, 0], "threshold": null}]}', ["verify"], "MalformedInput"),
+    "junk_coefficient": ('{"n": 2, "planes": [{"coeffs": ["x", 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
+    "unknown_mode": ('{"n": 2, "mode": "loose", "planes": []}', ["verify"], "MalformedInput"),
+    "qfunc_junk_entry": (None, ["qfunc", "--v", "1,x", "--alpha", "1"], "MalformedInput"),
+    "qfunc_float_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e400", "--alpha", "1"], "NonFiniteScalar"),
+    "decompose_float_overflow": (None, ["decompose", "--mode", "float", "--v", "1e400"], "NonFiniteScalar"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("stdin, argv, error", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+    def test_json_error_and_error_manifest(self, capsys, monkeypatch, tmp_path, stdin, argv, error):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        out_dir = tmp_path / "run"
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--out", str(out_dir)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
+        assert json.loads((out_dir / "manifest.json").read_text())["error"]["error"] == error
+
+
 class TestDecomposeAndQfunc:
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, ["decompose", "--v", "0.6,-0.2,0", "--mode", "float"])

@@ -157,6 +157,24 @@ class TestSampleBiasConditioned:
         with pytest.raises(RetriesExhausted):
             sample_bias_conditioned(c, RngSpec(0), max_retries=0)
 
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_batch_rejection_draws_once_per_check(self, monkeypatch, max_retries):
+        setup = bias_setup(single_axis_config(8))
+        calls = []
+
+        def always_reject(setup, gen, count):
+            calls.append(count)
+            return np.ones((count, 8))
+
+        monkeypatch.setattr(sampler_mod, "batch_bias", always_reject)
+        with pytest.raises(RetriesExhausted, match=f"no acceptance within {max_retries} retries"):
+            sampler_mod.batch_bias_conditioned(setup, RngSpec(0).generator(), 3, max_retries)
+        assert calls == [3] * (max_retries + 1)
+        calls.clear()
+        with pytest.raises(RetriesExhausted, match=f"no acceptance within {max_retries} retries"):
+            sample_evasive_edge(single_axis_config(8), RngSpec(0), max_retries)
+        assert calls == [1] * (max_retries + 1)
+
     def test_rejection_rate_within_tail_bound(self):
         # the max-norm tail must stay below 2/n plus sampling noise
         gen = np.random.default_rng(12)
