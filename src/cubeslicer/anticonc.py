@@ -26,6 +26,7 @@ from .errors import (
     DimensionTooLargeForOracle,
     DimensionTooSmall,
     NegativeAlpha,
+    NonFiniteScalar,
 )
 from .sampler import as_generator, batch_mu
 
@@ -54,6 +55,10 @@ class LinearFormSpec:
         object.__setattr__(self, "p", tuple(as_scalar(x, kind) for x in self.p))
         if max(abs(x) for x in self.p) > 1:
             raise BiasOutOfRange("bias entries must lie in [-1, 1]")
+        # every atom lies in [-l1(v), l1(v)]; beyond a double the float atoms
+        # would be infinite and the oracle's answer meaningless
+        if kind == FLOAT and not math.isfinite(sum(abs(x) for x in self.v)):
+            raise NonFiniteScalar("l1(v) overflows a double; use exact mode")
 
     @property
     def kind(self) -> str:

@@ -321,12 +321,10 @@ def _cmd_search(args):
 
 
 def _cmd_sweep(args):
-    ns = [int(x) for x in args.n.split(",")]
     if args.m == "diag":
-        cells = [SweepCell(n, round(n ** (2.0 / 3.0)), args.construction) for n in ns]
+        cells = [SweepCell(n, round(n ** (2.0 / 3.0)), args.construction) for n in args.n]
     else:
-        ms = [int(x) for x in args.m.split(",")]
-        cells = [SweepCell(n, m, args.construction) for n in ns for m in ms]
+        cells = [SweepCell(n, m, args.construction) for n in args.n for m in args.m]
     rows = sweep(cells, args.samples, _rng_from_args(args), args.threads, estimator=args.estimator)
     if args.report == "json":
         return 0, to_json_text(rows, indent=2) + "\n", "sweep.json"
@@ -343,14 +341,38 @@ def _cmd_sweep(args):
 # --------------------------------------------------------------------------
 
 
-def _thread_count(text: str) -> int:
-    """argparse type of --threads: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type of a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _plane_counts(text: str):
+    """argparse type of sweep --m: 'diag' or comma-separated integers."""
+    return text if text == "diag" else _int_list(text)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of a float flag: a finite double."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -366,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--stream", type=int, default=0, help="substream index")
-    common.add_argument("--threads", type=_thread_count, default=None, help="worker count (default $SLICER_THREADS or 1)")
+    common.add_argument("--threads", type=_positive_int, default=None, help="worker count (default $SLICER_THREADS or 1)")
     common.add_argument("--out", type=str, default=None, help="directory for result + run manifest")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -407,28 +429,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common], help="Monte Carlo estimators")
     p.add_argument("what", choices=["evasion", "linf-tail", "glue"])
     p.add_argument("--config", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--plane-index", type=int, default=0)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--report", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("search", parents=[common], help="anneal small integer slicing configurations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--iters", type=int, default=10000)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--coeff-range", type=int, default=8)
+    p.add_argument("--replicas", type=_positive_int, default=1)
+    p.add_argument("--coeff-range", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("sweep", parents=[common], help="estimator grid over (n, m) cells")
     p.add_argument("--estimator", choices=["evasion", "linf_tail", "glue"], default="evasion")
-    p.add_argument("--n", required=True, help="comma-separated dimensions")
-    p.add_argument("--m", default="diag", help="comma-separated plane counts, or 'diag' for round(n^(2/3))")
+    p.add_argument("--n", type=_int_list, required=True, help="comma-separated dimensions")
+    p.add_argument("--m", type=_plane_counts, default="diag", help="comma-separated plane counts, or 'diag' for round(n^(2/3))")
     p.add_argument("--construction", choices=["random", "axis", "middle_layers"], default="random")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--report", choices=["json", "csv"], default="csv")
     p.set_defaults(func=_cmd_sweep)
 

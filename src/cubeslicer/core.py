@@ -217,7 +217,8 @@ def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT) -> bool:
     With s = <v,u> - t and s' = <v,u'> - t over the endpoints: strict mode is
     s*s' < 0; relaxed mode additionally accepts exactly one of s, s' being
     zero.  Float kind treats |s| below the zero tolerance as zero.  This is
-    the scalar reference; the array paths use sign_pair_crossings.
+    the scalar reference; the array paths use side_bits and crossing_bits
+    (the verifier on packed words, lab through sign_pair_crossings).
     """
     u, w = edge_endpoints(e)
     tol = None if h.kind == EXACT else zero_tolerance(h.coeffs, h.threshold)
@@ -230,19 +231,34 @@ def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT) -> bool:
     raise ValueError(f"unknown crossing mode {mode!r}")
 
 
-def sign_pair_crossings(su: np.ndarray, sw: np.ndarray, tol=None, relaxed: bool = False) -> np.ndarray:
-    """Crossing flags for edges whose endpoint side values are su and sw.
+def side_bits(side: np.ndarray, tol=None) -> tuple[np.ndarray, np.ndarray]:
+    """Classify side values once: (positive, nonzero) boolean arrays.
 
-    The same rule as edge_crosses, elementwise: strict crossing needs both
-    sides nonzero with opposite signs; relaxed also accepts exactly one zero
-    side.  tol=None decides zero exactly; otherwise |s| < tol counts as zero,
-    with an array tol broadcast against the last (plane) axis.
+    tol=None decides zero exactly; otherwise |s| < tol counts as zero, with
+    an array tol broadcast against side.  positive is only meaningful where
+    nonzero is set, which is all crossing_bits reads of it.
     """
-    zu, zw = (su == 0, sw == 0) if tol is None else (np.abs(su) < tol, np.abs(sw) < tol)
-    cross = ~(zu | zw) & ((su > 0) != (sw > 0))
+    if tol is None:
+        return side > 0, side != 0
+    pos = side >= tol
+    return pos, pos | (side <= -tol)
+
+
+def crossing_bits(pu, nu, pw, nw, relaxed: bool = False):
+    """The crossing rule on side classes (positive, nonzero) of the two
+    endpoints: strict crossing needs both sides nonzero with opposite signs;
+    relaxed also accepts exactly one zero side.  Works unchanged on boolean
+    arrays and on bit-packed integer words."""
+    cross = nu & nw & (pu ^ pw)
     if relaxed:
-        cross |= zu != zw
+        cross |= nu ^ nw
     return cross
+
+
+def sign_pair_crossings(su: np.ndarray, sw: np.ndarray, tol=None, relaxed: bool = False) -> np.ndarray:
+    """Crossing flags for edges whose endpoint side values are su and sw:
+    the rule of edge_crosses, elementwise, with the zero rule of side_bits."""
+    return crossing_bits(*side_bits(su, tol), *side_bits(sw, tol), relaxed)
 
 
 def crossing_necessary(h: Hyperplane, e: Edge) -> bool:

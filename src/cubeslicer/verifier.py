@@ -5,12 +5,23 @@ high n - b bits (b = min(n, _BLOCK_BITS)), and one block holds the 2^b
 vertices that share a high part.  A vertex's side value <v, u> - t is a
 low-part table entry plus a per-block offset; both tables come from the
 doubling recursion over coordinates (one flip adds or removes 2*v_k), so a
-block costs one addition per plane and vertex.  Edges along low axes k < b
-join two vertices of the same block.  On a high axis k >= b, only blocks
-whose high bit k - b is clear hold base vertices, and the other endpoint's
-side is the base side plus 2*v_k (the endpoint identity), so no partner
-block is built.  Memory is O(m * 2^b) per worker plus the m * 2^(n-b)
-offsets.
+block costs one addition per plane and vertex.
+
+Each block's side values are classified once (core.side_bits: positive and
+nonzero, the one zero rule) and bit-packed into 64-bit words, vertex lo at
+bit lo % 64 of word lo // 64.  Every axis pass then applies the crossing
+rule (core.crossing_bits) to whole words:
+- a low axis k < 6 pairs each word with itself shifted right by 2^k, under
+  the mask of the positions whose bit k is clear;
+- a low axis 6 <= k < b pairs words 2^(k-6) apart;
+- on a high axis k >= b, only blocks whose high bit k - b is clear hold base
+  vertices, and the other endpoint's side is the base side plus 2*v_k (the
+  endpoint identity), classified and packed once per pass, so no partner
+  block is built.
+Per-plane counts are popcounts, the union is an OR over planes, and the
+unsliced bits are unpacked to edge indices only while the sample has room.
+Blocks of fewer than 64 vertices (b < 6) fill one word in part.  Memory is
+O(m * 2^b) per worker plus the m * 2^(n-b) offsets.
 
 Each edge is visited once in canonical form: the base vertex has coordinate
 -1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
@@ -37,7 +48,8 @@ from .core import (
     Hyperplane,
     Vertex,
     canonical_base,
-    sign_pair_crossings,
+    crossing_bits,
+    side_bits,
     total_edges,
     zero_tolerance,
 )
@@ -109,6 +121,20 @@ def _subset_sums(cs: np.ndarray) -> np.ndarray:
     return s
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(m, L) booleans -> (m, max(1, L/64)) little-endian 64-bit words: bit p
+    of word w holds position 64*w + p.  Fewer than 64 positions are padded
+    with clear bits."""
+    if bits.shape[-1] < 64:
+        bits = np.pad(bits, ((0, 0), (0, 64 - bits.shape[-1])))
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
+def _clear_bit_mask(k: int) -> int:
+    """The positions 0..63 whose bit k is clear, as a 64-bit word."""
+    return sum(1 << p for p in range(64) if not (p >> k) & 1)
+
+
 def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     """Test every edge of the n-cube against every plane under c.mode.
 
@@ -128,41 +154,60 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     low = 2 * _subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
     off = 2 * _subset_sums(coeffs[:, b:])
     twice = 2 * coeffs
-    tol_low, tol_high = (None, None) if tol is None else (tol[:, None, None], tol[:, None])
+    tol = None if tol is None else tol[:, None]
+    # the word bits that are block positions (all of them unless b < 6), and
+    # for a word-internal axis k < 6 those whose bit k is clear: the base
+    # vertices of the axis-k edges
+    valid = (1 << (1 << b)) - 1 if b < 6 else (1 << 64) - 1
+    bases = [np.uint64(_clear_bit_mask(k) & valid) for k in range(min(b, 6))]
+    valid = np.uint64(valid)
 
     def sweep_run(first: int, stop: int):
         # per-plane crossings, unsliced count and, per axis, the first
         # _SAMPLE_CAP unsliced compressed indices of blocks first..stop-1
-        counts = [0] * m
+        counts = np.zeros(m, dtype=np.int64)
         unsliced = 0
         samples: list[list[int]] = [[] for _ in range(n)]
         for h in range(first, stop):
             side = low + off[:, h : h + 1]
+            pos, nz = (_pack(x) for x in side_bits(side, tol))
             for k in range(n):
-                if k < b:
-                    # halves[:, high, bit k, low]: the block's canonical axis-k
-                    # edge with index high * 2^k + low joins [..., 0, low] and
-                    # [..., 1, low], and the block's edges follow the 2^(b-1)
-                    # edges of the blocks before it
-                    halves = side.reshape(m, 1 << (b - 1 - k), 2, 1 << k)
-                    cross = sign_pair_crossings(halves[:, :, 0, :], halves[:, :, 1, :], tol_low, relaxed)
+                if k < min(b, 6):
+                    # the partner of position p is p + 2^k in the same word
+                    cross = crossing_bits(pos, nz, pos >> (1 << k), nz >> (1 << k), relaxed) & bases[k]
+                    todo = bases[k]
+                    first_edge = h << (b - 1)
+                elif k < b:
+                    # words[:, high, bit k, low]: the axis-k edges of word
+                    # high * 2^(k-6) + low, in compressed order, join
+                    # [..., 0, low] and [..., 1, low]
+                    pairs = (m, 1 << (b - 1 - k), 2, 1 << (k - 6))
+                    p, z = pos.reshape(pairs), nz.reshape(pairs)
+                    cross = crossing_bits(p[:, :, 0], z[:, :, 0], p[:, :, 1], z[:, :, 1], relaxed)
+                    cross = cross.reshape(m, 1 << (b - 7))
+                    todo = valid
                     first_edge = h << (b - 1)
                 else:
                     j = k - b
                     if (h >> j) & 1:
                         continue
-                    cross = sign_pair_crossings(side, side + twice[:, k : k + 1], tol_high, relaxed)
+                    pw, nw = (_pack(x) for x in side_bits(side + twice[:, k : k + 1], tol))
+                    cross = crossing_bits(pos, nz, pw, nw, relaxed)
+                    todo = valid
                     # h with bit j removed, times 2^b: the block's first edge index
                     first_edge = (((h >> (j + 1)) << j) | (h & ((1 << j) - 1))) << b
-                for ell, plane_cross in enumerate(cross):
-                    counts[ell] += int(np.count_nonzero(plane_cross))
-                hit = cross.any(axis=0)
-                missing = hit.size - int(np.count_nonzero(hit))
+                counts += np.bitwise_count(cross).sum(axis=-1, dtype=np.int64)
+                miss = ~np.bitwise_or.reduce(cross, axis=0) & todo
+                missing = int(np.bitwise_count(miss).sum())
                 if missing:
                     unsliced += missing
                     room = _SAMPLE_CAP - len(samples[k])
                     if room > 0:
-                        samples[k].extend((np.flatnonzero(~hit)[:room] + first_edge).tolist())
+                        at = np.flatnonzero(np.unpackbits(miss.view(np.uint8), bitorder="little"))[:room]
+                        if k < min(b, 6):
+                            # block position -> index among the block's axis-k edges
+                            at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
+                        samples[k].extend((at + first_edge).tolist())
         return counts, unsliced, samples
 
     nblocks = 1 << (n - b)
@@ -174,7 +219,7 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     else:
         results = [sweep_run(0, nblocks)]
 
-    per_plane = tuple(sum(col) for col in zip(*(counts for counts, _, _ in results)))
+    per_plane = tuple(int(x) for x in sum(counts for counts, _, _ in results))
     sample: list[Edge] = []
     for k in range(n):
         comps = [comp for _, _, samples in results for comp in samples[k]]

@@ -24,6 +24,7 @@ from cubeslicer.errors import (
     DimensionMismatch,
     DimensionTooLargeForOracle,
     NegativeAlpha,
+    NonFiniteScalar,
 )
 from helpers import direct_window_concentration, enumerate_atoms_exact, mixture_atoms_exact
 
@@ -95,6 +96,13 @@ class TestLinearFormAtoms:
             LinearFormSpec((1, 2), (0,))
         with pytest.raises(BiasOutOfRange):
             LinearFormSpec((1,), (F(3, 2),))
+
+    def test_float_l1_overflow_refused(self):
+        # every atom lies within l1(v); exact kind has no such limit
+        with pytest.raises(NonFiniteScalar):
+            LinearFormSpec((1e308, 1e308), (0.0, 0.0))
+        assert LinearFormSpec((4e307, 4e307), (0.0, 0.0)).kind == "float"
+        assert levy_q(linear_form_atoms(LinearFormSpec((10**308, 10**308), (0, 0))), 1) == F(1, 2)
 
 
 class TestLevyQ:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cubeslicer.cli import dispatch, to_json_text
+from cubeslicer.cli import build_parser, dispatch, to_json_text
 
 TWO_AXIS_PLANES_Q3 = {
     "n": 3,
@@ -133,6 +133,7 @@ MALFORMED_INPUTS = {
     "qfunc_junk_entry": (None, ["qfunc", "--v", "1,x", "--alpha", "1"], "MalformedInput"),
     "qfunc_float_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e400", "--alpha", "1"], "NonFiniteScalar"),
     "decompose_float_overflow": (None, ["decompose", "--mode", "float", "--v", "1e400"], "NonFiniteScalar"),
+    "qfunc_float_l1_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"], "NonFiniteScalar"),
 }
 
 
@@ -175,6 +176,54 @@ class TestDecomposeAndQfunc:
     def test_qfunc_float_mode(self, capsys):
         _, out, _ = run(capsys, ["qfunc", "--v", "1,1", "--alpha", "1.5", "--mode", "float"])
         assert json.loads(out)["q"] == 0.75
+
+    def test_qfunc_float_near_overflow_limit(self, capsys):
+        # l1(v) = 8e307 is still a double; 1e308,1e308 (the next case) is not
+        _, out, _ = run(capsys, ["qfunc", "--v", "4e307,4e307", "--alpha", "1", "--mode", "float"])
+        assert json.loads(out)["q"] == 0.5
+        code, out, err = run(capsys, ["qfunc", "--v", "1e308,1e308", "--alpha", "1", "--mode", "float"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "NonFiniteScalar"
+
+
+# numeric flags that once ended in a Python traceback, some only after the
+# whole computation had run; each is now refused before any work starts
+BAD_FLAGS = {
+    "glue_t_nan": ["estimate", "glue", "--n", "16", "--m", "3", "--samples", "200", "--t", "nan"],
+    "glue_t_inf": ["estimate", "glue", "--n", "16", "--m", "3", "--samples", "200", "--t", "inf"],
+    "sweep_junk_dimension": ["sweep", "--n", "8,x"],
+    "sweep_junk_plane_count": ["sweep", "--n", "8", "--m", "2,y"],
+    "evasion_zero_samples": ["estimate", "evasion", "--n", "16", "--m", "3", "--samples", "0"],
+    "search_zero_planes": ["search", "--n", "3", "--m", "0", "--iters", "10"],
+    "search_zero_replicas": ["search", "--n", "3", "--m", "2", "--iters", "10", "--replicas", "0"],
+    "qfunc_float_l1_overflow": ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"],
+}
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+    def test_usage_or_json_error_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code in (1, 2)
+        assert out == ""
+        assert "Traceback" not in err
+        if code == 1:
+            assert "error" in json.loads(err)
+        else:
+            assert "usage" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "3", "--m", "2", "--coeff-range", "0"],
+            ["estimate", "evasion", "--n", "0", "--m", "3"],
+        ],
+    )
+    def test_flags_that_would_never_finish_are_usage_errors(self, argv):
+        # both once looped forever, so they are checked at the parser alone
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestSample:

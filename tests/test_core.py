@@ -1,5 +1,6 @@
 """Domain types, crossing predicates, and the classical constructions."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from cubeslicer import (
     total_edges,
     verify_slicing,
 )
-from cubeslicer.core import canonical_base, sign_pair_crossings, zero_tolerance
+from cubeslicer.core import canonical_base, crossing_bits, side_bits, sign_pair_crossings, zero_tolerance
 from cubeslicer.errors import (
     AllZeroCoefficients,
     DimensionMismatch,
@@ -202,6 +203,75 @@ class TestSignPairKernel:
                 expected = [mask for mask in range(1 << n) if not (mask >> k) & 1]
                 assert bases.tolist() == expected
                 assert [canonical_base(k, int(i)) for i in comp] == expected
+
+
+def _side_value(h, u):
+    return sum(c if (u.signs >> i) & 1 else -c for i, c in enumerate(h.coeffs)) - h.threshold
+
+
+def _pack_words(bits):
+    """1-D booleans -> little-endian 64-bit words, zero-padded to a whole word."""
+    padded = np.zeros(-(-bits.size // 64) * 64, dtype=bool)
+    padded[: bits.size] = bits
+    return np.packbits(padded, bitorder="little").view("<u8")
+
+
+class TestPackedRule:
+    """side_bits + crossing_bits, on booleans and on packed words, against
+    the scalar edge_crosses."""
+
+    @staticmethod
+    def _cases(kind):
+        # the axis-1 edge of Q_2 at base (-1, -1) on the plane x_0 + c x_1 = t
+        # has sides (-1 - c - t, -1 + c - t): every pair in {-2, 0, 2}^2
+        cast = int if kind == "exact" else float
+        cases = []
+        for su, sw in itertools.product((-2, 0, 2), repeat=2):
+            c, t = (sw - su) // 2, -(su + sw) // 2 - 1
+            cases.append((make_hyperplane([cast(1), cast(c)], cast(t), kind), Edge(vertex(-1, -1), 1)))
+        if kind == "float":
+            # planes through the origin with l1 <= tol: their zero tolerance is
+            # 1e-12, and every edge of Q_2 has sides in {0, +-v} for v = tol and
+            # v = tol less one ulp, in every sign combination
+            for v in (1e-12, np.nextafter(1e-12, 0.0)):
+                for a, c in ((v, 0.0), (0.0, v), (v / 2, v / 2), (v / 2, -v / 2)):
+                    for sign in (1.0, -1.0):
+                        h = make_hyperplane([sign * a, sign * c], 0.0, "float")
+                        assert zero_tolerance(h.coeffs, h.threshold) == 1e-12
+                        cases += [(h, e) for e in iter_edges(2)]
+        return cases
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_matches_edge_crosses_on_bools_and_packed_words(self, kind):
+        cases = self._cases(kind)
+        sides = [[_side_value(h, u) for u in edge_endpoints(e)] for h, e in cases]
+        su, sw = (np.array(col, dtype=np.int64 if kind == "exact" else np.float64) for col in zip(*sides))
+        tol = None if kind == "exact" else np.array([zero_tolerance(h.coeffs, h.threshold) for h, _ in cases])
+        if kind == "float":
+            magnitudes = set(np.abs(np.concatenate([su, sw])).tolist())
+            assert {0.0, 1e-12, np.nextafter(1e-12, 0.0)} <= magnitudes
+        for mode in ("strict", "relaxed"):
+            expected = [edge_crosses(h, e, mode) for h, e in cases]
+            flags = crossing_bits(*side_bits(su, tol), *side_bits(sw, tol), mode == "relaxed")
+            assert flags.tolist() == expected
+            assert sign_pair_crossings(su, sw, tol, mode == "relaxed").tolist() == expected
+            words = crossing_bits(
+                *(_pack_words(x) for x in side_bits(su, tol)),
+                *(_pack_words(x) for x in side_bits(sw, tol)),
+                mode == "relaxed",
+            )
+            assert words.dtype == np.dtype("<u8")
+            unpacked = np.unpackbits(words.view(np.uint8), bitorder="little")[: su.size]
+            assert unpacked.astype(bool).tolist() == expected
+
+    def test_side_bits_zero_rule(self):
+        pos, nz = side_bits(np.array([-3, 0, 2]))
+        assert (pos[nz].tolist(), nz.tolist()) == ([False, True], [True, False, True])
+        tol = 1e-12
+        inside = np.nextafter(tol, 0.0)
+        pos, nz = side_bits(np.array([-tol, -inside, 0.0, inside, tol]), tol)
+        assert nz.tolist() == [True, False, False, False, True]
+        assert pos[nz].tolist() == [False, True]
 
 
 class TestCrossingNecessary:

@@ -303,6 +303,38 @@ class TestBlockedSweep:
         assert seen == [2, 3]
 
 
+class TestWordBoundaryBlocks:
+    """Blocks of 2^4 .. 2^7 vertices put the packed sweep on both sides of
+    the 64-bit word: one partly filled word (word-internal axes only), one
+    full word, and two words paired by the first word-apart axis, with
+    high axes above them, against the per-edge reference."""
+
+    @pytest.mark.parametrize("n", range(6, 10))
+    def test_random_configs(self, monkeypatch, n):
+        gen = np.random.default_rng(109 + n)
+        configs = [random_rational_config(gen, n, int(gen.integers(1, 4)), mode=mode) for mode in ("strict", "relaxed")]
+        for kind in ("exact", "float"):
+            # small integer planes put vertices on planes and leave many edges unsliced
+            cast = int if kind == "exact" else float
+            planes = []
+            for _ in range(2):
+                row = gen.integers(-2, 3, size=n)
+                if not row.any():
+                    row[0] = 1
+                planes.append(make_hyperplane([cast(x) for x in row], cast(gen.integers(-2, 3)), kind))
+            configs += [Configuration(n, tuple(planes), mode) for mode in ("strict", "relaxed")]
+        for c in configs:
+            unsliced, counts = naive_slicing(c)
+            first = _first_unsliced(c)
+            for bits in (4, 5, 6, 7):
+                monkeypatch.setattr(verifier, "_BLOCK_BITS", bits)
+                for t in (1, 2):
+                    rep = verify_slicing(c, threads=t)
+                    assert rep.unsliced_count == unsliced, (bits, t)
+                    assert list(rep.per_plane_crossings) == counts, (bits, t)
+                    assert list(rep.unsliced_sample) == first, (bits, t)
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
 def test_peak_memory_stays_bounded_at_n20():
     # A child process runs the verification in a grandchild and reports its
