@@ -5,13 +5,20 @@ decay, Hoeffding tails).
 The oracle represents the full law of X = <v, x> with x from the biased
 product distribution as a finite list of (value, probability) atoms, built
 by exhausting all 2^n sign vectors; its dimension cap keeps that affordable.
+Each kind keeps its atoms in the form its own arithmetic uses: float atoms
+stay float64 arrays from enumeration to window scan, and exact atoms are
+Python integers over two common denominators (lcm of v's denominators for
+the values, product of 2*den(p_i) for the probabilities), so no step does
+per-atom Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -71,74 +78,125 @@ class LinearFormSpec:
 
 @dataclass(frozen=True, eq=False)
 class AtomDistribution:
-    """A finite law as strictly increasing values with positive probabilities."""
+    """A finite law as strictly increasing values with positive probabilities,
+    kept in the form its kind's arithmetic uses.
 
-    values: tuple
-    probs: tuple
+    Float kind: `points` and `weights` are the float64 arrays of values and
+    probabilities themselves.  Exact kind: `points` are Python ints V_i and
+    `weights` Python ints W_i with value_i = V_i / scale and prob_i =
+    W_i / denom, where scale is the lcm of v's denominators and denom the
+    product of 2*den(p_i); `values` and `probs` rebuild the Fractions when
+    read."""
+
+    points: Sequence
+    weights: Sequence
     exact: bool
     total_mass: Number
+    scale: int = 1
+    denom: int = 1
+
+    @property
+    def values(self) -> Sequence:
+        if self.exact:
+            return tuple(Fraction(x, self.scale) for x in self.points)
+        return self.points
+
+    @property
+    def probs(self) -> Sequence:
+        if self.exact:
+            return tuple(Fraction(w, self.denom) for w in self.weights)
+        return self.weights
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.points)
 
 
 def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
-    # Coordinate-by-coordinate convolution with equal values merged at every
-    # step; exact arithmetic makes this identical to enumerating all 2^n
-    # sign vectors and merging afterwards.
-    law = {Fraction(0): Fraction(1)}
+    # Coordinate-by-coordinate convolution on integers with equal values
+    # merged at every step: values scaled by L = lcm(den v_i), weights over
+    # D = prod(2*den p_i), since (1 +- p_i)/2 = (den p_i +- num p_i) / (2*den p_i).
+    # Exact arithmetic makes this identical to enumerating all 2^n sign
+    # vectors and merging afterwards.
+    scale = math.lcm(*(vi.denominator for vi in v))
+    law = {0: 1}
+    denom = 1
     for vi, pi in zip(v, p):
-        up = (1 + pi) / 2
-        down = (1 - pi) / 2
-        new: dict[Fraction, Fraction] = {}
-        for val, pr in law.items():
+        step = vi.numerator * (scale // vi.denominator)
+        up = pi.denominator + pi.numerator
+        down = pi.denominator - pi.numerator
+        denom *= 2 * pi.denominator
+        new: dict[int, int] = {}
+        for val, w in law.items():
             if up:
-                key = val + vi
-                new[key] = new.get(key, Fraction(0)) + pr * up
+                key = val + step
+                new[key] = new.get(key, 0) + w * up
             if down:
-                key = val - vi
-                new[key] = new.get(key, Fraction(0)) + pr * down
+                key = val - step
+                new[key] = new.get(key, 0) + w * down
         law = new
-    items = sorted(law.items())
-    values = tuple(val for val, _ in items)
-    probs = tuple(pr for _, pr in items)
-    mass = sum(probs)
-    if mass != 1:
-        raise BoundViolation(f"exact atom masses sum to {mass}, not 1")
-    return AtomDistribution(values, probs, True, mass)
+    points = sorted(law)
+    weights = [law[x] for x in points]
+    if sum(weights) != denom:
+        raise BoundViolation(f"exact atom masses sum to {Fraction(sum(weights), denom)}, not 1")
+    return AtomDistribution(points, weights, True, Fraction(1), scale, denom)
+
+
+def _sorted_order(values: np.ndarray) -> np.ndarray:
+    # The stable order of values.  Without exact ties every sort gives it,
+    # so the stable sort runs only when the default one finds a tie.
+    order = np.argsort(values)
+    ordered = values[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(values, kind="stable")
+    return order
 
 
 def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
-    # Doubling enumeration over sign vectors: after coordinate i the arrays
-    # hold all 2^(i+1) partial sums and their probabilities.
-    values = np.zeros(1, dtype=np.float64)
-    probs = np.ones(1, dtype=np.float64)
+    # Doubling enumeration over sign vectors in place: after coordinate i the
+    # first 2^(i+1) entries hold all partial sums and their probabilities,
+    # the -v_i half first and the +v_i half at offset 2^i.
+    size = 1 << len(v)
+    values = np.empty(size, dtype=np.float64)
+    probs = np.empty(size, dtype=np.float64)
+    values[0] = 0.0
+    probs[0] = 1.0
+    half = 1
     for vi, pi in zip(v, p):
         up = (1.0 + pi) / 2.0
         down = (1.0 - pi) / 2.0
-        values = np.concatenate([values - vi, values + vi])
-        probs = np.concatenate([probs * down, probs * up])
-    order = np.argsort(values, kind="stable")
+        low, high = slice(0, half), slice(half, 2 * half)
+        np.add(values[low], vi, out=values[high])
+        np.subtract(values[low], vi, out=values[low])
+        np.multiply(probs[low], up, out=probs[high])
+        np.multiply(probs[low], down, out=probs[low])
+        half *= 2
+    # each del frees a 2^n temporary before the next one is made; at n = 22
+    # they are 32 MB apiece and set the oracle's peak memory
+    order = _sorted_order(values)
     values = values[order]
     probs = probs[order]
+    del order
     keep = probs > 0.0
     values = values[keep]
     probs = probs[keep]
+    del keep
     # fold runs of values equal within relative tolerance (sort then fold:
     # deterministic regardless of any internal parallelism)
     if values.size > 1:
         gap = values[1:] - values[:-1]
-        tol = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
-        starts = np.concatenate([[0], np.flatnonzero(gap > tol) + 1])
-        merged_vals = values[starts]
-        merged_probs = np.add.reduceat(probs, starts)
-    else:
-        merged_vals = values
-        merged_probs = probs
-    mass = float(merged_probs.sum())
+        tol = np.abs(values)
+        tol = np.maximum(tol[1:], tol[:-1])
+        np.maximum(tol, 1.0, out=tol)
+        tol *= MERGE_RTOL
+        starts = np.flatnonzero(gap > tol)
+        del gap, tol
+        starts = np.concatenate([[0], starts + 1])
+        values = values[starts]
+        probs = np.add.reduceat(probs, starts)
+    mass = float(probs.sum())
     if not abs(mass - 1.0) <= 1e-12:
         raise BoundViolation(f"float atom masses sum to {mass!r}, not 1")
-    return AtomDistribution(tuple(merged_vals.tolist()), tuple(merged_probs.tolist()), False, mass)
+    return AtomDistribution(values, probs, False, mass)
 
 
 def linear_form_atoms(s: LinearFormSpec) -> AtomDistribution:
@@ -158,34 +216,31 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     captured by (t-alpha, t+alpha) is value_i, then the window's mass is at
     most the mass of [value_i, value_i + 2*alpha), and pushing t toward
     value_i + alpha realizes that mass in the limit.  So scanning the
-    half-open windows [value_i, value_i + 2*alpha) is exact.
+    half-open windows [value_i, value_i + 2*alpha) is exact.  For alpha > 0
+    a window always holds its anchor atom, so a float Q stays at the largest
+    atom's mass or above (up to the rounding of a cumulative-sum difference),
+    even where value_i + 2*alpha rounds to value_i.
     """
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
     if d.exact:
-        a2 = 2 * Fraction(alpha)
-        vals = d.values
-        cum = [Fraction(0)]
-        for pr in d.probs:
-            cum.append(cum[-1] + pr)
-        best = Fraction(0)
-        hi = 0
-        for i, v in enumerate(vals):
-            if hi < i:
-                hi = i
-            top = v + a2
-            while hi < len(vals) and vals[hi] < top:
-                hi += 1
-            mass = cum[hi] - cum[i]
-            if mass > best:
-                best = mass
-        return best
-    vals = np.asarray(d.values, dtype=np.float64)
-    probs = np.asarray(d.probs, dtype=np.float64)
-    cum = np.concatenate([[0.0], np.cumsum(probs)])
+        # value_j < value_i + 2*alpha  <=>  V_j*den(alpha) < V_i*den(alpha) + 2*num(alpha)*scale
+        alpha = Fraction(alpha)
+        width = 2 * alpha.numerator * d.scale
+        keys = [x * alpha.denominator for x in d.points]
+        cum = list(accumulate(d.weights, initial=0))
+        best = max(cum[bisect_left(keys, key + width, i)] - cum[i] for i, key in enumerate(keys))
+        return Fraction(best, d.denom)
+    vals, probs = d.points, d.weights
+    cum = np.empty(vals.size + 1, dtype=np.float64)
+    cum[0] = 0.0
+    np.cumsum(probs, out=cum[1:])
     ends = np.searchsorted(vals, vals + 2.0 * float(alpha), side="left")
-    masses = cum[ends] - cum[: len(vals)]
-    return float(masses.max()) if masses.size else 0.0
+    if alpha > 0:
+        np.maximum(ends, np.arange(1, vals.size + 1), out=ends)
+    masses = cum[ends]
+    masses -= cum[:-1]
+    return float(masses.max())
 
 
 def levy_scaling_check(d: AtomDistribution, alpha, k: int) -> tuple[Number, Number, bool]:

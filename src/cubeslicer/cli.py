@@ -341,15 +341,24 @@ def _cmd_sweep(args):
 # --------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of every count flag: an integer >= 1."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of --max-retries: an integer >= 0; 0 allows one attempt."""
+    return _int_at_least(text, 0)
 
 
 def _int_list(text: str) -> list[int]:
@@ -413,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[common], help="draw bias vectors or evasive edges")
     p.add_argument("--config", default="-")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--variant", choices=["dyadic", "simple"], default="dyadic")
     p.add_argument("--emit", choices=["edges", "bias"], default="edges")
-    p.add_argument("--max-retries", type=int, default=1000)
+    p.add_argument("--max-retries", type=_nonnegative_int, default=1000)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("qfunc", parents=[common], help="exact concentration of a biased linear form")
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="anneal small integer slicing configurations")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--iters", type=int, default=10000)
+    p.add_argument("--iters", type=_positive_int, default=10000)
     p.add_argument("--replicas", type=_positive_int, default=1)
     p.add_argument("--coeff-range", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_search)

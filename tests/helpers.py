@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the library's fast paths: the slicing
 oracle loops edge_crosses over every edge, the atom oracle enumerates all
 2^n sign vectors with itertools, and the concentration oracle sums window
-masses with a plain double loop.
+masses with a plain double loop.  reference_float_atoms is the float
+oracle's arithmetic written the plain way, for bitwise comparison.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from cubeslicer import Configuration, edge_crosses, iter_edges, make_hyperplane
 
@@ -102,3 +105,28 @@ def direct_window_concentration(atoms, alpha):
         mass = sum(pr for val, pr in atoms if vi <= val < vi + 2 * alpha)
         best = max(best, mass)
     return best
+
+
+def reference_float_atoms(v, p, rtol=1e-12):
+    """Float atoms by whole-array doubling, a stable sort and a fold.
+
+    Per coordinate the sums v -+ v_i are concatenated (the +v_i half second)
+    with probabilities times (1 -+ p_i)/2; zero-probability sums are dropped
+    after the stable sort, and runs whose neighbouring gaps are within
+    rtol * max(1, |value|) fold into their first value with summed mass.
+    """
+    values = np.zeros(1)
+    probs = np.ones(1)
+    for vi, pi in zip(v, p):
+        values = np.concatenate([values - vi, values + vi])
+        probs = np.concatenate([probs * ((1.0 - pi) / 2.0), probs * ((1.0 + pi) / 2.0)])
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
+    keep = probs > 0.0
+    values, probs = values[keep], probs[keep]
+    if values.size < 2:
+        return values, probs
+    gap = values[1:] - values[:-1]
+    tol = rtol * np.maximum(1.0, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
+    starts = np.concatenate([[0], np.flatnonzero(gap > tol) + 1])
+    return values[starts], np.add.reduceat(probs, starts)

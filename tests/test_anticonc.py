@@ -1,10 +1,13 @@
 """The exact concentration oracle and the anti-concentration bound checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeslicer import (
     LinearFormSpec,
@@ -26,7 +29,12 @@ from cubeslicer.errors import (
     NegativeAlpha,
     NonFiniteScalar,
 )
-from helpers import direct_window_concentration, enumerate_atoms_exact, mixture_atoms_exact
+from helpers import (
+    direct_window_concentration,
+    enumerate_atoms_exact,
+    mixture_atoms_exact,
+    reference_float_atoms,
+)
 
 F = Fraction
 
@@ -105,12 +113,100 @@ class TestLinearFormAtoms:
         assert levy_q(linear_form_atoms(LinearFormSpec((10**308, 10**308), (0, 0))), 1) == F(1, 2)
 
 
+# tie-heavy float entries: many signed sums coincide exactly or nearly
+TIE_POOL = (0.1, 0.2, 0.3, 0.5, 1.0, 3.0)
+BIASES = st.one_of(
+    st.sampled_from((-1.0, -0.5, 0.0, 0.1, 0.25, 0.5, 1.0)),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+
+
+class TestFloatAtomsBitwise:
+    """The float atoms are bitwise those of the plain doubling, stable sort
+    and fold in helpers.reference_float_atoms."""
+
+    @staticmethod
+    def assert_bitwise_equal(v, p):
+        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
+        ref_values, ref_probs = reference_float_atoms(v, p)
+        assert d.values.tobytes() == ref_values.tobytes()
+        assert d.probs.tobytes() == ref_probs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tie_heavy(self, data):
+        n = data.draw(st.integers(1, 12))
+        v = data.draw(st.lists(st.sampled_from(TIE_POOL + tuple(-x for x in TIE_POOL)), min_size=n, max_size=n))
+        p = data.draw(st.lists(BIASES, min_size=n, max_size=n))
+        self.assert_bitwise_equal(v, p)
+
+    def test_tie_free(self):
+        gen = np.random.default_rng(73)
+        for n in (1, 5, 10, 14):
+            self.assert_bitwise_equal(gen.standard_normal(n).tolist(), gen.uniform(-0.5, 0.5, n).tolist())
+
+
+@st.composite
+def form_and_alpha(draw, entries, biases):
+    """(v, p, alpha) with alpha 0, a gap between two atoms, half such a gap
+    (an atom on the window's open end) or a free value."""
+    n = draw(st.integers(1, 6))
+    v = draw(st.lists(entries, min_size=n, max_size=n))
+    p = draw(st.lists(biases, min_size=n, max_size=n))
+    values = [x for x, _ in enumerate_atoms_exact(v, p)]
+    gaps = sorted({b - a for a, b in itertools.combinations(values, 2)}) or [Fraction(1)]
+    alpha = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.sampled_from(gaps),
+        st.sampled_from(gaps).map(lambda g: g / 2),
+        st.fractions(0, 8, max_denominator=12),
+    ))
+    return v, p, alpha
+
+
+class TestLevyQProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=form_and_alpha(
+        st.fractions(-4, 4, max_denominator=9), st.fractions(-1, 1, max_denominator=9)))
+    def test_exact_matches_direct_window_sum(self, case):
+        v, p, alpha = case
+        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
+        q = levy_q(d, alpha)
+        assert q == direct_window_concentration(enumerate_atoms_exact(v, p), alpha)
+        if alpha > 0:
+            assert q >= max(d.probs)
+
+    # dyadic entries and alphas keep every float sum and window end exact,
+    # so only the probabilities carry rounding
+    @settings(max_examples=200, deadline=None)
+    @given(case=form_and_alpha(
+        st.integers(-32, 32).map(lambda k: Fraction(k, 8)), st.fractions(-1, 1, max_denominator=9)))
+    def test_float_matches_direct_window_sum(self, case):
+        v, p, alpha = case
+        fv, fp = tuple(map(float, v)), tuple(map(float, p))
+        d = linear_form_atoms(LinearFormSpec(fv, fp))
+        q = levy_q(d, float(alpha))
+        expected = direct_window_concentration(enumerate_atoms_exact(fv, fp), alpha)
+        assert abs(q - float(expected)) <= 1e-12
+        if alpha > 0:
+            # window masses are differences of a cumulative sum, so equal up to rounding
+            assert q >= d.probs.max() - 1e-12
+
+
 class TestLevyQ:
     def test_hand_values(self):
         d = linear_form_atoms(LinearFormSpec((1, 1), (0, 0)))
         assert levy_q(d, 1) == F(1, 2)
         assert levy_q(d, F(3, 2)) == F(3, 4)
         assert levy_q(d, 0) == 0
+
+    def test_float_window_below_rounding_step_holds_its_atom(self):
+        # 2*alpha = 1 is below the spacing of doubles near 1e20, so every
+        # value + 2*alpha rounds to the value itself
+        d = linear_form_atoms(LinearFormSpec((1e20, 1e20, 1e20), (0.0, 0.0, 0.0)))
+        assert levy_q(d, 0.5) == 0.375 == d.probs.max()
+        assert levy_q(d, 0.0) == 0.0
+        assert levy_q(linear_form_atoms(LinearFormSpec((10**20,) * 3, (0,) * 3)), F(1, 2)) == F(3, 8)
 
     def test_negative_alpha(self):
         d = linear_form_atoms(LinearFormSpec((1,), (0,)))

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,114 @@ class TestDecomposeAndQfunc:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "NonFiniteScalar"
 
+    def test_qfunc_float_window_below_rounding_step_holds_its_atom(self, capsys):
+        # 2*alpha = 1 is below the spacing of doubles near 1e20, so v + 2*alpha
+        # rounds to v; the window still holds its anchor atom
+        _, out, _ = run(capsys, ["qfunc", "--v", "1e20,1e20,1e20", "--alpha", "1/2", "--mode", "float"])
+        assert json.loads(out)["q"] == 0.375
+        _, out, _ = run(capsys, ["qfunc", "--v", "1e20,1e20,1e20", "--alpha", "1/2"])
+        assert json.loads(out)["q"] == "3/8"
+
+
+def _benchmark_exact_form(n, seed):
+    # the benchmark's exact shape: v_i = a_i / 3^k_i with k a permutation of
+    # 1..n and 3 not dividing a_i, so all 2^n sums differ, and p_i = +-(1 + k % 5)/10
+    r = random.Random(seed)
+    ks = list(range(n))
+    r.shuffle(ks)
+    v = []
+    for k in ks:
+        a = 3 * int(r.random() * 20) + 1 + int(r.random() * 2)
+        v.append(Fraction(a if r.random() < 0.5 else -a, 3 ** (k + 1)))
+    p = [Fraction((1 + k % 5) * (1 if r.random() < 0.5 else -1), 10) for k in range(n)]
+    return ",".join(map(str, v)), ",".join(map(str, p))
+
+
+def _uniform_float_form(n, seed):
+    r = random.Random(seed)
+    v = [4.0 * r.random() - 2.0 for _ in range(n)]
+    p = [r.random() - 0.5 for _ in range(n)]
+    return ",".join(map(repr, v)), ",".join(map(repr, p))
+
+
+def _tie_heavy_float_form(n, seed):
+    r = random.Random(seed)
+    pool = (0.1, 0.2, 0.3, 0.5, 1.0, 3.0)
+    v = [pool[int(r.random() * len(pool))] for _ in range(n)]
+    p = [round(r.random() - 0.5, 2) or 0.25 for _ in range(n)]
+    return ",".join(map(repr, v)), ",".join(map(repr, p))
+
+
+def _qfunc_cases():
+    """qfunc argv by case name.  Only random.random() draws the inputs: its
+    stream is the one part of the random module fixed across Python versions."""
+    cases = {}
+    for n in (10, 12, 14):
+        v, p = _benchmark_exact_form(n, n)
+        for alpha in ("1", "1/3", "0"):
+            cases[f"exact_n{n}_alpha{alpha.replace('/', 'over')}"] = ["--v=" + v, "--p=" + p, "--alpha", alpha]
+        v, p = _uniform_float_form(n, n)
+        for alpha in ("1/2", "0.01"):
+            cases[f"float_n{n}_alpha{alpha.replace('/', 'over')}"] = [
+                "--v=" + v, "--p=" + p, "--alpha", alpha, "--mode", "float"]
+    for alpha in ("1/2", "0.25", "1", "0"):
+        cases[f"ties_small_alpha{alpha.replace('/', 'over')}"] = [
+            "--v=1,1,1,0.5,0.5", "--p=0.1,-0.2,0.3,0.25,-0.5", "--alpha", alpha, "--mode", "float"]
+    v, p = _tie_heavy_float_form(12, 3)
+    for alpha in ("0.05", "0.1", "1/2"):
+        cases[f"ties_n12_alpha{alpha.replace('/', 'over')}"] = [
+            "--v=" + v, "--p=" + p, "--alpha", alpha, "--mode", "float"]
+    for mode in ("exact", "float"):
+        for alpha in ("1/2", "1", "3"):
+            cases[f"sure_coordinates_{mode}_alpha{alpha.replace('/', 'over')}"] = [
+                "--v=1,2,3,1/2,0.25", "--p=1,0,-1,1/3,-1/4", "--alpha", alpha, "--mode", mode]
+    return cases
+
+
+QFUNC_CASES = _qfunc_cases()
+
+
+class TestQfuncPinned:
+    # sha256 of the qfunc stdout, captured before the oracle kept its atoms as
+    # arrays (float) and common-denominator integers (exact); any change to
+    # a digit of q, a, sperner or ratio shows here
+    GOLDEN_SHA256 = {
+        "exact_n10_alpha1": "d60a6b6f78d93cbf723ed0942ae803405b436052b0535b2c40b1ac51c505caee",
+        "exact_n10_alpha1over3": "83f4f951a138812a1ac04589058555695e8f789a254503f0d065b68fb4f3d4ca",
+        "exact_n10_alpha0": "5079be642e52da2274adbffc488f8bfe353b57b91235b5a6d984064eb0d94409",
+        "float_n10_alpha1over2": "44af09f6b0240faacd34f1555b4621c9436d0863a17b83458f20bf958e19e077",
+        "float_n10_alpha0.01": "7923b8b08a494e563d29c28d04e04533c8a8566b3854a4a9e4fa110b8e6f3979",
+        "exact_n12_alpha1": "015c1f5987bb6d29301c8852322e14094c74ad6c8826a4834e1f0a5b7f617d11",
+        "exact_n12_alpha1over3": "6dee17c4231270fa0bfc9c576406daeb346bf620798779791b3064d807174d91",
+        "exact_n12_alpha0": "288075d6e2c0f12ddac4517a514076a0fcfbda629679d1ed5bb158707d6e145b",
+        "float_n12_alpha1over2": "9396dbc2e330e77f38c71f0d3c182dc556272b1741a6e64af55a171239aed2b0",
+        "float_n12_alpha0.01": "196c370a128df05083c7277819c72c1e78a63d1bead2d398937ffe55c584ce1f",
+        "exact_n14_alpha1": "5b0e47cc1d3fdd637055044c76f31338b2263cb04e9084a19754995eab2e46d2",
+        "exact_n14_alpha1over3": "71c41695ad75adb8e5ebd7b5b7872f96a2b0ebfe6510069a2747be432979f308",
+        "exact_n14_alpha0": "6f142b492deb192086f8bcc62483c6d74ba04a9a8230b28cd1a853beb39f64a3",
+        "float_n14_alpha1over2": "c8ee1ed14e852557f633860ec0b35160e496401dc6a693f9e3f0021056016662",
+        "float_n14_alpha0.01": "a0edfbdb3dbf307ee8c976d956531eafc1cf1349cbb87f048b1c53beebe5f87a",
+        "ties_small_alpha1over2": "be70caf6561bb55d2bfe9e940ec71330701adac92653d11f7d45ab75c9be9b5c",
+        "ties_small_alpha0.25": "be70caf6561bb55d2bfe9e940ec71330701adac92653d11f7d45ab75c9be9b5c",
+        "ties_small_alpha1": "be501ba397ad9521252d7b988191531aa672e2c4da0bbf9efaa81207d3b6a86d",
+        "ties_small_alpha0": "856328d217a07f31c59caede349fc88046e42ad332c77505f740b273d9d31f0a",
+        "ties_n12_alpha0.05": "237a5aaded11f617218e3d14c4ca29af2fb9f2e1c84856fa5790f32088a457cc",
+        "ties_n12_alpha0.1": "c6c02b22776670c49544f64525f296244bbc4c6da566f5fe739b4efae76a894e",
+        "ties_n12_alpha1over2": "eed8d56591fcc1f4aacba0a99b36858d81225d31c51ad68dbce3df22c1a0f28a",
+        "sure_coordinates_exact_alpha1over2": "5cf08852f135c39c69921bfef8cead6a97f4eea276a796c43cdee90b586e55e9",
+        "sure_coordinates_exact_alpha1": "968b58f51c901d9fd1fdc2efe00643fdb2df5f9544e8f683547642255d2264db",
+        "sure_coordinates_exact_alpha3": "7221c95979c45fc2b8c7f191780515366838f2cb5d392e4ff0d39ddfadf34437",
+        "sure_coordinates_float_alpha1over2": "62a26e70f008681e09c7301161699f4c3cab74b86f8555d9183ccbd21cfe6cd4",
+        "sure_coordinates_float_alpha1": "719cbebda18f82b19f520ef3aab5a9bcd118ec16a2fedf15b29e28fbd9b058bd",
+        "sure_coordinates_float_alpha3": "b05e3d5faca000b7c2238b7e06f64c2ca3ccd01eb5229d36bbefba5b318e3508",
+    }
+
+    @pytest.mark.parametrize("case", sorted(QFUNC_CASES))
+    def test_output_bytes_are_pinned(self, capsys, case):
+        code, out, _ = run(capsys, ["qfunc", *QFUNC_CASES[case]])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_SHA256[case]
+
 
 # numeric flags that once ended in a Python traceback, some only after the
 # whole computation had run; each is now refused before any work starts
@@ -197,12 +307,18 @@ BAD_FLAGS = {
     "search_zero_planes": ["search", "--n", "3", "--m", "0", "--iters", "10"],
     "search_zero_replicas": ["search", "--n", "3", "--m", "2", "--iters", "10", "--replicas", "0"],
     "qfunc_float_l1_overflow": ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"],
+    "sample_zero_count": ["sample", "--count", "0"],
+    "sample_negative_count": ["sample", "--count", "-1"],
+    "sample_negative_max_retries": ["sample", "--max-retries", "-1"],
+    "search_negative_iters": ["search", "--n", "3", "--m", "2", "--iters", "-1"],
 }
 
 
 class TestBadFlags:
     @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
-    def test_usage_or_json_error_without_traceback(self, capsys, argv):
+    def test_usage_or_json_error_without_traceback(self, capsys, monkeypatch, argv):
+        # a valid config on stdin, so a sample case fails on its flag alone
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TWO_AXIS_PLANES_Q3)))
         code, out, err = run(capsys, argv)
         assert code in (1, 2)
         assert out == ""
@@ -224,6 +340,20 @@ class TestBadFlags:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sample_zero_count", "sample_negative_count", "sample_negative_max_retries", "search_negative_iters"],
+    )
+    def test_count_flags_are_usage_errors(self, name):
+        # the counts once ran to exit 0 with no result; a negative retry
+        # budget drew once and failed with "no acceptance within -1 retries"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(BAD_FLAGS[name])
+        assert exc.value.code == 2
+
+    def test_zero_max_retries_allows_one_attempt(self):
+        assert build_parser().parse_args(["sample", "--max-retries", "0"]).max_retries == 0
 
 
 class TestSample:
