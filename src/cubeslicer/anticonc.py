@@ -141,14 +141,16 @@ def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
     return AtomDistribution(points, weights, True, Fraction(1), scale, denom)
 
 
-def _sorted_order(values: np.ndarray) -> np.ndarray:
-    # The stable order of values.  Without exact ties every sort gives it,
-    # so the stable sort runs only when the default one finds a tie.
+def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The stable order of values and the values in it.  Without exact ties
+    # every sort gives it, so the stable sort runs only when the default one
+    # finds a tie.
     order = np.argsort(values)
     ordered = values[order]
     if np.any(ordered[1:] == ordered[:-1]):
         order = np.argsort(values, kind="stable")
-    return order
+        np.take(values, order, out=ordered)
+    return order, ordered
 
 
 def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
@@ -172,8 +174,7 @@ def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
         half *= 2
     # each del frees a 2^n temporary before the next one is made; at n = 22
     # they are 32 MB apiece and set the oracle's peak memory
-    order = _sorted_order(values)
-    values = values[order]
+    order, values = _stable_sort(values)
     probs = probs[order]
     del order
     keep = probs > 0.0
@@ -217,9 +218,9 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     most the mass of [value_i, value_i + 2*alpha), and pushing t toward
     value_i + alpha realizes that mass in the limit.  So scanning the
     half-open windows [value_i, value_i + 2*alpha) is exact.  For alpha > 0
-    a window always holds its anchor atom, so a float Q stays at the largest
-    atom's mass or above (up to the rounding of a cumulative-sum difference),
-    even where value_i + 2*alpha rounds to value_i.
+    a window always holds its anchor atom, so a float Q is at least the
+    largest atom's mass, even where value_i + 2*alpha rounds to value_i or
+    a difference of cumulative sums rounds below that mass.
     """
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
@@ -236,10 +237,10 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     cum[0] = 0.0
     np.cumsum(probs, out=cum[1:])
     ends = np.searchsorted(vals, vals + 2.0 * float(alpha), side="left")
-    if alpha > 0:
-        np.maximum(ends, np.arange(1, vals.size + 1), out=ends)
     masses = cum[ends]
     masses -= cum[:-1]
+    if alpha > 0:
+        return float(max(masses.max(), probs.max()))
     return float(masses.max())
 
 
