@@ -1,7 +1,8 @@
 """Command-line entry point wiring all modules.
 
 Results go to stdout (JSON, JSON-lines, or CSV).  A run manifest (flags,
-seed, code version, wall time, peak RSS, input hashes) accompanies every run: with
+seed, code version, wall time, peak RSS, input hashes; for `estimate`, the
+bias rows drawn and accepted) accompanies every run: with
 --out DIR the result and manifest.json are written into DIR, otherwise the
 manifest is a single JSON line on stderr.  Result artifacts never contain
 wall-clock data, so fixed seeds give byte-identical outputs regardless of
@@ -262,11 +263,22 @@ def _estimate_config(args):
     return random_unit_configuration(args.n, args.m, _rng_from_args(args).child(0))
 
 
+def _bias_rows(rep, n: int) -> dict:
+    """The manifest's bias row counts; the paper bounds the acceptance ratio
+    accepted/drawn of the conditioned bias below by 1 - 2/n."""
+    rows = {"bias_rows_drawn": rep.bias_rows_drawn}
+    if rep.bias_rows_accepted is not None:
+        rows["bias_rows_accepted"] = rep.bias_rows_accepted
+        rows["bias_acceptance_bound"] = 1 - 2 / n
+    return rows
+
+
 def _cmd_estimate(args):
     config = _estimate_config(args)
     rng = _rng_from_args(args).child(1)
     if args.what == "evasion":
         per_plane, union = estimate_evasion(config, args.samples, rng, args.threads)
+        args._bias_rows = _bias_rows(union, config.n)
         result = {
             "estimator": "evasion",
             "n": config.n,
@@ -292,6 +304,7 @@ def _cmd_estimate(args):
     else:
         rep = estimate_glue_sum(config, args.plane_index, args.t, args.samples, rng, args.threads)
         name = "glue_sum"
+    args._bias_rows = _bias_rows(rep, config.n)
     result = {"estimator": name, "n": config.n, "m": config.m, "samples": args.samples, **_report_dict(rep)}
     if args.report == "csv":
         text = csv_text(
@@ -494,6 +507,7 @@ def _manifest(args, argv, wall_time: float) -> dict:
         "wall_time_s": wall_time,
         "peak_rss_mb": _peak_rss_mb(),
         "input_hashes": getattr(args, "_input_hashes", {}),
+        **getattr(args, "_bias_rows", {}),
     }
 
 

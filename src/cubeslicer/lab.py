@@ -4,13 +4,15 @@ search for small slicing configurations.
 Estimators split the sample budget into fixed-size chunks, give every chunk
 its own substream (child of the caller's RngSpec), and fold integer partial
 counts in chunk order - so reports are byte-identical for any thread count.
+Within a chunk the sampler's blocks are folded one at a time, so memory is
+per block (sampler.BLOCK rows), not per chunk.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,12 +30,13 @@ from .core import (
 )
 from .errors import DimensionTooLarge, SlicerError
 from .sampler import (
+    P_MAX,
     RngSpec,
     as_generator,
-    batch_bias,
     batch_bias_conditioned,
     batch_evasive_edges,
     batch_mu,
+    bias_blocks,
     bias_setup,
 )
 from .verifier import SlicingReport, verify_slicing
@@ -53,6 +56,10 @@ class EstimateReport:
     samples: int
     seed: int
     target_bound: float | None = None
+    # bias rows drawn (accepted ones plus redraws) and accepted; they go to
+    # the run manifest, never into results
+    bias_rows_drawn: int | None = None
+    bias_rows_accepted: int | None = None
 
 
 def _bernoulli_report(count: int, samples: int, seed: int, target: float | None) -> EstimateReport:
@@ -112,29 +119,41 @@ def estimate_evasion(
     relaxed = c.mode == RELAXED
     sizes = _chunk_sizes(samples)
 
+    def crossings(U: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # one block's (edge, plane) crossing flags; the float copy of U and
+        # the side values are freed before the next block is drawn
+        X = U.astype(np.float64)
+        # side values at the endpoints U and U with coordinate k flipped
+        s0 = X @ setup.V.T - setup.t
+        s1 = s0 - 2.0 * X[np.arange(len(k)), k][:, None] * setup.V.T[k]
+        return sign_pair_crossings(s0, s1, tol, relaxed)
+
     def chunk(i: int):
         gen = spec.child(i).generator()
-        U, k = batch_evasive_edges(setup, gen, sizes[i])
-        U = U.astype(np.float64)
-        # side values at the endpoints U and U with coordinate k flipped
-        s0 = U @ setup.V.T - setup.t
-        s1 = s0 - 2.0 * U[np.arange(sizes[i]), k][:, None] * setup.V.T[k]
-        cross = sign_pair_crossings(s0, s1, tol, relaxed)
-        return cross.sum(axis=0), int(cross.any(axis=1).sum())
+        edges, drawn = batch_evasive_edges(setup, gen, sizes[i])
+        per_plane = np.zeros(c.m, dtype=np.int64)
+        union = 0
+        for block in edges:
+            cross = crossings(*block)
+            per_plane += cross.sum(axis=0)
+            union += int(cross.any(axis=1).sum())
+        return per_plane, union, drawn
 
     parts = _run_ordered(chunk, len(sizes), threads)
     per_plane = [0] * c.m
-    union = 0
-    for counts, u in parts:
+    union = drawn = 0
+    for counts, u, d in parts:
         for ell in range(c.m):
             per_plane[ell] += int(counts[ell])
         union += u
+        drawn += d
+    rows = {"bias_rows_drawn": drawn, "bias_rows_accepted": samples}
     shape = math.sqrt(c.m) * math.log(c.n) ** 2 / c.n
     reports = [
-        _bernoulli_report(cnt, samples, spec.seed, shape) for cnt in per_plane
+        replace(_bernoulli_report(cnt, samples, spec.seed, shape), **rows) for cnt in per_plane
     ]
     union_report = _bernoulli_report(union, samples, spec.seed, min(1.0, c.m * shape))
-    return reports, union_report
+    return reports, replace(union_report, **rows)
 
 
 def estimate_linf_tail(
@@ -151,11 +170,13 @@ def estimate_linf_tail(
 
     def chunk(i: int) -> int:
         gen = spec.child(i).generator()
-        P = batch_bias(setup, gen, sizes[i])
-        return int(np.count_nonzero(np.abs(P).max(axis=1) > 0.5))
+        return sum(
+            int(np.count_nonzero(np.abs(P).max(axis=1) > P_MAX))
+            for P in bias_blocks(setup, gen, sizes[i])
+        )
 
     count = sum(_run_ordered(chunk, len(sizes), threads))
-    return _bernoulli_report(count, samples, spec.seed, 2.0 / c.n)
+    return replace(_bernoulli_report(count, samples, spec.seed, 2.0 / c.n), bias_rows_drawn=samples)
 
 
 def estimate_glue_sum(
@@ -180,19 +201,27 @@ def estimate_glue_sum(
     gates = 2.0 * np.abs(v)
     sizes = _chunk_sizes(samples)
 
-    def chunk(i: int) -> tuple[int, int]:
+    def qualifying(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        # per sample of one block, the count of axes k with |<v,x> - t| < 2|v_k|
+        s = batch_mu(P, gen).astype(np.float64) @ v - tval
+        return (np.abs(s)[:, None] < gates).sum(axis=1)
+
+    def chunk(i: int) -> tuple[int, int, int]:
         gen = spec.child(i).generator()
-        P = batch_bias_conditioned(setup, gen, sizes[i])
-        x = batch_mu(P, gen).astype(np.float64)
-        s = x @ v - tval
-        cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
-        return int(cnt.sum()), int((cnt * cnt).sum())
+        biases, drawn = batch_bias_conditioned(setup, gen, sizes[i])
+        total = total_sq = 0
+        for P in biases:
+            cnt = qualifying(P, gen)
+            total += int(cnt.sum())
+            total_sq += int((cnt * cnt).sum())
+        return total, total_sq, drawn
 
     parts = _run_ordered(chunk, len(sizes), threads)
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     target = math.sqrt(c.m) * math.log(c.n) ** 2
-    return _mean_report(total, total_sq, samples, spec.seed, target)
+    report = _mean_report(total, total_sq, samples, spec.seed, target)
+    return replace(report, bias_rows_drawn=sum(p[2] for p in parts), bias_rows_accepted=samples)
 
 
 def random_unit_configuration(n: int, m: int, rng, threshold_spread: float = 0.0) -> Configuration:

@@ -7,6 +7,11 @@ the Monte Carlo estimators call, are the one implementation of each law:
 sample_mu and sample_evasive_edge are batch-of-one draws through them and
 consume the same random stream.  The bias is damped by the paper's constant
 1/(10 sqrt(m ln n)).
+
+A batch of more than BLOCK rows is produced BLOCK rows at a time, with the
+bits one whole draw would give: each block draws from a generator positioned
+by PCG64.advance where its words lie in the batch's stream, so memory is
+per block, not per batch.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -23,10 +28,19 @@ from . import decomp
 from .core import Configuration, Edge, Vertex
 from .errors import (
     BiasOutOfRange,
+    BoundViolation,
     DimensionTooSmall,
     RetriesExhausted,
     UnnormalizedPlane,
 )
+
+# Rows per block of a batch draw.  A bias product of a batch has exactly
+# BLOCK rows (a short last block is the end of a BLOCK-row window): OpenBLAS
+# gave a row the same bits in every product of 1024 or more rows measured,
+# but not always in smaller ones (a single row is a gemv).
+BLOCK = 1 << 10
+# The conditioned bias accepts a draw when max|P_i| <= P_MAX.
+P_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -106,18 +120,19 @@ def dyadic_terms(V: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
 
     Scaling by 2^j puts every nonzero entry of a row into (1/2, 1].
     """
-    n = V.shape[1]
     keys: list[tuple[int, int]] = []
-    rows: list[np.ndarray] = []
+    terms: list[tuple[np.ndarray, np.ndarray]] = []
     for ell in range(V.shape[0]):
         d = decomp.binary_decompose([float(x) for x in V[ell]])
         for j in sorted(d.parts):
             idx, vals = d.parts[j]
-            w = np.zeros(n, dtype=np.float64)
-            w[list(idx)] = np.ldexp(np.array(vals, dtype=np.float64), j)
             keys.append((ell, j))
-            rows.append(w)
-    return keys, np.array(rows, dtype=np.float64)
+            terms.append((np.array(idx, dtype=np.intp), np.ldexp(np.array(vals, dtype=np.float64), j)))
+    # the sparse terms first, then one dense matrix: W is never held twice
+    W = np.zeros((len(terms), V.shape[1]), dtype=np.float64)
+    for row, (idx, vals) in zip(W, terms):
+        row[idx] = vals
+    return keys, W
 
 
 def _check_dims(c: Configuration) -> None:
@@ -135,9 +150,9 @@ def sample_bias(c: Configuration, rng) -> BiasVector:
     with alpha_{lj} independent uniform on [-1,1] over the unit-norm float
     copies of the planes.  The draw is recorded in BiasVector.draws.
     """
-    # The one draw that keeps its multipliers.  batch_bias returns only P:
-    # keeping alphas there would hold a (count x K) float array per estimator
-    # chunk (16384 x 1220, ~160 MB, at n=1024, m=100) and raise peak RSS.
+    # The one draw that keeps its multipliers.  The batch draws return only P:
+    # keeping alphas there would hold a (BLOCK x K) float array per block
+    # (1024 x 1210, ~10 MB, at n=1024, m=100) for every block of a batch.
     gen = as_generator(rng)
     setup = bias_setup(c)
     alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
@@ -146,7 +161,7 @@ def sample_bias(c: Configuration, rng) -> BiasVector:
 
 
 def sample_bias_conditioned(c: Configuration, rng, max_retries: int = 1000) -> BiasVector:
-    """Rejection-sample the dyadic bias until max|P_i| <= 1/2.
+    """Rejection-sample the dyadic bias until max|P_i| <= P_MAX = 1/2.
 
     Rejection reproduces the conditional law exactly; the acceptance
     probability is at least 1 - 2/n, so the expected number of retries is
@@ -155,7 +170,7 @@ def sample_bias_conditioned(c: Configuration, rng, max_retries: int = 1000) -> B
     gen = as_generator(rng)
     for _ in range(max_retries + 1):
         bv = sample_bias(c, gen)
-        if np.max(np.abs(bv.p)) <= 0.5:
+        if np.max(np.abs(bv.p)) <= P_MAX:
             return dataclasses.replace(bv, conditioned=True)
     raise RetriesExhausted(f"no acceptance within {max_retries} retries")
 
@@ -187,7 +202,8 @@ def sample_mu(p, rng) -> Vertex:
 def sample_evasive_edge(c: Configuration, rng, max_retries: int = 1000) -> Edge:
     """The evasive random edge (U, k): U from the product distribution with
     conditioned bias P, and k a uniform axis independent of U given P."""
-    U, k = batch_evasive_edges(bias_setup(c), as_generator(rng), 1, max_retries)
+    blocks, _ = batch_evasive_edges(bias_setup(c), as_generator(rng), 1, max_retries)
+    ((U, k),) = blocks
     return Edge(Vertex.from_signs(U[0].tolist()), int(k[0]))
 
 
@@ -199,13 +215,18 @@ def sample_evasive_edge(c: Configuration, rng, max_retries: int = 1000) -> Edge:
 
 @dataclass(frozen=True, eq=False)
 class BiasSetup:
-    """Precomputed normalized planes and dyadic term matrix for batch work."""
+    """Precomputed normalized planes and dyadic term matrix for batch work.
+
+    p_bound bounds max|P_i| over every draw: a coordinate lies in one scale
+    of each plane, so |P_i| <= scale * sum_j |W_ji| (times 1 + 1e-9 for the
+    rounding of the sums)."""
 
     V: np.ndarray
     t: np.ndarray
     keys: list
     W: np.ndarray
     scale: float
+    p_bound: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -215,36 +236,142 @@ def bias_setup(c: Configuration) -> BiasSetup:
     _check_dims(c)
     V, t = normalized_float_planes(c)
     keys, W = dyadic_terms(V)
-    return BiasSetup(V, t, keys, W, 1.0 / (10.0 * math.sqrt(c.m * math.log(c.n))))
+    scale = 1.0 / (10.0 * math.sqrt(c.m * math.log(c.n)))
+    col_l1 = np.zeros(c.n)
+    for start in range(0, len(W), 64):  # no full |W| temporary
+        col_l1 += np.abs(W[start : start + 64]).sum(axis=0)
+    return BiasSetup(V, t, keys, W, scale, scale * float(col_l1.max()) * (1.0 + 1e-9))
+
+
+def _skip(bitgen, words: int) -> None:
+    """Move bitgen `words` 64-bit draws ahead.  advance() also drops the
+    buffered 32-bit half that integers() reads first; it is put back."""
+    state = bitgen.state
+    bitgen.advance(words)
+    moved = bitgen.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bitgen.state = moved
+
+
+def _positioned(gen: np.random.Generator, words: int) -> np.random.Generator:
+    """A copy of gen, `words` 64-bit draws ahead of it."""
+    if not isinstance(gen.bit_generator, np.random.PCG64):
+        raise TypeError(f"a batch of more than {BLOCK} rows needs a PCG64 generator")
+    bitgen = np.random.PCG64(0)
+    bitgen.state = gen.bit_generator.state
+    if words:
+        _skip(bitgen, words)
+    return np.random.Generator(bitgen)
+
+
+def _bias(setup: BiasSetup, alphas: np.ndarray) -> np.ndarray:
+    P = alphas @ setup.W
+    P *= setup.scale
+    return P
 
 
 def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.ndarray:
-    alphas = gen.uniform(-1.0, 1.0, size=(count, len(setup.keys)))
-    return setup.scale * (alphas @ setup.W)
+    """count unconditioned biases in one product; row r's multipliers are
+    words r*K to (r+1)*K of gen's stream (K terms)."""
+    return _bias(setup, gen.uniform(-1.0, 1.0, size=(count, len(setup.keys))))
+
+
+def bias_blocks(setup: BiasSetup, gen: np.random.Generator, count: int) -> Iterator[np.ndarray]:
+    """The rows of batch_bias(setup, gen, count), BLOCK rows at a time, with
+    the same bits and the same words drawn from gen."""
+    prev = None
+    for start in range(0, count, BLOCK):
+        rows = min(BLOCK, count - start)
+        alphas = gen.uniform(-1.0, 1.0, size=(rows, len(setup.keys)))
+        if rows < BLOCK and prev is not None:
+            yield _bias(setup, np.concatenate([prev[rows:], alphas]))[BLOCK - rows:]
+        else:
+            yield _bias(setup, alphas)
+        prev = alphas
+
+
+def _condition(setup: BiasSetup, gen: np.random.Generator, P: np.ndarray, max_retries: int) -> int:
+    """The rejection loop: redraw P's rows above P_MAX from gen, in place,
+    until none is left; returns the number of rows redrawn."""
+    redrawn = 0
+    for attempt in range(max_retries + 1):
+        bad = np.flatnonzero(np.abs(P).max(axis=1) > P_MAX)
+        if bad.size == 0:
+            return redrawn
+        if attempt < max_retries:
+            P[bad] = batch_bias(setup, gen, bad.size)
+            redrawn += bad.size
+    raise RetriesExhausted(f"no acceptance within {max_retries} retries")
 
 
 def batch_bias_conditioned(
     setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
-) -> np.ndarray:
-    P = batch_bias(setup, gen, count)
-    for attempt in range(max_retries + 1):
-        bad = np.flatnonzero(np.abs(P).max(axis=1) > 0.5)
-        if bad.size == 0:
-            return P
-        if attempt < max_retries:
-            P[bad] = batch_bias(setup, gen, bad.size)
-    raise RetriesExhausted(f"no acceptance within {max_retries} retries")
+) -> tuple[Iterator[np.ndarray], int]:
+    """count biases conditioned on max|P_i| <= P_MAX, as (blocks of rows,
+    bias rows drawn).  The batch is the concatenation of the blocks.
+
+    Row r's multipliers are words r*K on of gen's stream; the rejected rows
+    are redrawn, round by round, from word count*K on.  On return gen stands
+    after the last redraw, where a mu draw starts.  One block draws all of
+    this in order from gen; more blocks replay the multipliers from a
+    positioned copy, after a first pass that finds the rejected rows when
+    p_bound allows any.
+    """
+    if count <= BLOCK:
+        P = batch_bias(setup, gen, count)
+        return iter((P,)), count + _condition(setup, gen, P, max_retries)
+    start = _positioned(gen, 0)
+    rows = np.empty(0, dtype=np.int64)
+    redraws = np.empty((0, setup.W.shape[1]))
+    if setup.p_bound <= P_MAX:  # no row can be rejected
+        _skip(gen.bit_generator, count * len(setup.keys))
+    else:
+        found, first = [], []
+        for i, P in enumerate(bias_blocks(setup, gen, count)):
+            bad = np.flatnonzero(np.abs(P).max(axis=1) > P_MAX)
+            found.append(i * BLOCK + bad)
+            first.append(P[bad])
+        rows, redraws = np.concatenate(found), np.concatenate(first)
+    drawn = count + _condition(setup, gen, redraws, max_retries)
+    return _accepted_blocks(setup, start, count, rows, redraws), drawn
+
+
+def _accepted_blocks(setup, gen, count, rows, redraws) -> Iterator[np.ndarray]:
+    """bias_blocks with the sorted rejected `rows` replaced by `redraws`."""
+    for i, P in enumerate(bias_blocks(setup, gen, count)):
+        lo, hi = np.searchsorted(rows, [i * BLOCK, (i + 1) * BLOCK])
+        P[rows[lo:hi] - i * BLOCK] = redraws[lo:hi]
+        if np.abs(P).max() > P_MAX:
+            raise BoundViolation(f"an accepted bias row exceeds {P_MAX}")
+        yield P
 
 
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Rows of +-1 vertices drawn coordinate-wise with means P (one row per sample)."""
-    return np.where(gen.random(P.shape) < (1.0 + P) / 2.0, 1, -1).astype(np.int8)
+    """Rows of +-1 vertices drawn coordinate-wise with means P (one row per
+    sample); row r's uniforms are words r*n to (r+1)*n of gen's stream."""
+    thr = P + 1.0
+    thr *= 0.5
+    return (gen.random(P.shape) < thr).view(np.int8) * 2 - 1
 
 
 def batch_evasive_edges(
     setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
-) -> tuple[np.ndarray, np.ndarray]:
-    """count evasive edges (U, k): +-1 rows U drawn with conditioned biases,
-    and axes k uniform on range(n)."""
-    U = batch_mu(batch_bias_conditioned(setup, gen, count, max_retries), gen)
-    return U, gen.integers(setup.V.shape[1], size=count)
+) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], int]:
+    """count evasive edges (U, k), as (blocks of (U, k), bias rows drawn):
+    +-1 rows U drawn with conditioned biases, and axes k uniform on range(n).
+
+    The stream is that of batch_bias_conditioned, then U's uniforms, then the
+    axes.  One block draws in order from gen; more blocks draw the axes from
+    a positioned copy.  Consume every block: the last leaves gen where one
+    whole draw would."""
+    n = setup.V.shape[1]
+    biases, drawn = batch_bias_conditioned(setup, gen, count, max_retries)
+    axes = gen if count <= BLOCK else _positioned(gen, count * n)
+
+    def blocks():
+        for P in biases:
+            yield batch_mu(P, gen), axes.integers(n, size=len(P))
+        if axes is not gen:
+            gen.bit_generator.state = axes.bit_generator.state
+
+    return blocks(), drawn

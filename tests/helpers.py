@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's fast paths: the slicing
 oracle loops edge_crosses over every edge, the atom oracle enumerates all
 2^n sign vectors with itertools, and the concentration oracle sums window
 masses with a plain double loop.  reference_float_atoms is the float
-oracle's arithmetic written the plain way, for bitwise comparison.
+oracle's arithmetic written the plain way, for bitwise comparison, and the
+whole_chunk_* draws are the sampler's batch draws with every array of the
+batch in memory at once, for bitwise comparison with the blocked draws.
 """
 
 import itertools
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import cubeslicer.sampler as sampler_mod
 from cubeslicer import Configuration, edge_crosses, iter_edges, make_hyperplane
 
 
@@ -130,3 +133,30 @@ def reference_float_atoms(v, p, rtol=1e-12):
     tol = rtol * np.maximum(1.0, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
     starts = np.concatenate([[0], np.flatnonzero(gap > tol) + 1])
     return values[starts], np.add.reduceat(probs, starts)
+
+
+def whole_chunk_bias_conditioned(setup, gen, count, max_retries=1000):
+    """Conditioned biases of count rows in one product, rejected rows redrawn
+    round by round from gen; returns (P, rows redrawn in each round)."""
+    K = len(setup.keys)
+    P = setup.scale * (gen.uniform(-1.0, 1.0, size=(count, K)) @ setup.W)
+    rounds = []
+    for attempt in range(max_retries + 1):
+        bad = np.flatnonzero(np.abs(P).max(axis=1) > sampler_mod.P_MAX)
+        if bad.size == 0:
+            return P, rounds
+        if attempt < max_retries:
+            P[bad] = setup.scale * (gen.uniform(-1.0, 1.0, size=(bad.size, K)) @ setup.W)
+            rounds.append(bad.size)
+    raise AssertionError("no acceptance")
+
+
+def whole_chunk_mu(P, gen):
+    return np.where(gen.random(P.shape) < (1.0 + P) / 2.0, 1, -1).astype(np.int8)
+
+
+def whole_chunk_evasive_edges(setup, gen, count):
+    """(P, U, k, rows redrawn in each round) of one whole-chunk evasive-edge draw."""
+    P, rounds = whole_chunk_bias_conditioned(setup, gen, count)
+    U = whole_chunk_mu(P, gen)
+    return P, U, gen.integers(setup.V.shape[1], size=count), rounds

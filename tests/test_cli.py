@@ -491,6 +491,45 @@ class TestArtifacts:
         assert lines[0].startswith("n,m,construction")
         assert len(lines) == 2
 
+class TestBiasRowsInManifest:
+    # stdout of each command, pinned before the bias row counts were added
+    # to the manifest and before the estimators drew in blocks
+    PINNED = {
+        ("evasion", "json"): "045a171ab33f48c7f01b0f3f544bd5b871bd2b02401ce1884b755911f1900ac4",
+        ("evasion", "csv"): "c450c8db263e5401b0f83f78fc877a6bf81adbf27120766ae535230506701344",
+        ("glue", "json"): "289c1565904bb98bef230b11432888422515c5cdf35f050ec5ef95d7cbf9a60c",
+        ("linf-tail", "json"): "50ab3d5d235d9f3a1d13a35b4828c2dff99f74bb5aa47a80adad947a11bba1e9",
+    }
+    ARGV = {
+        "evasion": ["--n", "12", "--m", "3", "--samples", "20000", "--seed", "5"],
+        "glue": ["--n", "12", "--m", "3", "--samples", "20000", "--seed", "7"],
+        "linf-tail": ["--n", "16", "--m", "4", "--samples", "20000", "--seed", "6"],
+    }
+
+    @pytest.mark.parametrize("what,report", sorted(PINNED))
+    def test_counts_in_manifest_and_stdout_unchanged(self, capsys, tmp_path, what, report):
+        argv = ["estimate", what, *self.ARGV[what], "--report", report]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[what, report]
+        manifest = json.loads(err)
+        assert manifest["bias_rows_drawn"] == 20000
+        if what == "linf-tail":
+            assert "bias_rows_accepted" not in manifest and "bias_acceptance_bound" not in manifest
+        else:
+            assert manifest["bias_rows_accepted"] == 20000
+            assert manifest["bias_acceptance_bound"] == 1 - 2 / 12
+        out_dir = tmp_path / "run"
+        assert run(capsys, argv + ["--out", str(out_dir)])[1] == out
+        on_disk = json.loads((out_dir / "manifest.json").read_text())
+        assert on_disk["bias_rows_drawn"] == 20000
+        assert "bias_rows" not in (out_dir / ("estimate." + report)).read_text()
+
+    def test_other_subcommands_carry_no_counts(self, capsys):
+        _, _, err = run(capsys, ["construct", "axis", "--n", "3"])
+        assert "bias_rows_drawn" not in json.loads(err)
+
+
 class TestPeakRss:
     def test_manifest_reports_peak_rss_on_stderr(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,11 +1,16 @@
 """Estimators (reproducibility, union bound, CI scaling), sweeps, and search."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import cubeslicer
 from cubeslicer import (
     Configuration,
     RngSpec,
@@ -87,6 +92,54 @@ class TestEstimateEvasion:
         shape = math.sqrt(4) * math.log(16) ** 2 / 16
         assert per[0].target_bound == pytest.approx(shape)
         assert union.target_bound == pytest.approx(min(1.0, 4 * shape))
+
+
+class TestDrawCounts:
+    def test_reports_carry_the_bias_rows(self):
+        c = random_unit_configuration(16, 4, RngSpec(40))
+        per, union = estimate_evasion(c, 20000, RngSpec(41))
+        assert (union.bias_rows_drawn, union.bias_rows_accepted) == (20000, 20000)
+        assert all(r.bias_rows_drawn == 20000 for r in per)
+        glue = estimate_glue_sum(c, 0, None, 3000, RngSpec(42))
+        assert (glue.bias_rows_drawn, glue.bias_rows_accepted) == (3000, 3000)
+        tail = estimate_linf_tail(c, 3000, RngSpec(43))
+        assert (tail.bias_rows_drawn, tail.bias_rows_accepted) == (3000, None)
+
+    def test_redraws_are_counted(self, monkeypatch):
+        import cubeslicer.sampler as sampler_mod
+
+        c = random_unit_configuration(6, 8, RngSpec(44))
+        monkeypatch.setattr(sampler_mod, "P_MAX", 0.08)
+        _, union = estimate_evasion(c, 20000, RngSpec(45))
+        glue = estimate_glue_sum(c, 0, None, 20000, RngSpec(45))
+        assert union.bias_rows_accepted == glue.bias_rows_accepted == 20000
+        # the same chunk streams draw the same biases in both estimators
+        assert union.bias_rows_drawn == glue.bias_rows_drawn > 20000
+
+
+def test_evasion_chunk_memory_is_per_block():
+    # A child process runs one full chunk of estimate_evasion at n = 1024,
+    # m = 100 in a grandchild and reports its RUSAGE_CHILDREN peak (see
+    # test_verifier.test_peak_memory_stays_bounded_at_n20).  Holding the
+    # whole chunk (its 16384 x 1210 multipliers, P, the uniforms and U) took
+    # about 500 MB; blocks of 1024 rows take about 110 MB.
+    src = str(Path(cubeslicer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = (
+        "from cubeslicer import RngSpec, estimate_evasion, random_unit_configuration; "
+        "c = random_unit_configuration(1024, 100, RngSpec(0)); "
+        "estimate_evasion(c, 16384, RngSpec(1))"
+    )
+    child = (
+        "import resource, subprocess, sys\n"
+        f"code = subprocess.call([sys.executable, '-c', {run!r}])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=600)
+    code, peak = (int(x) for x in proc.stdout.split())
+    assert code == 0, proc.stderr
+    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mb <= 200, f"peak RSS {peak_mb:.0f} MB"
 
 
 class TestBernoulliInterval:
