@@ -10,6 +10,13 @@ stay float64 arrays from enumeration to window scan, and exact atoms are
 Python integers over two common denominators (lcm of v's denominators for
 the values, product of 2*den(p_i) for the probabilities), so no step does
 per-atom Fraction arithmetic.
+
+Float atoms are built already sorted: each coordinate doubles the sorted
+atoms into two shifted sorted runs and merges them.  Their order is the
+stable order of the sign vectors' enumeration, which a merge keeps only
+while the values have no exact tie; on the first tie the atoms are
+enumerated again in sign-vector order and stably sorted once.  The window
+scan then searches each block of sorted window ends in a short slice.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .sampler import as_generator, batch_mu
 
 ORACLE_MAX_DIM = 22
 MERGE_RTOL = 1e-12
+_SCAN_BLOCK = 1 << 12
 
 Number = Union[Fraction, float, int]
 
@@ -141,22 +149,10 @@ def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
     return AtomDistribution(points, weights, True, Fraction(1), scale, denom)
 
 
-def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The stable order of values and the values in it.  Without exact ties
-    # every sort gives it, so the stable sort runs only when the default one
-    # finds a tie.
-    order = np.argsort(values)
-    ordered = values[order]
-    if np.any(ordered[1:] == ordered[:-1]):
-        order = np.argsort(values, kind="stable")
-        np.take(values, order, out=ordered)
-    return order, ordered
-
-
-def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
-    # Doubling enumeration over sign vectors in place: after coordinate i the
-    # first 2^(i+1) entries hold all partial sums and their probabilities,
-    # the -v_i half first and the +v_i half at offset 2^i.
+def _enumerated_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # Doubling enumeration over sign vectors in place, then one stable sort:
+    # after coordinate i the first 2^(i+1) entries hold all partial sums and
+    # their probabilities, the -v_i half first and the +v_i half at offset 2^i.
     size = 1 << len(v)
     values = np.empty(size, dtype=np.float64)
     probs = np.empty(size, dtype=np.float64)
@@ -172,28 +168,71 @@ def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
         np.multiply(probs[low], up, out=probs[high])
         np.multiply(probs[low], down, out=probs[low])
         half *= 2
-    # each del frees a 2^n temporary before the next one is made; at n = 22
-    # they are 32 MB apiece and set the oracle's peak memory
-    order, values = _stable_sort(values)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
     probs = probs[order]
-    del order
+    return values, probs
+
+
+def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    # Sorted doubling: after coordinate i the atoms are the stable merge of
+    # the sorted atoms shifted by -v_i (first) and by +v_i, which a stable
+    # argsort of the two concatenated sorted runs does as one linear merge.
+    # Each value and probability is _enumerated_atoms', made by the same
+    # operations.  While the values are strictly increasing their order is
+    # the only sorted one; a merge breaks an exact tie by earlier values, not
+    # by sign vector, so the first tie returns None.  A tie never goes away,
+    # as equal values get the same arithmetic from then on.
+    values = np.zeros(1)
+    probs = np.ones(1)
+    for vi, pi in zip(v, p):
+        half = values.size
+        both = np.empty(2 * half)
+        np.subtract(values, vi, out=both[:half])
+        np.add(values, vi, out=both[half:])
+        # each del frees a temporary before the next one is made; at n = 22
+        # the last step's are 32 MB apiece and set the oracle's peak memory
+        del values
+        order = np.argsort(both, kind="stable")
+        values = both[order]
+        del both
+        if np.any(values[1:] == values[:-1]):
+            return None
+        weights = np.empty(2 * half)
+        np.multiply(probs, (1.0 - pi) / 2.0, out=weights[:half])
+        np.multiply(probs, (1.0 + pi) / 2.0, out=weights[half:])
+        del probs
+        probs = weights[order]
+        del weights, order
+    return values, probs
+
+
+def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
+    # The atoms in the stable order of the sign vectors' enumeration: by
+    # sorted doubling, or after an exact tie by enumerating and one stable sort
+    values, probs = _sorted_atoms(v, p) or _enumerated_atoms(v, p)
     keep = probs > 0.0
-    values = values[keep]
-    probs = probs[keep]
+    if not keep.all():
+        values = values[keep]
+        probs = probs[keep]
     del keep
-    # fold runs of values equal within relative tolerance (sort then fold:
-    # deterministic regardless of any internal parallelism)
+    # fold runs of sorted neighbours a <= b with b - a within
+    # MERGE_RTOL * max(floor, |a|, |b|), where max(|a|, |b|) = max(-a, b);
+    # the floor min(1, l1(v)) keeps the fold scale-invariant below l1(v) = 1
     if values.size > 1:
         gap = values[1:] - values[:-1]
-        tol = np.abs(values)
-        tol = np.maximum(tol[1:], tol[:-1])
-        np.maximum(tol, 1.0, out=tol)
+        tol = np.negative(values[:-1])
+        np.maximum(tol, values[1:], out=tol)
+        np.maximum(tol, min(1.0, math.fsum(map(abs, v))), out=tol)
         tol *= MERGE_RTOL
-        starts = np.flatnonzero(gap > tol)
+        heads = np.empty(values.size, dtype=bool)
+        heads[0] = True
+        np.greater(gap, tol, out=heads[1:])
         del gap, tol
-        starts = np.concatenate([[0], starts + 1])
-        values = values[starts]
-        probs = np.add.reduceat(probs, starts)
+        if not heads.all():
+            starts = np.flatnonzero(heads)
+            values = values[starts]
+            probs = np.add.reduceat(probs, starts)
     mass = float(probs.sum())
     if not abs(mass - 1.0) <= 1e-12:
         raise BoundViolation(f"float atom masses sum to {mass!r}, not 1")
@@ -232,16 +271,27 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
         cum = list(accumulate(d.weights, initial=0))
         best = max(cum[bisect_left(keys, key + width, i)] - cum[i] for i, key in enumerate(keys))
         return Fraction(best, d.denom)
+    # Windows in blocks of _SCAN_BLOCK anchors.  Window ends grow with their
+    # anchors, so a block's ends lie between those of its first anchor and of
+    # the next block's first anchor; only that slice of vals is searched.
     vals, probs = d.points, d.weights
+    width = 2.0 * float(alpha)
     cum = np.empty(vals.size + 1, dtype=np.float64)
     cum[0] = 0.0
     np.cumsum(probs, out=cum[1:])
-    ends = np.searchsorted(vals, vals + 2.0 * float(alpha), side="left")
-    masses = cum[ends]
-    masses -= cum[:-1]
+    firsts = np.arange(0, vals.size, _SCAN_BLOCK)
+    bounds = np.append(np.searchsorted(vals, vals[firsts] + width, side="left"), vals.size).tolist()
+    best = 0.0
+    for k, lo in enumerate(firsts.tolist()):
+        hi = min(lo + _SCAN_BLOCK, vals.size)
+        ends = np.searchsorted(vals[bounds[k]:bounds[k + 1]], vals[lo:hi] + width, side="left")
+        ends += bounds[k]
+        masses = cum[ends]
+        masses -= cum[lo:hi]
+        best = max(best, float(masses.max()))
     if alpha > 0:
-        return float(max(masses.max(), probs.max()))
-    return float(masses.max())
+        return max(best, float(probs.max()))
+    return best
 
 
 def levy_scaling_check(d: AtomDistribution, alpha, k: int) -> tuple[Number, Number, bool]:

@@ -3,13 +3,15 @@
 The oracles here deliberately avoid the library's fast paths: the slicing
 oracle loops edge_crosses over every edge, the atom oracle enumerates all
 2^n sign vectors with itertools, and the concentration oracle sums window
-masses with a plain double loop.  reference_float_atoms is the float
-oracle's arithmetic written the plain way, for bitwise comparison, and the
-whole_chunk_* draws are the sampler's batch draws with every array of the
-batch in memory at once, for bitwise comparison with the blocked draws.
+masses with a plain double loop.  reference_float_atoms and
+whole_array_levy_q are the float oracle's arithmetic written the plain way,
+for bitwise comparison, and the whole_chunk_* draws are the sampler's batch
+draws with every array of the batch in memory at once, for bitwise
+comparison with the blocked draws.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -116,7 +118,8 @@ def reference_float_atoms(v, p, rtol=1e-12):
     Per coordinate the sums v -+ v_i are concatenated (the +v_i half second)
     with probabilities times (1 -+ p_i)/2; zero-probability sums are dropped
     after the stable sort, and runs whose neighbouring gaps are within
-    rtol * max(1, |value|) fold into their first value with summed mass.
+    rtol * max(min(1, l1(v)), |value|) fold into their first value with
+    summed mass.
     """
     values = np.zeros(1)
     probs = np.ones(1)
@@ -129,10 +132,19 @@ def reference_float_atoms(v, p, rtol=1e-12):
     values, probs = values[keep], probs[keep]
     if values.size < 2:
         return values, probs
+    floor = min(1.0, math.fsum(abs(x) for x in v))
     gap = values[1:] - values[:-1]
-    tol = rtol * np.maximum(1.0, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
+    tol = rtol * np.maximum(floor, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
     starts = np.concatenate([[0], np.flatnonzero(gap > tol) + 1])
     return values[starts], np.add.reduceat(probs, starts)
+
+
+def whole_array_levy_q(values, probs, alpha):
+    """Float Q(alpha) by one np.searchsorted over every window at once."""
+    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    ends = np.searchsorted(values, values + 2.0 * alpha, side="left")
+    masses = cum[ends] - cum[:-1]
+    return float(max(masses.max(), probs.max())) if alpha > 0 else float(masses.max())
 
 
 def whole_chunk_bias_conditioned(setup, gen, count, max_retries=1000):

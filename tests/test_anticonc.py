@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cubeslicer import (
     LinearFormSpec,
     RngSpec,
+    anticonc,
     group_bound_check,
     group_bound_r,
     hoeffding_check,
@@ -34,6 +35,7 @@ from helpers import (
     enumerate_atoms_exact,
     mixture_atoms_exact,
     reference_float_atoms,
+    whole_array_levy_q,
 )
 
 F = Fraction
@@ -142,8 +144,23 @@ class TestFloatAtomsBitwise:
 
     def test_tie_free(self):
         gen = np.random.default_rng(73)
-        for n in (1, 5, 10, 14):
+        for n in (1, 5, 10, 14, 16):
             self.assert_bitwise_equal(gen.standard_normal(n).tolist(), gen.uniform(-0.5, 0.5, n).tolist())
+
+    def test_rounding_tie(self):
+        # rounding makes distinct partial sums equal within one shifted copy
+        # (-0.2 - 0.1 and -0.20000000000000004 - 0.1 both give
+        # -0.30000000000000004), which a merge orders by their earlier
+        # values, not by sign vector
+        self.assert_bitwise_equal([0.1] * 5, [-1.0, -1.0, 0.1, 0.0, 0.0])
+
+    def test_below_unit_scale(self):
+        # the fold floor min(1, l1(v)) scales with v: no two of these atoms
+        # are within 1e-12 of each other relative to l1(v) = 3e-13
+        d = linear_form_atoms(LinearFormSpec((1e-13,) * 3, (0.0,) * 3))
+        assert len(d) == 4
+        assert d.probs.tolist() == [0.125, 0.375, 0.375, 0.125]
+        self.assert_bitwise_equal([1e-13, -2e-13, 5e-14], [0.1, -0.3, 0.0])
 
 
 @st.composite
@@ -192,6 +209,31 @@ class TestLevyQProperties:
         assert abs(q - float(expected)) <= 1e-12
         if alpha > 0:
             assert q >= d.probs.max()
+
+
+class TestLevyQBlockScan:
+    """The float window scan searches each block's window ends in a slice;
+    it must give the bits of one searchsorted over every window."""
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_matches_whole_array_scan(self, n):
+        # dyadic entries keep every atom and difference of atoms exact, so
+        # alpha = (value_j - value_i) / 2 puts anchor i's window end exactly
+        # on atom j; j is chosen at block edges and inside blocks
+        gen = np.random.default_rng(1000 + n)
+        v = (gen.integers(1, 1 << 20, size=n) * gen.choice([-1, 1], size=n) / (1 << 20)).tolist()
+        p = gen.uniform(-0.5, 0.5, size=n).tolist()
+        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
+        vals = d.points
+        block = anticonc._SCAN_BLOCK
+        assert len(d) > 2 * block
+        alphas = [0.0, 0.5, 3.0]
+        for i in (0, 1, block - 1, block, block + 7):
+            for j in (block, 2 * block, block + 1, 2 * block - 1, i + 1, len(d) - 1):
+                if i < j < len(d):
+                    alphas.append((vals[j] - vals[i]) / 2)
+        for alpha in alphas:
+            assert levy_q(d, alpha) == whole_array_levy_q(vals, d.probs, alpha)
 
 
 class TestLevyQ:
@@ -315,6 +357,11 @@ class TestLittlewood:
         a, q, _ = littlewood_check(LinearFormSpec((1, 1, 1, 1), (0, 0, 0, 0)), 1)
         assert (a, q) == (4, F(3, 8))
         assert q == sperner_bound(4)
+
+    def test_below_unit_scale_keeps_sperner(self):
+        # the atoms -2e-13, 0 and 2e-13 stay apart: q = 1/2, not 1
+        a, q, _ = littlewood_check(LinearFormSpec((1e-13, 1e-13), (0.0, 0.0)), 1e-13)
+        assert (a, q) == (2, 0.5)
 
     def test_bias_cap(self):
         with pytest.raises(BiasTooLarge):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -194,6 +195,20 @@ class TestDecomposeAndQfunc:
         assert json.loads(out)["q"] == 0.375
         _, out, _ = run(capsys, ["qfunc", "--v", "1e20,1e20,1e20", "--alpha", "1/2"])
         assert json.loads(out)["q"] == "3/8"
+
+    def test_qfunc_float_below_unit_scale_matches_exact(self, capsys):
+        # the float fold's tolerance scales with l1(v) = 3e-13, so atoms
+        # 2e-13 apart stay apart, as in exact mode
+        argv = ["qfunc", "--v", "1e-13,1e-13,1e-13", "--alpha", "5e-14"]
+        _, out, _ = run(capsys, [*argv, "--mode", "float"])
+        result = json.loads(out)
+        assert (result["q"], result["ratio"]) == (0.375, 0.375 * math.sqrt(3))
+        _, out, _ = run(capsys, argv)
+        assert json.loads(out)["q"] == "3/8"
+
+    def test_qfunc_float_tie_fallback(self, capsys):
+        _, out, _ = run(capsys, ["qfunc", "--mode", "float", "--v", "1,1,1,1", "--alpha", "1"])
+        assert json.loads(out)["q"] == 0.375
 
 
 def _benchmark_exact_form(n, seed):
