@@ -41,12 +41,6 @@ from .errors import (
 BLOCK = 1 << 10
 # The conditioned bias accepts a draw when max|P_i| <= P_MAX.
 P_MAX = 0.5
-# Cells per row slice of batch_mu.  At n = 16384 a 1024-row block is drawn
-# in 64-row slices, which cuts its transient from 272 to 32 MB.  A 1024-row
-# block at n <= 1024 is drawn whole: drawing it in slices of 2^16 cells, or
-# whole into a preallocated output, raised the peak RSS of the benchmark's
-# lab workload from 116 to 122 MB.
-MU_SLICE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -354,23 +348,10 @@ def _accepted_blocks(setup, gen, count, rows, redraws) -> Iterator[np.ndarray]:
 
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Rows of +-1 vertices drawn coordinate-wise with means P (one row per
-    sample); row r's uniforms are words r*n to (r+1)*n of gen's stream.
-    A P of more than MU_SLICE cells is drawn in row slices of at most
-    MU_SLICE cells (or one row), so its thresholds and uniforms exist for one
-    slice at a time."""
-    rows = max(1, MU_SLICE // max(1, P.shape[1]))
-    if len(P) <= rows:
-        thr = P + 1.0
-        thr *= 0.5
-        return (gen.random(P.shape) < thr).view(np.int8) * 2 - 1
-    out = np.empty(P.shape, dtype=np.int8)
-    for lo in range(0, len(P), rows):
-        thr = P[lo:lo + rows] + 1.0
-        thr *= 0.5
-        np.less(gen.random(thr.shape), thr, out=out[lo:lo + rows].view(np.bool_))
-    out *= 2
-    out -= 1
-    return out
+    sample); row r's uniforms are words r*n to (r+1)*n of gen's stream."""
+    thr = P + 1.0
+    thr *= 0.5
+    return (gen.random(P.shape) < thr).view(np.int8) * 2 - 1
 
 
 def batch_evasive_edges(

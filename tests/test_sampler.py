@@ -462,17 +462,6 @@ class TestBlockedDraws:
         assert drawn == count + sum(rounds)
         assert gen.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("cells", [1 << 20, 100, 60, 7])
-    def test_mu_in_row_slices_matches_the_whole_array(self, monkeypatch, cells):
-        # 37 x 20 cells: one whole draw, slices of 5 or 3 rows with a short
-        # last one, and one row per slice
-        monkeypatch.setattr(sampler_mod, "MU_SLICE", cells)
-        P = np.random.default_rng(5).uniform(-0.5, 0.5, size=(37, 20))
-        gen, ref = RngSpec(9).generator(), RngSpec(9).generator()
-        x = batch_mu(P, gen)
-        assert x.dtype == np.int8 and np.array_equal(x, whole_chunk_mu(P, ref))
-        assert gen.bit_generator.state == ref.bit_generator.state
-
     def test_rejections_possible_but_absent(self):
         # p_bound > 1/2 takes the first pass, which finds nothing here
         c = random_unit_config(np.random.default_rng(2), 4, 200)
