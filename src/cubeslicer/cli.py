@@ -122,6 +122,9 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _parse_scalars(text: str, kind: str) -> list:
+    if not isinstance(text, str):
+        # argparse before Python 3.12 drops the value of `--v=--` and passes []
+        raise MalformedInput(f"not a comma-separated list of scalars: {text!r}")
     return [as_scalar(token, kind) for token in text.split(",") if token.strip()]
 
 

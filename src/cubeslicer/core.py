@@ -33,6 +33,7 @@ EXACT = "exact"
 FLOAT = "float"
 STRICT = "strict"
 RELAXED = "relaxed"
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 Scalar = Fraction | float
 
@@ -197,11 +198,14 @@ def _side(h: Hyperplane, u: Vertex):
 
 
 def zero_tolerance(coeffs, threshold):
-    """Scale-aware zero tolerance for float-kind sign decisions:
-    1e-12 * max(1, |t|, l1(v)).  Takes one plane's coefficients and threshold,
-    or an (m, n) coefficient stack with m thresholds (one tolerance per plane)."""
+    """Scale-invariant zero tolerance for float-kind sign decisions:
+    1e-12 * max(|t|, l1(v)), so scaling a plane by a power of two scales its
+    side values and its tolerance alike.  It never underflows to 0 (the
+    smallest subnormal is its floor), so an exact zero side stays zero.
+    Takes one plane's coefficients and threshold, or an (m, n) coefficient
+    stack with m thresholds (one tolerance per plane)."""
     l1 = np.abs(np.asarray(coeffs, dtype=np.float64)).sum(axis=-1)
-    return 1e-12 * np.maximum(1.0, np.maximum(np.abs(threshold), l1))
+    return np.maximum(1e-12 * np.maximum(np.abs(threshold), l1), _TINY)
 
 
 def _sign(value, tol) -> int:
@@ -231,27 +235,37 @@ def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT) -> bool:
     raise ValueError(f"unknown crossing mode {mode!r}")
 
 
-def side_bits(side: np.ndarray, tol=None) -> tuple[np.ndarray, np.ndarray]:
+def side_bits(side: np.ndarray, tol=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Classify side values once: (positive, nonzero) boolean arrays.
 
     tol=None decides zero exactly; otherwise |s| < tol counts as zero, with
     an array tol broadcast against side.  positive is only meaningful where
-    nonzero is set, which is all crossing_bits reads of it.
+    nonzero is set, which is all crossing_bits reads of it.  out, if given,
+    is a pair of boolean arrays of side's shape that receive the classes.
     """
+    pos, nz = (None, None) if out is None else out
     if tol is None:
-        return side > 0, side != 0
-    pos = side >= tol
-    return pos, pos | (side <= -tol)
+        return np.greater(side, 0, out=pos), np.not_equal(side, 0, out=nz)
+    pos = np.greater_equal(side, tol, out=pos)
+    nz = np.less_equal(side, -tol, out=nz)
+    nz |= pos
+    return pos, nz
 
 
-def crossing_bits(pu, nu, pw, nw, relaxed: bool = False):
+def crossing_bits(pu, nu, pw, nw, relaxed: bool = False, out=None):
     """The crossing rule on side classes (positive, nonzero) of the two
     endpoints: strict crossing needs both sides nonzero with opposite signs;
     relaxed also accepts exactly one zero side.  Works unchanged on boolean
-    arrays and on bit-packed integer words."""
-    cross = nu & nw & (pu ^ pw)
+    arrays and on bit-packed integer words.  out, if given, receives the
+    result; it may be pw (read only by the first operation)."""
+    cross = np.bitwise_xor(pu, pw, out=out)
+    cross &= nu
+    cross &= nw
     if relaxed:
-        cross |= nu ^ nw
+        # exactly one zero side: disjoint from the strict term, which needs
+        # both sides nonzero, so adding it is an exclusive or
+        cross ^= nu
+        cross ^= nw
     return cross
 
 

@@ -24,7 +24,6 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from . import decomp
 from .core import Configuration, Edge, Vertex
 from .errors import (
     BiasOutOfRange,
@@ -115,23 +114,33 @@ def normalized_float_planes(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return V, t
 
 
+def _entry_scales(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero coordinates of v, their scales and the sorted distinct
+    scales.  The scale is decomp.scale_index on the whole row: with
+    |x| = mant * 2^exp, mant in [1/2, 1), it is 1 - exp where mant = 1/2 and
+    -exp otherwise."""
+    col = np.flatnonzero(v)
+    mant, exp = np.frexp(np.abs(v[col]))
+    j = np.where(mant == 0.5, 1 - exp, -exp)
+    lo = j.min(initial=0)
+    return col, j, lo + np.flatnonzero(np.bincount(j - lo))
+
+
 def dyadic_terms(V: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Per-(plane, scale) rows 2^j * v_l^(j), ordered by plane then scale.
 
-    Scaling by 2^j puts every nonzero entry of a row into (1/2, 1].
+    Scaling by 2^j puts every nonzero entry of a row into (1/2, 1].  Each
+    plane is split twice, once to size W and once to fill it, so no
+    temporary is larger than one plane.
     """
-    keys: list[tuple[int, int]] = []
-    terms: list[tuple[np.ndarray, np.ndarray]] = []
-    for ell in range(V.shape[0]):
-        d = decomp.binary_decompose([float(x) for x in V[ell]])
-        for j in sorted(d.parts):
-            idx, vals = d.parts[j]
-            keys.append((ell, j))
-            terms.append((np.array(idx, dtype=np.intp), np.ldexp(np.array(vals, dtype=np.float64), j)))
-    # the sparse terms first, then one dense matrix: W is never held twice
-    W = np.zeros((len(terms), V.shape[1]), dtype=np.float64)
-    for row, (idx, vals) in zip(W, terms):
-        row[idx] = vals
+    scales = [_entry_scales(v)[2] for v in V]
+    keys = [(ell, int(j)) for ell, js in enumerate(scales) for j in js]
+    W = np.zeros((len(keys), V.shape[1]), dtype=np.float64)
+    first = 0
+    for v, js in zip(V, scales):
+        col, j, _ = _entry_scales(v)
+        W[first + np.searchsorted(js, j), col] = np.ldexp(v[col], j)
+        first += len(js)
     return keys, W
 
 

@@ -1,27 +1,39 @@
 """Exhaustive verification that a configuration slices every edge of the n-cube.
 
-The sweep is blocked: each vertex mask splits into its low b bits and its
-high n - b bits (b = min(n, _BLOCK_BITS)), and one block holds the 2^b
-vertices that share a high part.  A vertex's side value <v, u> - t is a
-low-part table entry plus a per-block offset; both tables come from the
-doubling recursion over coordinates (one flip adds or removes 2*v_k), so a
-block costs one addition per plane and vertex.
+The sweep is blocked twice over the bits of the vertex mask.  A block holds
+the 2^b vertices that share their high n - b bits (b = min(n, _BLOCK_BITS)),
+and a superblock the 2^B vertices that share their high n - B bits
+(B = min(n, _PACK_BITS), b <= B), that is 2^(B-b) consecutive blocks.  A
+vertex's side value <v, u> - t is a low-part table entry plus a per-block
+offset; both tables come from the doubling recursion over coordinates (one
+flip adds or removes 2*v_k), so a block costs one addition per plane and
+vertex.
 
-Each block's side values are classified once (core.side_bits: positive and
-nonzero, the one zero rule) and bit-packed into 64-bit words, vertex lo at
-bit lo % 64 of word lo // 64.  Every axis pass then applies the crossing
-rule (core.crossing_bits) to whole words:
-- a low axis k < 6 pairs each word with itself shifted right by 2^k, under
-  the mask of the positions whose bit k is clear;
-- a low axis 6 <= k < b pairs words 2^(k-6) apart;
-- on a high axis k >= b, only blocks whose high bit k - b is clear hold base
-  vertices, and the other endpoint's side is the base side plus 2*v_k (the
-  endpoint identity), classified and packed once per pass, so no partner
-  block is built.
-Per-plane counts are popcounts, the union is an OR over planes, and the
-unsliced bits are unpacked to edge indices only while the sample has room.
-Blocks of fewer than 64 vertices (b < 6) fill one word in part.  Memory is
-O(m * 2^b) per worker plus the m * 2^(n-b) offsets.
+Side values are computed and classified a block at a time (core.side_bits:
+positive and nonzero, the one zero rule), and bit-packed into the
+superblock's 64-bit words, vertex lo at bit lo % 64 of word lo // 64.  The
+crossing rule (core.crossing_bits) then runs in three kinds of pass:
+- a word-internal axis k < 6 pairs each word with itself shifted right by
+  2^k, under the mask of the positions whose bit k is clear;
+- a packed axis 6 <= k < B pairs the superblock's words 2^(k-6) apart;
+- on a high axis k >= B, only superblocks whose bit k - B is clear hold
+  base vertices, and the other endpoint's side is the base side plus 2*v_k
+  (the endpoint identity), classified and packed one block at a time, so no
+  partner superblock is built.
+So a block is classified once plus once per high axis whose bit is clear in
+its superblock: (n - B) / 2 times more on average.  Per-plane counts are
+popcounts, the union is an OR over planes, and the unsliced bits are
+unpacked to edge indices only while the sample has room.  Blocks of fewer
+than 64 vertices (b < 6) are classified a word at a time, and a superblock
+of fewer than 64 (B < 6) fills one word in part.
+
+Thread runs split the superblocks.  Each worker allocates its buffers once
+and every pass writes into them: the block's side values (m * 2^b scalars)
+and their two boolean classes, and four word arrays of m * 2^(B-6) words
+(the superblock's two classes and two for the partners of a pass).  For
+int64 and float planes that is about m * (10 * 2^b + 2^(B-1)) bytes per
+worker (3 MB at m = 21, b = 13, B = 17), plus the m * 2^(n-b) offsets
+shared by all workers.
 
 Each edge is visited once in canonical form: the base vertex has coordinate
 -1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
@@ -58,6 +70,7 @@ from .errors import BoundViolation, DimensionTooLarge
 VERIFY_MAX_DIM = 28
 _SAMPLE_CAP = 100
 _BLOCK_BITS = 13
+_PACK_BITS = 17
 _INT64_GUARD = 1 << 62
 
 
@@ -121,15 +134,6 @@ def _subset_sums(cs: np.ndarray) -> np.ndarray:
     return s
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(m, L) booleans -> (m, max(1, L/64)) little-endian 64-bit words: bit p
-    of word w holds position 64*w + p.  Fewer than 64 positions are padded
-    with clear bits."""
-    if bits.shape[-1] < 64:
-        bits = np.pad(bits, ((0, 0), (0, 64 - bits.shape[-1])))
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-
-
 def _clear_bit_mask(k: int) -> int:
     """The positions 0..63 whose bit k is clear, as a 64-bit word."""
     return sum(1 << p for p in range(64) if not (p >> k) & 1)
@@ -138,16 +142,20 @@ def _clear_bit_mask(k: int) -> int:
 def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     """Test every edge of the n-cube against every plane under c.mode.
 
-    Deterministic and independent of the thread count: the blocks are split
-    into contiguous runs, per-run counts are integers, and the merge folds
-    the runs in block order.
+    Deterministic and independent of the thread count: the superblocks are
+    split into contiguous runs, per-run counts are integers, and the merge
+    folds the runs in superblock order.
     """
     n, m = c.n, c.m
     if n > VERIFY_MAX_DIM:
         raise DimensionTooLarge(f"exhaustive verification capped at n <= {VERIFY_MAX_DIM}")
     start = time.perf_counter()
     relaxed = c.mode == RELAXED
-    b = min(n, _BLOCK_BITS)
+    B = min(n, _PACK_BITS)
+    b = min(B, _BLOCK_BITS)
+    # a unit is what one classification covers: one block, or the blocks that
+    # share one word when blocks are shorter than 64 vertices
+    u = max(b, min(B, 6))
     coeffs, thresholds, tol = _plane_stack(c)
     # side(h * 2^b + lo) = low[:, lo] + off[:, h], with low = 2*S_low - sum(v) - t
     # and off = 2*S_high for the subset sums S of the low and the high coefficients
@@ -155,69 +163,110 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     off = 2 * _subset_sums(coeffs[:, b:])
     twice = 2 * coeffs
     tol = None if tol is None else tol[:, None]
-    # the word bits that are block positions (all of them unless b < 6), and
-    # for a word-internal axis k < 6 those whose bit k is clear: the base
-    # vertices of the axis-k edges
-    valid = (1 << (1 << b)) - 1 if b < 6 else (1 << 64) - 1
-    bases = [np.uint64(_clear_bit_mask(k) & valid) for k in range(min(b, 6))]
+    words, unit_words = 1 << max(0, B - 6), 1 << max(0, u - 6)
+    unit_bytes = 1 << max(0, u - 3)
+    # the word bits that are superblock positions (all of them unless
+    # B < 6), and for a word-internal axis k < 6 those whose bit k is
+    # clear: the base vertices of the axis-k edges
+    valid = (1 << (1 << B)) - 1 if B < 6 else (1 << 64) - 1
+    bases = [np.uint64(_clear_bit_mask(k) & valid) for k in range(min(B, 6))]
     valid = np.uint64(valid)
 
     def sweep_run(first: int, stop: int):
         # per-plane crossings, unsliced count and, per axis, the first
-        # _SAMPLE_CAP unsliced compressed indices of blocks first..stop-1
+        # _SAMPLE_CAP unsliced compressed indices of superblocks first..stop-1
         counts = np.zeros(m, dtype=np.int64)
         unsliced = 0
         samples: list[list[int]] = [[] for _ in range(n)]
-        for h in range(first, stop):
-            side = low + off[:, h : h + 1]
-            pos, nz = (_pack(x) for x in side_bits(side, tol))
-            for k in range(n):
-                if k < min(b, 6):
+        # every buffer is allocated once per run; the passes write in place
+        side = np.empty((m, 1 << u), dtype=low.dtype)
+        unit_sides = side.reshape(m, 1 << (u - b), 1 << b)
+        classes = np.empty((2, m, 1 << u), dtype=bool)
+        pos, nz = np.zeros((2, m, words), dtype=np.uint64)
+        unit_pos, unit_nz = np.zeros((2, m, unit_words), dtype=np.uint64)
+        # flat, so that the half-size cross words of a word-pair pass are a
+        # contiguous prefix
+        shifted_pos, shifted_nz = np.empty((2, m * words), dtype=np.uint64)
+        ones = np.empty(m * words, dtype=np.uint8)
+        miss = np.empty(words, dtype=np.uint64)
+
+        def pack(values, pw, nw, slot):
+            # classify one unit's side values into words slot*unit_words.. of pw, nw
+            at = slot * unit_words * 8
+            for x, dst in zip(side_bits(values, tol, out=classes), (pw, nw)):
+                dst.view(np.uint8)[:, at : at + unit_bytes] = np.packbits(x, axis=-1, bitorder="little")
+
+        def tally(k, cross, todo, first_edge):
+            nonlocal counts, unsliced
+            size = cross.shape[-1]
+            popcounts = np.bitwise_count(cross, out=ones[: m * size].reshape(m, size))
+            counts += popcounts.sum(axis=-1, dtype=np.int64)
+            lost = np.bitwise_or.reduce(cross, axis=0, out=miss[:size])
+            np.invert(lost, out=lost)
+            lost &= todo
+            missing = int(np.bitwise_count(lost).sum())
+            if missing:
+                unsliced += missing
+                room = _SAMPLE_CAP - len(samples[k])
+                if room > 0:
+                    at = np.flatnonzero(np.unpackbits(lost.view(np.uint8), bitorder="little"))[:room]
+                    if k < min(B, 6):
+                        # word position -> index among the axis-k edges
+                        at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
+                    samples[k].extend((at + first_edge).tolist())
+
+        for sb in range(first, stop):
+            for slot in range(1 << (B - u)):
+                # the side values of the unit's blocks, from block h on
+                h = (sb << (B - b)) + (slot << (u - b))
+                blocks = off[:, h : h + (1 << (u - b)), None]
+                np.add(low[:, None, :], blocks, out=unit_sides)
+                pack(side, pos, nz, slot)
+                based = True  # side holds the base sides
+                for k in range(B, n):
+                    j = k - B
+                    if (sb >> j) & 1:
+                        continue
+                    # a high axis: only superblocks whose bit j is clear hold
+                    # base vertices, and the other endpoint's side is the
+                    # base side plus 2*v_k (the endpoint identity)
+                    if not based:
+                        np.add(low[:, None, :], blocks, out=unit_sides)
+                    side += twice[:, k : k + 1]
+                    based = False
+                    pack(side, unit_pos, unit_nz, 0)
+                    here = slice(slot * unit_words, (slot + 1) * unit_words)
+                    cross = crossing_bits(pos[:, here], nz[:, here], unit_pos, unit_nz, relaxed, out=unit_pos)
+                    # sb with bit j removed, times 2^B, plus the unit's offset
+                    first_edge = ((((sb >> (j + 1)) << j) | (sb & ((1 << j) - 1))) << B) + (slot << u)
+                    tally(k, cross, valid, first_edge)
+            for k in range(B):
+                if k < 6:
                     # the partner of position p is p + 2^k in the same word
-                    cross = crossing_bits(pos, nz, pos >> (1 << k), nz >> (1 << k), relaxed) & bases[k]
-                    todo = bases[k]
-                    first_edge = h << (b - 1)
-                elif k < b:
+                    pw = np.right_shift(pos, 1 << k, out=shifted_pos.reshape(m, words))
+                    nw = np.right_shift(nz, 1 << k, out=shifted_nz.reshape(m, words))
+                    cross = crossing_bits(pos, nz, pw, nw, relaxed, out=pw)
+                    cross &= bases[k]
+                    tally(k, cross, bases[k], sb << (B - 1))
+                else:
                     # words[:, high, bit k, low]: the axis-k edges of word
                     # high * 2^(k-6) + low, in compressed order, join
                     # [..., 0, low] and [..., 1, low]
-                    pairs = (m, 1 << (b - 1 - k), 2, 1 << (k - 6))
+                    pairs = (m, 1 << (B - 1 - k), 2, 1 << (k - 6))
                     p, z = pos.reshape(pairs), nz.reshape(pairs)
-                    cross = crossing_bits(p[:, :, 0], z[:, :, 0], p[:, :, 1], z[:, :, 1], relaxed)
-                    cross = cross.reshape(m, 1 << (b - 7))
-                    todo = valid
-                    first_edge = h << (b - 1)
-                else:
-                    j = k - b
-                    if (h >> j) & 1:
-                        continue
-                    pw, nw = (_pack(x) for x in side_bits(side + twice[:, k : k + 1], tol))
-                    cross = crossing_bits(pos, nz, pw, nw, relaxed)
-                    todo = valid
-                    # h with bit j removed, times 2^b: the block's first edge index
-                    first_edge = (((h >> (j + 1)) << j) | (h & ((1 << j) - 1))) << b
-                counts += np.bitwise_count(cross).sum(axis=-1, dtype=np.int64)
-                miss = ~np.bitwise_or.reduce(cross, axis=0) & todo
-                missing = int(np.bitwise_count(miss).sum())
-                if missing:
-                    unsliced += missing
-                    room = _SAMPLE_CAP - len(samples[k])
-                    if room > 0:
-                        at = np.flatnonzero(np.unpackbits(miss.view(np.uint8), bitorder="little"))[:room]
-                        if k < min(b, 6):
-                            # block position -> index among the block's axis-k edges
-                            at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
-                        samples[k].extend((at + first_edge).tolist())
+                    out = shifted_pos[: m * words // 2].reshape(m, pairs[1], pairs[3])
+                    crossing_bits(p[:, :, 0], z[:, :, 0], p[:, :, 1], z[:, :, 1], relaxed, out=out)
+                    tally(k, out.reshape(m, words // 2), valid, sb << (B - 1))
         return counts, unsliced, samples
 
-    nblocks = 1 << (n - b)
-    runs = max(1, min(threads, nblocks))
-    cuts = [nblocks * r // runs for r in range(runs + 1)]
+    nsuper = 1 << (n - B)
+    runs = max(1, min(threads, nsuper))
+    cuts = [nsuper * r // runs for r in range(runs + 1)]
     if runs > 1:
         with ThreadPoolExecutor(max_workers=runs) as ex:
             results = list(ex.map(sweep_run, cuts[:-1], cuts[1:]))
     else:
-        results = [sweep_run(0, nblocks)]
+        results = [sweep_run(0, nsuper)]
 
     per_plane = tuple(int(x) for x in sum(counts for counts, _, _ in results))
     sample: list[Edge] = []

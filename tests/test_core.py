@@ -187,13 +187,24 @@ class TestSignPairKernel:
         assert sign_pair_crossings(su, sw, tol, True).tolist() == [[True, True]]
 
     def test_zero_tolerance_rule(self):
-        assert zero_tolerance([0.5, -0.25], 0.0) == 1e-12
+        assert zero_tolerance([0.5, -0.25], 0.0) == 7.5e-13
         assert zero_tolerance([3.0, -4.0], 2.0) == 7e-12
         assert zero_tolerance([1.0], -9.0) == 9e-12
         V = np.array([[0.5, -0.25], [3.0, -4.0], [1.0, 0.0]])
         t = np.array([0.0, 2.0, -9.0])
         stacked = zero_tolerance(V, t)
         assert stacked.tolist() == [zero_tolerance(r, s) for r, s in zip(V, t)]
+
+    def test_zero_tolerance_scales_with_the_plane(self):
+        for scale in (2.0**-40, 2.0**40):
+            assert zero_tolerance([0.5 * scale, -0.25 * scale], 0.0) == 7.5e-13 * scale
+            assert zero_tolerance([1.0 * scale], -9.0 * scale) == 9e-12 * scale
+        # a product that underflows stops at the smallest subnormal, so an
+        # exact zero side is still zero: (5e-324 >= tol) is False
+        tiny = np.finfo(np.float64).smallest_subnormal
+        assert zero_tolerance([tiny], 0.0) == tiny
+        pos, nz = side_bits(np.array([-tiny, 0.0, tiny]), zero_tolerance([tiny], 0.0))
+        assert nz.tolist() == [True, False, True]
 
     def test_canonical_base_enumerates_axis_clear_masks(self):
         for n in range(1, 7):
@@ -230,14 +241,18 @@ class TestPackedRule:
             c, t = (sw - su) // 2, -(su + sw) // 2 - 1
             cases.append((make_hyperplane([cast(1), cast(c)], cast(t), kind), Edge(vertex(-1, -1), 1)))
         if kind == "float":
-            # planes through the origin with l1 <= tol: their zero tolerance is
-            # 1e-12, and every edge of Q_2 has sides in {0, +-v} for v = tol and
-            # v = tol less one ulp, in every sign combination
-            for v in (1e-12, np.nextafter(1e-12, 0.0)):
-                for a, c in ((v, 0.0), (0.0, v), (v / 2, v / 2), (v / 2, -v / 2)):
+            # planes with l1 = 2^-40 / 1e-12 and |t| < l1, whose zero tolerance
+            # 1e-12 * l1 is exactly 2^-40: with t = l1 - s a vertex has side s,
+            # on the tolerance for s = 2^-40 and just inside it for s = 2^-40
+            # less one ulp of l1 (the nearest side below it), with the other
+            # sides of every edge of Q_2, in both orientations
+            tol = 2.0**-40
+            l1 = tol / 1e-12
+            for s in (tol, tol - 2.0**-53):
+                for a, c in ((l1, 0.0), (0.0, l1), (l1 / 2, l1 / 2), (l1 / 2, -l1 / 2)):
                     for sign in (1.0, -1.0):
-                        h = make_hyperplane([sign * a, sign * c], 0.0, "float")
-                        assert zero_tolerance(h.coeffs, h.threshold) == 1e-12
+                        h = make_hyperplane([sign * a, sign * c], sign * (l1 - s), "float")
+                        assert zero_tolerance(h.coeffs, h.threshold) == tol
                         cases += [(h, e) for e in iter_edges(2)]
         return cases
 
@@ -249,11 +264,17 @@ class TestPackedRule:
         tol = None if kind == "exact" else np.array([zero_tolerance(h.coeffs, h.threshold) for h, _ in cases])
         if kind == "float":
             magnitudes = set(np.abs(np.concatenate([su, sw])).tolist())
-            assert {0.0, 1e-12, np.nextafter(1e-12, 0.0)} <= magnitudes
+            assert {0.0, 2.0**-40, 2.0**-40 - 2.0**-53} <= magnitudes
         for mode in ("strict", "relaxed"):
             expected = [edge_crosses(h, e, mode) for h, e in cases]
             flags = crossing_bits(*side_bits(su, tol), *side_bits(sw, tol), mode == "relaxed")
             assert flags.tolist() == expected
+            # into preallocated buffers, the result over pw as the verifier does
+            buffers = np.empty((4, su.size), dtype=bool)
+            classes = side_bits(su, tol, out=buffers[:2]) + side_bits(sw, tol, out=buffers[2:])
+            assert all(np.shares_memory(x, y) for x, y in zip(classes, buffers))
+            assert crossing_bits(*classes, mode == "relaxed", out=classes[2]) is classes[2]
+            assert buffers[2].tolist() == expected
             assert sign_pair_crossings(su, sw, tol, mode == "relaxed").tolist() == expected
             words = crossing_bits(
                 *(_pack_words(x) for x in side_bits(su, tol)),

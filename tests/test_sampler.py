@@ -494,6 +494,12 @@ class TestDyadicTerms:
 
         V = np.random.default_rng(5).standard_normal((7, 300))
         V *= 2.0 ** -np.random.default_rng(6).integers(0, 12, size=V.shape)
+        # zeros (no row), exact powers of two (scale boundaries), entries
+        # above 1 (negative scales) and a subnormal
+        V[:, ::7] = 0.0
+        V[0, 1:6] = [0.5, -1.0, 2.0, 0.25, -4.0]
+        V[1, 1] = 5e-324
+        V[2, 1:3] = [3.0, -1024.5]
         keys, W = dyadic_terms(V)
         rows = []
         for ell in range(V.shape[0]):

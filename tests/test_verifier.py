@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cubeslicer
 from cubeslicer import (
     Configuration,
+    config_from_json_dict,
     construction,
     crossing_counts,
     edge_crosses,
@@ -182,6 +183,34 @@ class TestVerifySlicing:
         with pytest.raises(DimensionTooLarge):
             verify_slicing(Configuration(29, ()))
 
+    def test_tiny_float_coefficients_still_slice(self):
+        # the two axis planes of Q_2 with coefficients 1e-13: every side value
+        # is +-1e-13, far above the plane's own tolerance of 1e-25
+        c = config_from_json_dict(
+            {"n": 2, "planes": [{"coeffs": [1e-13, 0.0], "threshold": 0.0}, {"coeffs": [0.0, 1e-13], "threshold": 0.0}]}
+        )
+        rep = verify_slicing(c)
+        assert rep.complete
+        assert rep.per_plane_crossings == (2, 2)
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_float_report_is_scale_invariant(self, mode):
+        # small integer planes put vertices on planes; scaling by a power of
+        # two is exact, so sides and tolerances scale together
+        gen = np.random.default_rng(113)
+        rows = gen.integers(-2, 3, size=(4, 7))
+        rows[:, 0] = 1
+        ts = gen.integers(-2, 3, size=4)
+        reports = []
+        for scale in (1.0, 2.0**-40):
+            planes = tuple(make_hyperplane([scale * float(x) for x in r], scale * float(t), "float") for r, t in zip(rows, ts))
+            c = Configuration(7, planes, mode)
+            reports.append(verify_slicing(c))
+        assert reports[0].unsliced_count > 0
+        for field in ("unsliced_count", "unsliced_sample", "per_plane_crossings"):
+            assert getattr(reports[1], field) == getattr(reports[0], field)
+        assert (reports[0].unsliced_count, list(reports[0].per_plane_crossings)) == naive_slicing(c)
+
     def test_elapsed_recorded(self):
         rep = verify_slicing(construction("axis", 4))
         assert rep.elapsed_ms >= 0.0
@@ -208,23 +237,36 @@ def _axis_planes(n, axes, kind="exact"):
     return planes
 
 
-class TestBlockedSweep:
-    """Small block sizes put n = 3..8 over many blocks, so the high-axis
-    endpoint identity, the per-block edge offsets and the run merge all
-    run against the per-edge reference."""
+def _set_bits(monkeypatch, block, pack):
+    monkeypatch.setattr(verifier, "_BLOCK_BITS", block)
+    monkeypatch.setattr(verifier, "_PACK_BITS", pack)
 
-    BITS = (1, 2, 3)
+
+def _check_bits(monkeypatch, c, pairs, threads):
+    """Every (block, pack) bit pair and thread count against the per-edge reference."""
+    unsliced, counts = naive_slicing(c)
+    first = _first_unsliced(c)
+    for bits in pairs:
+        _set_bits(monkeypatch, *bits)
+        for t in threads:
+            rep = verify_slicing(c, threads=t)
+            assert rep.unsliced_count == unsliced, (bits, t)
+            assert list(rep.per_plane_crossings) == counts, (bits, t)
+            assert list(rep.unsliced_sample) == first, (bits, t)
+
+
+class TestBlockedSweep:
+    """Small blocks and superblocks put n = 3..8 over many of each, so the
+    high-axis endpoint identity, the packing of several blocks into one
+    superblock's words, the per-superblock edge offsets and the run merge
+    all run against the per-edge reference."""
+
+    # (block bits b, pack bits B): B = b (one block per superblock), B - b >= 2,
+    # b < 6 <= B (several blocks share a word), and B = 9 >= n (one superblock)
+    PAIRS = ((1, 1), (3, 3), (2, 5), (1, 6), (3, 7), (2, 9))
 
     def _check(self, monkeypatch, c, threads=(1,)):
-        unsliced, counts = naive_slicing(c)
-        first = _first_unsliced(c)
-        for bits in self.BITS:
-            monkeypatch.setattr(verifier, "_BLOCK_BITS", bits)
-            for t in threads:
-                rep = verify_slicing(c, threads=t)
-                assert rep.unsliced_count == unsliced, (bits, t)
-                assert list(rep.per_plane_crossings) == counts, (bits, t)
-                assert list(rep.unsliced_sample) == first, (bits, t)
+        _check_bits(monkeypatch, c, self.PAIRS, threads)
 
     def test_random_exact_configs(self, monkeypatch):
         gen = np.random.default_rng(101)
@@ -238,7 +280,7 @@ class TestBlockedSweep:
         for n in range(3, 9):
             rows = gen.standard_normal((2, n))
             planes = tuple(make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in rows)
-            self._check(monkeypatch, Configuration(n, planes))
+            self._check(monkeypatch, Configuration(n, planes), threads=(1, 2, 3))
 
     def test_relaxed_configs_with_zero_sides(self, monkeypatch):
         # small integer planes put vertices on planes, in both arithmetic kinds
@@ -271,8 +313,10 @@ class TestBlockedSweep:
         [
             (8, (0, 1, 2)),  # more than 100 unsliced low-axis edges
             (8, (5, 6, 7)),  # low axes all sliced, more than 100 on high axes
-            (7, (1, 4, 6)),  # 64 per axis: the sample runs from a low axis into high ones
+            (7, (1, 4, 6)),  # 64 per axis: at (b, B) = (2, 5) the sample runs
+                             # from a low axis through a packed one into a high one
             (7, (2, 3, 5)),
+            (8, (7,)),  # one high axis: at (b, B) = (3, 7) its sample spans both words of a superblock
         ],
     )
     def test_capped_sample_spans_low_and_high_axes(self, monkeypatch, n, unsliced_axes):
@@ -294,20 +338,25 @@ class TestBlockedSweep:
 
         monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingExecutor)
         c = construction("axis", 6)
-        monkeypatch.setattr(verifier, "_BLOCK_BITS", 5)
-        verify_slicing(c, threads=64)  # 2 blocks
-        monkeypatch.setattr(verifier, "_BLOCK_BITS", 1)
-        verify_slicing(c, threads=3)  # 32 blocks
-        monkeypatch.setattr(verifier, "_BLOCK_BITS", 6)
-        verify_slicing(c, threads=4)  # 1 block: no pool
-        assert seen == [2, 3]
+        _set_bits(monkeypatch, 1, 5)
+        verify_slicing(c, threads=64)  # 2 superblocks of 16 blocks
+        _set_bits(monkeypatch, 1, 1)
+        verify_slicing(c, threads=3)  # 32 superblocks of one block
+        _set_bits(monkeypatch, 1, 3)
+        verify_slicing(c, threads=16)  # 8 superblocks
+        _set_bits(monkeypatch, 1, 6)
+        verify_slicing(c, threads=4)  # 1 superblock of 32 blocks: no pool
+        assert seen == [2, 3, 8]
 
 
 class TestWordBoundaryBlocks:
-    """Blocks of 2^4 .. 2^7 vertices put the packed sweep on both sides of
-    the 64-bit word: one partly filled word (word-internal axes only), one
-    full word, and two words paired by the first word-apart axis, with
-    high axes above them, against the per-edge reference."""
+    """Blocks and superblocks of 2^4 .. 2^8 vertices put the packed sweep on
+    both sides of the 64-bit word: one partly filled word (word-internal
+    axes only), one full word, two words paired by the first word-apart
+    axis, and blocks of part of a word packed into whole ones, with high
+    axes above them, against the per-edge reference."""
+
+    PAIRS = ((4, 4), (5, 5), (6, 6), (7, 7), (4, 6), (5, 8), (6, 8))
 
     @pytest.mark.parametrize("n", range(6, 10))
     def test_random_configs(self, monkeypatch, n):
@@ -324,29 +373,22 @@ class TestWordBoundaryBlocks:
                 planes.append(make_hyperplane([cast(x) for x in row], cast(gen.integers(-2, 3)), kind))
             configs += [Configuration(n, tuple(planes), mode) for mode in ("strict", "relaxed")]
         for c in configs:
-            unsliced, counts = naive_slicing(c)
-            first = _first_unsliced(c)
-            for bits in (4, 5, 6, 7):
-                monkeypatch.setattr(verifier, "_BLOCK_BITS", bits)
-                for t in (1, 2):
-                    rep = verify_slicing(c, threads=t)
-                    assert rep.unsliced_count == unsliced, (bits, t)
-                    assert list(rep.per_plane_crossings) == counts, (bits, t)
-                    assert list(rep.unsliced_sample) == first, (bits, t)
+            _check_bits(monkeypatch, c, self.PAIRS, (1, 2))
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
-def test_peak_memory_stays_bounded_at_n20():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_peak_memory_stays_bounded_at_n20(threads):
     # A child process runs the verification in a grandchild and reports its
     # RUSAGE_CHILDREN peak, which covers only that grandchild.  (A process's
     # own peak starts at the RSS of the process it was forked from, here the
     # whole test session.)  Exact middle layers at n = 20: their 20 full side
-    # arrays alone would take 168 MB.
+    # arrays alone would take 168 MB.  Each thread holds its own buffers.
     src = str(Path(cubeslicer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     verify = (
         "import sys; from cubeslicer import construction, verify_slicing; "
-        "sys.exit(0 if verify_slicing(construction('middle_layers', 20)).complete else 3)"
+        f"sys.exit(0 if verify_slicing(construction('middle_layers', 20), threads={threads}).complete else 3)"
     )
     child = (
         "import resource, subprocess, sys\n"
