@@ -220,7 +220,9 @@ def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
     # MERGE_RTOL * max(floor, |a|, |b|), where max(|a|, |b|) = max(-a, b);
     # the floor min(1, l1(v)) keeps the fold scale-invariant below l1(v) = 1
     if values.size > 1:
-        gap = values[1:] - values[:-1]
+        # atoms beyond +-9e307 may be an infinite gap apart, never folded
+        with np.errstate(over="ignore"):
+            gap = values[1:] - values[:-1]
         tol = np.negative(values[:-1])
         np.maximum(tol, values[1:], out=tol)
         np.maximum(tol, min(1.0, math.fsum(map(abs, v))), out=tol)

@@ -31,7 +31,6 @@ from .core import (
     EXACT,
     FLOAT,
     Configuration,
-    Edge,
     as_scalar,
     config_from_json_dict,
     config_to_json_dict,
@@ -50,7 +49,7 @@ from .lab import (
     random_unit_configuration,
     sweep,
 )
-from .sampler import RngSpec, sample_bias_conditioned, sample_bias_simple, sample_evasive_edge, sample_mu
+from .sampler import RngSpec, batch_evasive_edges, batch_mu, bias_setup, sample_bias_conditioned, sample_bias_simple
 from .verifier import verify_slicing
 
 
@@ -82,6 +81,17 @@ def _json_token(obj) -> str:
     raise TypeError(f"unsupported scalar {type(obj).__name__}")
 
 
+def _flat_tokens(seq):
+    """The tokens of a list of plain ints or of finite plain floats, without
+    _json_token's per-item dispatch; None for any other list (bools included)."""
+    kinds = set(map(type, seq))
+    if kinds == {int}:
+        return map(str, seq)
+    if kinds == {float} and all(map(math.isfinite, seq)):
+        return [format(x, ".17g") for x in seq]
+    return None
+
+
 def to_json_text(obj, indent: int = 0, level: int = 0) -> str:
     pad = " " * (indent * (level + 1)) if indent else ""
     end_pad = " " * (indent * level) if indent else ""
@@ -95,8 +105,10 @@ def to_json_text(obj, indent: int = 0, level: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [f"{pad}{to_json_text(v, indent, level + 1)}" for v in obj]
-        return "[" + nl + sep.join(items) + nl + end_pad + "]"
+        tokens = _flat_tokens(obj)
+        if tokens is None:
+            tokens = [to_json_text(v, indent, level + 1) for v in obj]
+        return "[" + nl + pad + (sep + pad).join(tokens) + nl + end_pad + "]"
     return _json_token(obj)
 
 
@@ -153,8 +165,8 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _edge_dict(edge) -> dict:
-    return {"axis": edge.axis, "base_signs": list(edge.base.coords())}
+def _edge_dict(axis: int, base_signs) -> dict:
+    return {"axis": axis, "base_signs": base_signs}
 
 
 def _verify_dict(c: Configuration, report) -> dict:
@@ -167,7 +179,7 @@ def _verify_dict(c: Configuration, report) -> dict:
         "unsliced_count": report.unsliced_count,
         "complete": report.complete,
         "per_plane_crossings": list(report.per_plane_crossings),
-        "unsliced_sample": [_edge_dict(e) for e in report.unsliced_sample],
+        "unsliced_sample": [_edge_dict(e.axis, e.base.coords()) for e in report.unsliced_sample],
     }
 
 
@@ -223,10 +235,12 @@ def _cmd_sample(args):
     args._input_hashes = hashes
     gen = _rng_from_args(args).generator()
     dyadic = args.variant == "dyadic"
+    setup = bias_setup(config)
     lines = []
     for _ in range(args.count):
         if dyadic and args.emit == "edges":
-            edge = sample_evasive_edge(config, gen, args.max_retries)
+            ((U, k),), _ = batch_evasive_edges(setup, gen, 1, args.max_retries)
+            signs, axis = U[0], k[0]
         else:
             bv = sample_bias_conditioned(config, gen, args.max_retries) if dyadic else sample_bias_simple(config, gen)
             if args.emit == "bias":
@@ -234,14 +248,14 @@ def _cmd_sample(args):
                     to_json_text({"p": bv.p.tolist(), "conditioned": bv.conditioned, "clamped": bv.clamped})
                 )
                 continue
-            edge = Edge(sample_mu(bv.p, gen), int(gen.integers(config.n)))
-        lines.append(to_json_text(_edge_dict(edge)))
+            signs, axis = batch_mu(bv.p[None, :], gen)[0], gen.integers(config.n)
+        lines.append(to_json_text(_edge_dict(int(axis), signs.tolist())))
     return 0, "\n".join(lines) + "\n", "samples.jsonl"
 
 
 def _cmd_qfunc(args):
     v = _parse_scalars(args.v, args.mode)
-    p = _parse_scalars(args.p, args.mode) if args.p else [0] * len(v)
+    p = [0] * len(v) if args.p is None else _parse_scalars(args.p, args.mode)
     spec = LinearFormSpec(tuple(v), tuple(p))
     alpha = as_scalar(args.alpha, args.mode)
     d = linear_form_atoms(spec)

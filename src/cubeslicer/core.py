@@ -65,7 +65,7 @@ class Vertex:
         return 1 if (self.signs >> i) & 1 else -1
 
     def coords(self) -> tuple[int, ...]:
-        return tuple(self.coord(i) for i in range(self.n))
+        return tuple(((self.signs >> i) & 1) * 2 - 1 for i in range(self.n))
 
     def flip(self, k: int) -> "Vertex":
         return Vertex(self.n, self.signs ^ (1 << k))

@@ -24,7 +24,9 @@ from .core import (
     Configuration,
     canonical_base,
     construction,
+    crossing_bits,
     make_hyperplane,
+    side_bits,
     sign_pair_crossings,
     zero_tolerance,
 )
@@ -317,26 +319,29 @@ T_END = 0.05
 
 
 def _edge_tables(n: int):
+    """The vertices with a -1 column, so table @ [coeffs, t] is the side values,
+    and the (2, edges) vertex indices of each edge's base and partner."""
     verts = np.array(
-        [[1 if (mask >> i) & 1 else -1 for i in range(n)] for mask in range(1 << n)],
+        [[1 if (mask >> i) & 1 else -1 for i in range(n)] + [-1] for mask in range(1 << n)],
         dtype=np.int64,
     )
     comp = np.arange(1 << (n - 1))
     bases = np.array([canonical_base(k, comp) for k in range(n)])
-    return verts, bases, bases | (1 << np.arange(n))[:, None]
+    return verts, np.stack([bases, bases | (1 << np.arange(n))[:, None]]).reshape(2, -1)
 
 
-def _plane_edge_mask(tables, coeffs: np.ndarray, t: int, relaxed: bool) -> np.ndarray:
-    verts, bases, partners = tables
-    side = verts @ coeffs - t
-    return sign_pair_crossings(side[bases], side[partners], None, relaxed).reshape(-1)
+def _plane_edge_mask(tables, plane: np.ndarray, relaxed: bool) -> np.ndarray:
+    # the sides of the plane [coeffs, t] are classified once, at both ends
+    verts, ends = tables
+    pos, nz = side_bits((verts @ plane)[ends])
+    return crossing_bits(pos[0], nz[0], pos[1], nz[1], relaxed)
 
 
-def _random_plane(gen: np.random.Generator, n: int, coeff_range: int):
+def _random_plane(gen: np.random.Generator, n: int, coeff_range: int) -> np.ndarray:
     while True:
         row = gen.integers(-coeff_range, coeff_range + 1, size=n, dtype=np.int64)
-        if np.any(row):
-            return row, int(gen.integers(-coeff_range, coeff_range + 1))
+        if row.any():
+            return np.append(row, gen.integers(-coeff_range, coeff_range + 1))
 
 
 def _search_replica(
@@ -350,20 +355,18 @@ def _search_replica(
     t0: float,
     t_end: float,
 ):
+    """One annealing run: (best energy, its planes as int64 rows [coeffs, t])."""
     tables = _edge_tables(n)
     edges_total = n << (n - 1)
 
     def fresh_state():
-        coeffs = np.empty((m, n), dtype=np.int64)
-        ts = np.empty(m, dtype=np.int64)
-        for ell in range(m):
-            coeffs[ell], ts[ell] = _random_plane(gen, n, coeff_range)
-        masks = np.array([_plane_edge_mask(tables, coeffs[ell], int(ts[ell]), relaxed) for ell in range(m)])
+        planes = np.array([_random_plane(gen, n, coeff_range) for _ in range(m)])
+        masks = np.array([_plane_edge_mask(tables, row, relaxed) for row in planes])
         cover = masks.sum(axis=0)
-        return coeffs, ts, masks, cover, edges_total - int(np.count_nonzero(cover))
+        return planes, masks, cover, edges_total - int(np.count_nonzero(cover))
 
-    coeffs, ts, masks, cover, energy = fresh_state()
-    best = (energy, coeffs.copy(), ts.copy())
+    planes, masks, cover, energy = fresh_state()
+    best = (energy, planes.copy())
     gamma = (t_end / t0) ** (1.0 / max(iters, 1))
     temp = t0
     stagnant = 0
@@ -373,44 +376,38 @@ def _search_replica(
             break
         ell = int(gen.integers(m))
         move = gen.random()
-        new_row = coeffs[ell].copy()
-        new_t = int(ts[ell])
-        if move < 0.5:
-            i = int(gen.integers(n))
-            step = 1 if gen.random() < 0.5 else -1
-            new_row[i] = np.clip(new_row[i] + step, -coeff_range, coeff_range)
-            if not np.any(new_row):
-                temp = max(temp * gamma, t_end)
-                continue
-        elif move < 0.75:
-            step = 1 if gen.random() < 0.5 else -1
-            new_t = int(np.clip(new_t + step, -coeff_range, coeff_range))
-        elif move < 0.9:
-            i = int(gen.integers(n))
-            new_row[i] = int(gen.integers(-coeff_range, coeff_range + 1))
-            if not np.any(new_row):
+        new_plane = planes[ell].copy()
+        if move < 0.9:
+            # coefficient i < n or the threshold i = n: a step, or a fresh value
+            i = n if 0.5 <= move < 0.75 else int(gen.integers(n))
+            if move < 0.75:
+                step = 1 if gen.random() < 0.5 else -1
+                value = min(max(int(new_plane[i]) + step, -coeff_range), coeff_range)
+            else:
+                value = int(gen.integers(-coeff_range, coeff_range + 1))
+            new_plane[i] = value
+            if value == 0 and i < n and not new_plane[:n].any():
                 temp = max(temp * gamma, t_end)
                 continue
         else:
-            new_row, new_t = _random_plane(gen, n, coeff_range)
+            new_plane = _random_plane(gen, n, coeff_range)
 
-        new_mask = _plane_edge_mask(tables, new_row, new_t, relaxed)
+        new_mask = _plane_edge_mask(tables, new_plane, relaxed)
         new_cover = cover - masks[ell] + new_mask
         new_energy = edges_total - int(np.count_nonzero(new_cover))
         delta = new_energy - energy
         if delta <= 0 or gen.random() < math.exp(-delta / temp):
-            coeffs[ell] = new_row
-            ts[ell] = new_t
+            planes[ell] = new_plane
             masks[ell] = new_mask
             cover = new_cover
             energy = new_energy
             if energy < best[0]:
-                best = (energy, coeffs.copy(), ts.copy())
+                best = (energy, planes.copy())
                 stagnant = 0
             else:
                 stagnant += 1
             if stagnant >= restart_after:
-                coeffs, ts, masks, cover, energy = fresh_state()
+                planes, masks, cover, energy = fresh_state()
                 temp = t0
                 stagnant = 0
         temp = max(temp * gamma, t_end)
@@ -450,11 +447,8 @@ def local_search_slicing(
     results = _run_ordered(replica, replicas, threads)
     # deterministic best-of: ties broken by replica index
     best_idx = min(range(len(results)), key=lambda i: (results[i][0], i))
-    _, best_coeffs, best_ts = results[best_idx]
-
     planes = tuple(
-        make_hyperplane([int(x) for x in best_coeffs[ell]], int(best_ts[ell]), EXACT)
-        for ell in range(m)
+        make_hyperplane([int(x) for x in row[:n]], int(row[n]), EXACT) for row in results[best_idx][1]
     )
     config = Configuration(n, planes, mode)
     report = verify_slicing(config)

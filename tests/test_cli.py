@@ -1,5 +1,6 @@
 """CLI dispatch: exit codes, piping, determinism, artifacts."""
 
+import functools
 import hashlib
 import io
 import json
@@ -8,12 +9,18 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeslicer.cli import build_parser, dispatch, to_json_text
+from cubeslicer.lab import local_search_slicing
 
 TWO_AXIS_PLANES_Q3 = {
     "n": 3,
@@ -41,6 +48,26 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+JSON_SCALARS = st.one_of(
+    st.integers(),
+    FINITE_FLOATS,
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8),
+    FINITE_FLOATS.map(np.float64),
+)
+JSON_LISTS = st.one_of(
+    st.lists(st.integers()),
+    st.lists(FINITE_FLOATS),
+    st.lists(st.booleans()),
+    st.lists(JSON_SCALARS),
+    st.lists(FINITE_FLOATS).map(tuple),
+    st.recursive(st.lists(JSON_SCALARS, max_size=5), lambda inner: st.lists(inner, max_size=4), max_leaves=30),
+)
+
+
 class TestJsonText:
     def test_float_seventeen_digits(self):
         assert to_json_text(1 / 3) == "0.33333333333333331"
@@ -55,6 +82,25 @@ class TestJsonText:
     def test_round_trips_through_json(self):
         text = to_json_text({"a": [0.1, 2, "s"], "b": {"c": -1.5}}, indent=2)
         assert json.loads(text) == {"a": [0.1, 2, "s"], "b": {"c": -1.5}}
+
+    def test_bools_stay_bools_beside_ints(self):
+        assert to_json_text([True, 1]) == "[true, 1]"
+        assert to_json_text([1, False]) == "[1, false]"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise(self, bad):
+        for obj in ([bad], [0.5, bad], [1, bad], {"p": [bad, 0.25]}):
+            with pytest.raises(ValueError):
+                to_json_text(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=JSON_LISTS, indent=st.sampled_from([0, 2]))
+    def test_flat_lists_match_the_generic_path(self, obj, indent):
+        # lists of plain ints or plain floats are joined in one pass; with
+        # that pass switched off every item goes through _json_token
+        fast = to_json_text(obj, indent)
+        with mock.patch("cubeslicer.cli._flat_tokens", return_value=None):
+            assert to_json_text(obj, indent) == fast
 
 
 class TestConstructVerify:
@@ -136,6 +182,7 @@ MALFORMED_INPUTS = {
     "qfunc_junk_entry": (None, ["qfunc", "--v", "1,x", "--alpha", "1"], "MalformedInput"),
     "qfunc_double_dash_value": (None, ["qfunc", "--v=--", "--alpha", "1"], "MalformedInput"),
     "decompose_double_dash_value": (None, ["decompose", "--v=--"], "MalformedInput"),
+    "qfunc_double_dash_p": (None, ["qfunc", "--v", "1,1", "--p=--", "--alpha", "1"], "MalformedInput"),
     "qfunc_float_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e400", "--alpha", "1"], "NonFiniteScalar"),
     "decompose_float_overflow": (None, ["decompose", "--mode", "float", "--v", "1e400"], "NonFiniteScalar"),
     "qfunc_float_l1_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"], "NonFiniteScalar"),
@@ -189,6 +236,13 @@ class TestDecomposeAndQfunc:
         code, out, err = run(capsys, ["qfunc", "--v", "1e308,1e308", "--alpha", "1", "--mode", "float"])
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "NonFiniteScalar"
+
+    def test_qfunc_float_atoms_beyond_half_the_double_range_warn_nothing(self, capsys):
+        # the atoms +-1.6e308 are an infinite gap apart; it is never folded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, ["qfunc", "--mode", "float", "--v", "1.6e308", "--alpha", "1"])
+        assert (code, json.loads(out)["q"]) == (0, 0.5)
 
     def test_qfunc_float_window_below_rounding_step_holds_its_atom(self, capsys):
         # 2*alpha = 1 is below the spacing of doubles near 1e20, so v + 2*alpha
@@ -435,6 +489,40 @@ class TestSample:
         assert code == 0
         assert len(out.splitlines()) == 6
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_SHA256[variant, emit]
+
+
+class TestSearchPinned:
+    # sha256 of the search stdout, captured before the annealing loop kept
+    # each plane as one [coeffs, t] row and dropped its numpy scalar calls.
+    # The CLI anneals strict crossings; the relaxed case runs the same
+    # command with local_search_slicing's mode set.  n = 8 is the largest
+    # dimension the search takes (256 vertices, 1024 edges).
+    GOLDEN = {
+        "strict_n6_two_replicas": (
+            ["--n", "6", "--m", "6", "--iters", "6000", "--replicas", "2", "--seed", "4"],
+            "strict",
+            "33ae79c5751dc2ef1e86b54a1880286cd9d41cbde1207fa53a44beebf3c9ed63",
+        ),
+        "relaxed_n5": (
+            ["--n", "5", "--m", "3", "--iters", "3000", "--seed", "5"],
+            "relaxed",
+            "fc3e91a22110017db50fb4bce5c1094c8c3ae3cc71b5d4ccf78cfb823d4db4ef",
+        ),
+        "strict_n8": (
+            ["--n", "8", "--m", "4", "--iters", "3000", "--seed", "6"],
+            "strict",
+            "966f02979a181ec05f4198f975c4fe60166b96569147bbc892d9ef8cd9a4d2c7",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_output_bytes_are_pinned(self, capsys, monkeypatch, case):
+        flags, mode, digest = self.GOLDEN[case]
+        monkeypatch.setattr("cubeslicer.cli.local_search_slicing", functools.partial(local_search_slicing, mode=mode))
+        code, out, _ = run(capsys, ["search", *flags])
+        assert code == 0
+        assert json.loads(out)["config"]["mode"] == mode
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestThreadInvariance:

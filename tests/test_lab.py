@@ -266,8 +266,8 @@ class TestLocalSearch:
         # short runs keep random planes through vertices, where modes differ
         for seed, iters in enumerate((0, 0, 5, 5, 300, 300)):
             gen = np.random.default_rng(seed)
-            energy, coeffs, ts = _search_replica(4, 2, iters, gen, 3, relaxed, 50, 2.0, 0.05)
-            planes = tuple(make_hyperplane([int(x) for x in row], int(t)) for row, t in zip(coeffs, ts))
+            energy, rows = _search_replica(4, 2, iters, gen, 3, relaxed, 50, 2.0, 0.05)
+            planes = tuple(make_hyperplane([int(x) for x in row[:-1]], int(row[-1])) for row in rows)
             c = Configuration(4, planes, "relaxed" if relaxed else "strict")
             assert energy == naive_slicing(c)[0]
 
