@@ -43,6 +43,7 @@ from .lab import (
     estimate_linf_tail,
     local_search_slicing,
     random_unit_configuration,
+    run_estimator,
     sweep,
 )
 from .sampler import (

@@ -40,16 +40,8 @@ from .core import (
 from .anticonc import LinearFormSpec, levy_q, linear_form_atoms, sperner_bound
 from .decomp import binary_decompose
 from .errors import MalformedInput, SlicerError
-from .lab import (
-    SweepCell,
-    estimate_evasion,
-    estimate_glue_sum,
-    estimate_linf_tail,
-    local_search_slicing,
-    random_unit_configuration,
-    sweep,
-)
-from .sampler import RngSpec, batch_evasive_edges, batch_mu, bias_setup, sample_bias_conditioned, sample_bias_simple
+from .lab import REPORT_COLUMNS, SweepCell, local_search_slicing, random_unit_configuration, run_estimator, sweep
+from .sampler import RngSpec, batch_bias_conditioned, batch_evasive_edges, batch_mu, bias_setup, sample_bias_simple
 from .verifier import verify_slicing
 
 
@@ -134,9 +126,6 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _parse_scalars(text: str, kind: str) -> list:
-    if not isinstance(text, str):
-        # argparse before Python 3.12 drops the value of `--v=--` and passes []
-        raise MalformedInput(f"not a comma-separated list of scalars: {text!r}")
     return [as_scalar(token, kind) for token in text.split(",") if token.strip()]
 
 
@@ -242,13 +231,16 @@ def _cmd_sample(args):
             ((U, k),), _ = batch_evasive_edges(setup, gen, 1, args.max_retries)
             signs, axis = U[0], k[0]
         else:
-            bv = sample_bias_conditioned(config, gen, args.max_retries) if dyadic else sample_bias_simple(config, gen)
+            if dyadic:
+                (P,), _ = batch_bias_conditioned(setup, gen, 1, args.max_retries)
+                p, clamped = P[0], False
+            else:
+                bv = sample_bias_simple(config, gen)
+                p, clamped = bv.p, bv.clamped
             if args.emit == "bias":
-                lines.append(
-                    to_json_text({"p": bv.p.tolist(), "conditioned": bv.conditioned, "clamped": bv.clamped})
-                )
+                lines.append(to_json_text({"p": p.tolist(), "conditioned": dyadic, "clamped": clamped}))
                 continue
-            signs, axis = batch_mu(bv.p[None, :], gen)[0], gen.integers(config.n)
+            signs, axis = batch_mu(p[None, :], gen)[0], gen.integers(config.n)
         lines.append(to_json_text(_edge_dict(int(axis), signs.tolist())))
     return 0, "\n".join(lines) + "\n", "samples.jsonl"
 
@@ -293,42 +285,21 @@ def _bias_rows(rep, n: int) -> dict:
 def _cmd_estimate(args):
     config = _estimate_config(args)
     rng = _rng_from_args(args).child(1)
-    if args.what == "evasion":
-        per_plane, union = estimate_evasion(config, args.samples, rng, args.threads)
-        args._bias_rows = _bias_rows(union, config.n)
-        result = {
-            "estimator": "evasion",
-            "n": config.n,
-            "m": config.m,
-            "samples": args.samples,
-            "per_plane": [_report_dict(r) for r in per_plane],
-            "union": _report_dict(union),
-        }
-        if args.report == "csv":
-            rows = [
-                ["plane", ell, r.point_estimate, r.std_error, r.ci95[0], r.ci95[1], r.target_bound]
-                for ell, r in enumerate(per_plane)
-            ]
-            rows.append(
-                ["union", None, union.point_estimate, union.std_error, union.ci95[0], union.ci95[1], union.target_bound]
-            )
-            text = csv_text(["kind", "plane_index", "point_estimate", "std_error", "ci95_low", "ci95_high", "target_bound"], rows)
-            return 0, text, "estimate.csv"
-        return 0, to_json_text(result, indent=2) + "\n", "estimate.json"
-    if args.what == "linf-tail":
-        rep = estimate_linf_tail(config, args.samples, rng, args.threads)
-        name = "linf_tail"
-    else:
-        rep = estimate_glue_sum(config, args.plane_index, args.t, args.samples, rng, args.threads)
-        name = "glue_sum"
+    per_plane, rep = run_estimator(args.what, config, args.samples, rng, args.threads, args.plane_index, args.t)
     args._bias_rows = _bias_rows(rep, config.n)
-    result = {"estimator": name, "n": config.n, "m": config.m, "samples": args.samples, **_report_dict(rep)}
+    head = {"n": config.n, "m": config.m, "samples": args.samples}
+    if per_plane:
+        result = {"estimator": "evasion", **head, "per_plane": [_report_dict(r) for r in per_plane], "union": _report_dict(rep)}
+        header = ["kind", "plane_index"]
+        rows = [["plane", ell, *r.cells()] for ell, r in enumerate(per_plane)]
+        rows.append(["union", None, *rep.cells()])
+    else:
+        name = "linf_tail" if args.what == "linf-tail" else "glue_sum"
+        result = {"estimator": name, **head, **_report_dict(rep)}
+        header = ["estimator", "n", "m"]
+        rows = [[name, config.n, config.m, *rep.cells()]]
     if args.report == "csv":
-        text = csv_text(
-            ["estimator", "n", "m", "point_estimate", "std_error", "ci95_low", "ci95_high", "target_bound"],
-            [[name, config.n, config.m, rep.point_estimate, rep.std_error, rep.ci95[0], rep.ci95[1], rep.target_bound]],
-        )
-        return 0, text, "estimate.csv"
+        return 0, csv_text([*header, *REPORT_COLUMNS], rows), "estimate.csv"
     return 0, to_json_text(result, indent=2) + "\n", "estimate.json"
 
 
@@ -358,10 +329,7 @@ def _cmd_sweep(args):
     rows = sweep(cells, args.samples, _rng_from_args(args), args.threads, estimator=args.estimator)
     if args.report == "json":
         return 0, to_json_text(rows, indent=2) + "\n", "sweep.json"
-    header = [
-        "n", "m", "construction", "estimator", "samples", "point_estimate",
-        "std_error", "ci95_low", "ci95_high", "target_bound", "max_plane_estimate", "error",
-    ]
+    header = ["n", "m", "construction", "estimator", "samples", *REPORT_COLUMNS, "max_plane_estimate", "error"]
     table = [[row.get(col) for col in header] for row in rows]
     return 0, csv_text(header, table), "sweep.csv"
 
@@ -387,21 +355,22 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of --max-retries: an integer >= 0; 0 allows one attempt."""
+    """argparse type of --seed, --stream and --max-retries (where 0 allows one
+    attempt): an integer >= 0."""
     return _int_at_least(text, 0)
 
 
-def _int_list(text: str) -> list[int]:
-    """argparse type of a comma-separated list of integers."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+def _dimensions(text: str) -> list[int]:
+    """argparse type of sweep --n: comma-separated integers >= 1."""
+    return [_positive_int(x) for x in text.split(",")]
 
 
 def _plane_counts(text: str):
     """argparse type of sweep --m: 'diag' or comma-separated integers."""
-    return text if text == "diag" else _int_list(text)
+    try:
+        return text if text == "diag" else [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -425,8 +394,8 @@ def _default_threads() -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubeslicer", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--stream", type=int, default=0, help="substream index")
+    common.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
+    common.add_argument("--stream", type=_nonnegative_int, default=0, help="substream index")
     common.add_argument("--threads", type=_positive_int, default=None, help="worker count (default $SLICER_THREADS or 1)")
     common.add_argument("--out", type=str, default=None, help="directory for result + run manifest")
 
@@ -486,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="estimator grid over (n, m) cells")
     p.add_argument("--estimator", choices=["evasion", "linf_tail", "glue"], default="evasion")
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated dimensions")
+    p.add_argument("--n", type=_dimensions, required=True, help="comma-separated dimensions")
     p.add_argument("--m", type=_plane_counts, default="diag", help="comma-separated plane counts, or 'diag' for round(n^(2/3))")
     p.add_argument("--construction", choices=["random", "axis", "middle_layers"], default="random")
     p.add_argument("--samples", type=_positive_int, default=10000)
@@ -539,6 +508,11 @@ def dispatch(argv=None) -> int:
         args.threads = _default_threads()
     start = time.perf_counter()
     try:
+        # argparse before Python 3.12 passes [] for `--flag=--`, without
+        # calling the flag's type; no flag takes an empty list
+        for name, value in vars(args).items():
+            if value == []:
+                raise MalformedInput(f"--{name.replace('_', '-')} has no value")
         code, text, artifact_name = args.func(args)
     except SlicerError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

@@ -4,8 +4,10 @@ search for small slicing configurations.
 Estimators split the sample budget into fixed-size chunks, give every chunk
 its own substream (child of the caller's RngSpec), and fold integer partial
 counts in chunk order - so reports are byte-identical for any thread count.
-Within a chunk the sampler's blocks are folded one at a time, so memory is
-per block (sampler.BLOCK rows), not per chunk.
+_fold_chunks does this for every estimator, which supplies only the counts
+of one chunk.  Within a chunk the sampler's blocks are folded one at a time,
+so memory is per block (sampler.BLOCK rows), not per chunk.  run_estimator
+picks an estimator by name, for the CLI and for sweep.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ class EstimateReport:
     bias_rows_drawn: int | None = None
     bias_rows_accepted: int | None = None
 
+    def cells(self) -> list:
+        """The values of REPORT_COLUMNS, the table columns of an estimate."""
+        return [self.point_estimate, self.std_error, *self.ci95, self.target_bound]
+
+
+REPORT_COLUMNS = ("point_estimate", "std_error", "ci95_low", "ci95_high", "target_bound")
+
 
 def _bernoulli_report(count: int, samples: int, seed: int, target: float | None) -> EstimateReport:
     p = count / samples
@@ -86,13 +95,6 @@ def _mean_report(total: int, total_sq: int, samples: int, seed: int, target: flo
     return EstimateReport(mean, se, (mean - _Z95 * se, mean + _Z95 * se), samples, seed, target)
 
 
-def _chunk_sizes(samples: int) -> list[int]:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    full, rest = divmod(samples, CHUNK)
-    return [CHUNK] * full + ([rest] if rest else [])
-
-
 def _run_ordered(fn: Callable[[int], object], count: int, threads: int) -> list:
     if threads > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -106,6 +108,21 @@ def _require_spec(rng) -> RngSpec:
     return rng
 
 
+def _fold_chunks(
+    rng, samples: int, threads: int, fold: Callable[[np.random.Generator, int], list]
+) -> list[int]:
+    """Run fold(gen, rows) on chunks of CHUNK rows, each with its own
+    substream, and sum the chunks' lists of counts column by column in
+    chunk order."""
+    spec = _require_spec(rng)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    full, rest = divmod(samples, CHUNK)
+    sizes = [CHUNK] * full + ([rest] if rest else [])
+    parts = _run_ordered(lambda i: fold(spec.child(i).generator(), sizes[i]), len(sizes), threads)
+    return [sum(map(int, column)) for column in zip(*parts)]
+
+
 def estimate_evasion(
     c: Configuration,
     samples: int,
@@ -115,11 +132,9 @@ def estimate_evasion(
     """Frequency with which the evasive random edge crosses each plane, plus
     the union frequency Pr[some plane is crossed].  Crossing is evaluated on
     the unit-norm float copies under c.mode."""
-    spec = _require_spec(rng)
     setup = bias_setup(c)
     tol = zero_tolerance(setup.V, setup.t)
     relaxed = c.mode == RELAXED
-    sizes = _chunk_sizes(samples)
 
     def crossings(U: np.ndarray, k: np.ndarray) -> np.ndarray:
         # one block's (edge, plane) crossing flags; the float copy of U and
@@ -130,31 +145,23 @@ def estimate_evasion(
         s1 = s0 - 2.0 * X[np.arange(len(k)), k][:, None] * setup.V.T[k]
         return sign_pair_crossings(s0, s1, tol, relaxed)
 
-    def chunk(i: int):
-        gen = spec.child(i).generator()
-        edges, drawn = batch_evasive_edges(setup, gen, sizes[i])
+    def fold(gen: np.random.Generator, rows: int) -> list:
+        edges, drawn = batch_evasive_edges(setup, gen, rows)
         per_plane = np.zeros(c.m, dtype=np.int64)
         union = 0
         for block in edges:
             cross = crossings(*block)
             per_plane += cross.sum(axis=0)
             union += int(cross.any(axis=1).sum())
-        return per_plane, union, drawn
+        return [*per_plane, union, drawn]
 
-    parts = _run_ordered(chunk, len(sizes), threads)
-    per_plane = [0] * c.m
-    union = drawn = 0
-    for counts, u, d in parts:
-        for ell in range(c.m):
-            per_plane[ell] += int(counts[ell])
-        union += u
-        drawn += d
+    *per_plane, union, drawn = _fold_chunks(rng, samples, threads, fold)
     rows = {"bias_rows_drawn": drawn, "bias_rows_accepted": samples}
     shape = math.sqrt(c.m) * math.log(c.n) ** 2 / c.n
     reports = [
-        replace(_bernoulli_report(cnt, samples, spec.seed, shape), **rows) for cnt in per_plane
+        replace(_bernoulli_report(cnt, samples, rng.seed, shape), **rows) for cnt in per_plane
     ]
-    union_report = _bernoulli_report(union, samples, spec.seed, min(1.0, c.m * shape))
+    union_report = _bernoulli_report(union, samples, rng.seed, min(1.0, c.m * shape))
     return reports, replace(union_report, **rows)
 
 
@@ -166,19 +173,13 @@ def estimate_linf_tail(
 ) -> EstimateReport:
     """Frequency of max|P_i| > 1/2 under the unconditioned dyadic bias;
     the target bound is 2/n."""
-    spec = _require_spec(rng)
     setup = bias_setup(c)
-    sizes = _chunk_sizes(samples)
 
-    def chunk(i: int) -> int:
-        gen = spec.child(i).generator()
-        return sum(
-            int(np.count_nonzero(np.abs(P).max(axis=1) > P_MAX))
-            for P in bias_blocks(setup, gen, sizes[i])
-        )
+    def fold(gen: np.random.Generator, rows: int) -> list:
+        return [sum(np.count_nonzero(np.abs(P).max(axis=1) > P_MAX) for P in bias_blocks(setup, gen, rows))]
 
-    count = sum(_run_ordered(chunk, len(sizes), threads))
-    return replace(_bernoulli_report(count, samples, spec.seed, 2.0 / c.n), bias_rows_drawn=samples)
+    (count,) = _fold_chunks(rng, samples, threads, fold)
+    return replace(_bernoulli_report(count, samples, rng.seed, 2.0 / c.n), bias_rows_drawn=samples)
 
 
 def estimate_glue_sum(
@@ -194,36 +195,50 @@ def estimate_glue_sum(
     distribution.  Each sample contributes the count of qualifying axes k
     (the sum and the expectation commute), which lowers the variance
     relative to per-axis estimation at equal cost."""
-    spec = _require_spec(rng)
     if not 0 <= plane_index < c.m:
         raise SlicerError(f"plane index {plane_index} out of range for m={c.m}")
     setup = bias_setup(c)
     v = setup.V[plane_index]
     tval = setup.t[plane_index] if t is None else float(t)
     gates = 2.0 * np.abs(v)
-    sizes = _chunk_sizes(samples)
 
-    def qualifying(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        # per sample of one block, the count of axes k with |<v,x> - t| < 2|v_k|
-        s = batch_mu(P, gen).astype(np.float64) @ v - tval
-        return (np.abs(s)[:, None] < gates).sum(axis=1)
-
-    def chunk(i: int) -> tuple[int, int, int]:
-        gen = spec.child(i).generator()
-        biases, drawn = batch_bias_conditioned(setup, gen, sizes[i])
+    def fold(gen: np.random.Generator, rows: int) -> list:
+        biases, drawn = batch_bias_conditioned(setup, gen, rows)
         total = total_sq = 0
         for P in biases:
-            cnt = qualifying(P, gen)
+            # per sample, the count of axes k with |<v,x> - t| < 2|v_k|
+            s = batch_mu(P, gen).astype(np.float64) @ v - tval
+            cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
             total += int(cnt.sum())
             total_sq += int((cnt * cnt).sum())
-        return total, total_sq, drawn
+        return [total, total_sq, drawn]
 
-    parts = _run_ordered(chunk, len(sizes), threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+    total, total_sq, drawn = _fold_chunks(rng, samples, threads, fold)
     target = math.sqrt(c.m) * math.log(c.n) ** 2
-    report = _mean_report(total, total_sq, samples, spec.seed, target)
-    return replace(report, bias_rows_drawn=sum(p[2] for p in parts), bias_rows_accepted=samples)
+    report = _mean_report(total, total_sq, samples, rng.seed, target)
+    return replace(report, bias_rows_drawn=drawn, bias_rows_accepted=samples)
+
+
+def run_estimator(
+    name: str,
+    config: Configuration,
+    samples: int,
+    rng,
+    threads: int = 1,
+    plane_index: int = 0,
+    t: float | None = None,
+) -> tuple[list[EstimateReport], EstimateReport]:
+    """Run the estimator called `name` (evasion, linf-tail or glue; `_` may
+    stand for `-`) as (per-plane reports, summary report).  Only evasion has
+    per-plane reports; plane_index and t are glue's."""
+    key = name.replace("_", "-")
+    if key == "evasion":
+        return estimate_evasion(config, samples, rng, threads)
+    if key == "linf-tail":
+        return [], estimate_linf_tail(config, samples, rng, threads)
+    if key == "glue":
+        return [], estimate_glue_sum(config, plane_index, t, samples, rng, threads)
+    raise SlicerError(f"unknown estimator {name!r}")
 
 
 def random_unit_configuration(n: int, m: int, rng, threshold_spread: float = 0.0) -> Configuration:
@@ -280,23 +295,9 @@ def sweep(
             else:
                 config = construction(cell.construction, cell.n, kind="float")
                 row["m"] = config.m
-            est_rng = spec.child(idx, 1)
-            if estimator == "evasion":
-                per_plane, rep = estimate_evasion(config, samples, est_rng, threads)
-            elif estimator == "linf_tail":
-                rep = estimate_linf_tail(config, samples, est_rng, threads)
-            elif estimator == "glue":
-                rep = estimate_glue_sum(config, 0, None, samples, est_rng, threads)
-            else:
-                raise SlicerError(f"unknown estimator {estimator!r}")
-            row.update(
-                point_estimate=rep.point_estimate,
-                std_error=rep.std_error,
-                ci95_low=rep.ci95[0],
-                ci95_high=rep.ci95[1],
-                target_bound=rep.target_bound,
-            )
-            if estimator == "evasion":
+            per_plane, rep = run_estimator(estimator, config, samples, spec.child(idx, 1), threads)
+            row.update(zip(REPORT_COLUMNS, rep.cells()))
+            if per_plane:
                 row["max_plane_estimate"] = max(r.point_estimate for r in per_plane)
             row["error"] = None
         except SlicerError as exc:
@@ -344,17 +345,7 @@ def _random_plane(gen: np.random.Generator, n: int, coeff_range: int) -> np.ndar
             return np.append(row, gen.integers(-coeff_range, coeff_range + 1))
 
 
-def _search_replica(
-    n: int,
-    m: int,
-    iters: int,
-    gen: np.random.Generator,
-    coeff_range: int,
-    relaxed: bool,
-    restart_after: int,
-    t0: float,
-    t_end: float,
-):
+def _search_replica(n: int, m: int, iters: int, gen: np.random.Generator, coeff_range: int, relaxed: bool):
     """One annealing run: (best energy, its planes as int64 rows [coeffs, t])."""
     tables = _edge_tables(n)
     edges_total = n << (n - 1)
@@ -367,8 +358,8 @@ def _search_replica(
 
     planes, masks, cover, energy = fresh_state()
     best = (energy, planes.copy())
-    gamma = (t_end / t0) ** (1.0 / max(iters, 1))
-    temp = t0
+    gamma = (T_END / T0) ** (1.0 / max(iters, 1))
+    temp = T0
     stagnant = 0
 
     for _ in range(iters):
@@ -387,7 +378,7 @@ def _search_replica(
                 value = int(gen.integers(-coeff_range, coeff_range + 1))
             new_plane[i] = value
             if value == 0 and i < n and not new_plane[:n].any():
-                temp = max(temp * gamma, t_end)
+                temp = max(temp * gamma, T_END)
                 continue
         else:
             new_plane = _random_plane(gen, n, coeff_range)
@@ -406,11 +397,11 @@ def _search_replica(
                 stagnant = 0
             else:
                 stagnant += 1
-            if stagnant >= restart_after:
+            if stagnant >= RESTART_AFTER:
                 planes, masks, cover, energy = fresh_state()
-                temp = t0
+                temp = T0
                 stagnant = 0
-        temp = max(temp * gamma, t_end)
+        temp = max(temp * gamma, T_END)
 
     return best
 
@@ -442,7 +433,7 @@ def local_search_slicing(
 
     def replica(r: int):
         gen = spec.child(r).generator()
-        return _search_replica(n, m, iters, gen, coeff_range, relaxed, RESTART_AFTER, T0, T_END)
+        return _search_replica(n, m, iters, gen, coeff_range, relaxed)
 
     results = _run_ordered(replica, replicas, threads)
     # deterministic best-of: ties broken by replica index

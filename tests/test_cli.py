@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeslicer.cli import build_parser, dispatch, to_json_text
+from cubeslicer.core import config_from_json_dict
 from cubeslicer.lab import local_search_slicing
 
 TWO_AXIS_PLANES_Q3 = {
@@ -385,6 +386,13 @@ BAD_FLAGS = {
     "sample_negative_count": ["sample", "--count", "-1"],
     "sample_negative_max_retries": ["sample", "--max-retries", "-1"],
     "search_negative_iters": ["search", "--n", "3", "--m", "2", "--iters", "-1"],
+    "negative_seed": ["estimate", "evasion", "--n", "4", "--m", "2", "--samples", "10", "--seed", "-1"],
+    "negative_stream": ["search", "--n", "3", "--m", "2", "--iters", "10", "--stream", "-1"],
+    "sweep_zero_dimension": ["sweep", "--n", "0", "--m", "2", "--samples", "10"],
+    "sweep_negative_dimension_on_the_diagonal": ["sweep", "--n", "8,-1", "--samples", "10"],
+    "threads_double_dash_value": ["verify", "--threads=--"],
+    "iters_double_dash_value": ["search", "--n", "3", "--m", "2", "--iters=--"],
+    "variant_double_dash_value": ["sample", "--variant=--"],
 }
 
 
@@ -411,13 +419,15 @@ class TestBadFlags:
             BAD_FLAGS["sample_negative_count"],
             BAD_FLAGS["sample_negative_max_retries"],
             BAD_FLAGS["search_negative_iters"],
+            BAD_FLAGS["sweep_zero_dimension"],
+            BAD_FLAGS["negative_seed"],
         ],
     )
     def test_flags_that_would_never_finish_are_usage_errors(self, argv):
-        # the first two once looped forever; the counts once ran to exit 0
-        # with no result, and a negative retry budget drew once and failed
-        # with "no acceptance within -1 retries"; all are checked at the
-        # parser alone
+        # the first two and sweep --n 0 once looped forever; the counts once
+        # ran to exit 0 with no result, a negative retry budget drew once and
+        # failed with "no acceptance within -1 retries", and a negative seed
+        # ended in numpy's ValueError; all are checked at the parser alone
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -489,6 +499,28 @@ class TestSample:
         assert code == 0
         assert len(out.splitlines()) == 6
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_SHA256[variant, emit]
+
+    def test_bias_lines_with_rejections_are_pinned(self, capsys, monkeypatch, tmp_path):
+        # a bound of 0.035 rejects about half the rows of GOLDEN_CONFIG's
+        # bias (max |P_i| has median 0.034), so most lines are redrawn
+        import cubeslicer.sampler as sampler_mod
+
+        monkeypatch.setattr(sampler_mod, "P_MAX", 0.035)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.GOLDEN_CONFIG))
+        setup = sampler_mod.bias_setup(config_from_json_dict(self.GOLDEN_CONFIG))
+        assert sampler_mod.batch_bias_conditioned(setup, np.random.default_rng(0), 40)[1] > 60
+        argv = ["sample", "--config", str(path), "--count", "40", "--emit", "bias", "--seed", "7", "--stream", "3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "617f38d82cbd37909ade94faf6d1f861312cb4f535092af85a79fdbc18632a80"
+        )
+        code, out, err = run(capsys, argv + ["--max-retries", "0"])
+        assert (code, out) == (1, "")
+        assert json.loads(err.splitlines()[0]) == {
+            "error": "RetriesExhausted", "message": "no acceptance within 0 retries"
+        }
 
 
 class TestSearchPinned:
@@ -603,7 +635,9 @@ class TestBiasRowsInManifest:
         ("evasion", "json"): "045a171ab33f48c7f01b0f3f544bd5b871bd2b02401ce1884b755911f1900ac4",
         ("evasion", "csv"): "c450c8db263e5401b0f83f78fc877a6bf81adbf27120766ae535230506701344",
         ("glue", "json"): "289c1565904bb98bef230b11432888422515c5cdf35f050ec5ef95d7cbf9a60c",
+        ("glue", "csv"): "90de1c60cf943eb3cb4fc7332b18442d4c0c244811fe3f7c266ba9acef2e2324",
         ("linf-tail", "json"): "50ab3d5d235d9f3a1d13a35b4828c2dff99f74bb5aa47a80adad947a11bba1e9",
+        ("linf-tail", "csv"): "806c29a43de9ec5d03cfd97eac985d32566c950b02d06f097f8055ca3ec61fc2",
     }
     ARGV = {
         "evasion": ["--n", "12", "--m", "3", "--samples", "20000", "--seed", "5"],
@@ -633,6 +667,74 @@ class TestBiasRowsInManifest:
     def test_other_subcommands_carry_no_counts(self, capsys):
         _, _, err = run(capsys, ["construct", "axis", "--n", "3"])
         assert "bias_rows_drawn" not in json.loads(err)
+
+
+class TestEstimatorOutputsPinned:
+    # stdout of estimate and sweep runs, pinned before the estimators shared
+    # one chunk fold and one dispatcher: every estimator in json and csv, a
+    # plane index with a threshold, several chunks on two threads, and sweep
+    # grids with m = 0 error cells, middle-layers cells and the diagonal
+    ESTIMATE = {
+        "glue_plane2_t": (
+            ["glue", "--n", "12", "--m", "3", "--samples", "20000", "--seed", "7", "--plane-index", "2", "--t", "0.1"],
+            "7e0dfb0c940bb706cacbab2682b37bf57a132b932919650a335cd82b20c7c8f7",
+        ),
+        "evasion_t2": (
+            ["evasion", "--n", "16", "--m", "5", "--samples", "40000", "--seed", "3", "--threads", "2"],
+            "2f1449c3555969bc6499395ec6819a4bdd9cb799c1989602d22c4dda0bd90f4f",
+        ),
+        "linf_tail_t2_csv": (
+            ["linf-tail", "--n", "32", "--m", "6", "--samples", "40000", "--seed", "4", "--threads", "2", "--report", "csv"],
+            "38535da5bdea581dbb6929f3f8f114ee0b46ba6a6517c1e75a117381db203e0e",
+        ),
+        "glue_t2_csv": (
+            ["glue", "--n", "20", "--m", "5", "--plane-index", "4", "--samples", "30000", "--seed", "8",
+             "--threads", "2", "--report", "csv"],
+            "b0ba54ecb7b2cd84cc1847cbde72019fec72649adda89a9328f39c766b1171f9",
+        ),
+    }
+    GRIDS = {
+        "m0": ["--n", "8,16", "--m", "0,3", "--samples", "3000", "--seed", "9"],
+        "middle": ["--n", "6,8", "--construction", "middle_layers", "--samples", "3000", "--seed", "10"],
+        "diag_t2": ["--n", "8,27", "--samples", "2000", "--seed", "11", "--threads", "2"],
+    }
+    SWEEP = {
+        ("evasion", "json", "m0"): "3dd1fb35cf5b4affa2112b8528d53edf33d3fd3fb2a1a84e0ac74f3002f99b7a",
+        ("evasion", "json", "middle"): "1251314d1ec54799957ada4080ad9af2eed4d97013537e2de88c64ca455c3bd1",
+        ("evasion", "json", "diag_t2"): "df3211719886fc5a1322fc411cc3c5cb628a6806db2cf79035c8ed12ec7cbcd9",
+        ("evasion", "csv", "m0"): "7a28a4e521a5b1bda669fe0c0d13f430ae9766a85f44da4ad3819ccf7c46439a",
+        ("evasion", "csv", "middle"): "a6c9e5d507fed296ddaa23f2d008f380ed66d4a9d54544a6969c674ee6e4ab07",
+        ("evasion", "csv", "diag_t2"): "6e471e177747eca1fc4381725034547c82f7134eb1cdbcffaa42046cf24d8ae2",
+        ("linf_tail", "json", "m0"): "8a6c545250e88e0041c29b50688695136f4cf805911c3b3a3e25d9db2c3b5cfc",
+        ("linf_tail", "json", "middle"): "0f9988025f93cb32e0321bd9fe0e9d024a41188bbe0ff2ea0884c5b16b3138f6",
+        ("linf_tail", "json", "diag_t2"): "5068a849ef9b52a94335ec1c31d81fea2ad6365d592e7990aa45de0d9e0d38fb",
+        ("linf_tail", "csv", "m0"): "8f0251d5fed57d6d571152dd6134de1f16ab2cb1c786d17ea96b12684f275ee0",
+        ("linf_tail", "csv", "middle"): "3fcbb024fbe1e7a04b8b8cb18b4a458a8cf04d769437986edefde03ec98bafeb",
+        ("linf_tail", "csv", "diag_t2"): "930e8c127b49fa0353b47651b45ebbaa5bc90e0c0246b6cae1ad7be713e9a7a4",
+        ("glue", "json", "m0"): "cb5886d0f27278151140ca53b65c629326b7b7b54ea67b225188511b5a03c533",
+        ("glue", "json", "middle"): "914922f34380f36c829fc199a14aaefbb8ece03a003394a2f7b84f4703d6fd1e",
+        ("glue", "json", "diag_t2"): "113ba5a73f26e1d0fb05e09d353eef9f7a9b822dcb9f8802cfd8b05933a12330",
+        ("glue", "csv", "m0"): "da5fedc0be7877f59aa9c029c51051eadd0e80442b0e4c2edfc469ab601405be",
+        ("glue", "csv", "middle"): "a3b2b97dddbd7224f714b23401975a2df5aadf7044bdb6069e3d589e312de975",
+        ("glue", "csv", "diag_t2"): "d7440655bf27785324bc3238ffea93c62296d89892905c293c39cb44109acd38",
+    }
+
+    @pytest.mark.parametrize("case", sorted(ESTIMATE))
+    def test_estimate_bytes_are_pinned(self, capsys, case):
+        flags, digest = self.ESTIMATE[case]
+        code, out, _ = run(capsys, ["estimate", *flags])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("estimator,report,grid", sorted(SWEEP))
+    def test_sweep_bytes_are_pinned(self, capsys, estimator, report, grid):
+        argv = ["sweep", "--estimator", estimator, *self.GRIDS[grid], "--report", report]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        if grid == "m0":
+            # glue checks its plane index before the sampler sees m = 0
+            assert ("SlicerError: plane index" if estimator == "glue" else "DimensionTooSmall") in out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP[estimator, report, grid]
 
 
 class TestPeakRss:

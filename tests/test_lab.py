@@ -25,8 +25,8 @@ from cubeslicer import (
     sweep,
     verify_slicing,
 )
-from cubeslicer.errors import DimensionTooLarge
-from cubeslicer.lab import _bernoulli_report, _search_replica
+from cubeslicer.errors import DimensionTooLarge, SlicerError
+from cubeslicer.lab import _bernoulli_report, _search_replica, run_estimator
 from helpers import naive_slicing
 
 
@@ -232,6 +232,35 @@ class TestSweep:
         assert rows[0]["m"] == 8
 
 
+class TestRunEstimator:
+    def test_each_name_runs_its_estimator(self):
+        c = random_unit_configuration(16, 4, RngSpec(50))
+        assert run_estimator("evasion", c, 3000, RngSpec(51)) == estimate_evasion(c, 3000, RngSpec(51))
+        tail = estimate_linf_tail(c, 3000, RngSpec(52))
+        assert run_estimator("linf-tail", c, 3000, RngSpec(52)) == ([], tail)
+        assert run_estimator("linf_tail", c, 3000, RngSpec(52)) == ([], tail)
+        glue = estimate_glue_sum(c, 2, 0.1, 3000, RngSpec(53))
+        assert run_estimator("glue", c, 3000, RngSpec(53), plane_index=2, t=0.1) == ([], glue)
+
+    def test_unknown_name_is_a_slicer_error(self):
+        c = random_unit_configuration(16, 4, RngSpec(54))
+        with pytest.raises(SlicerError, match="unknown estimator 'glue-sum'"):
+            run_estimator("glue-sum", c, 3000, RngSpec(55))
+        assert "unknown estimator 'uniform'" in sweep([SweepCell(8, 2)], 100, RngSpec(56), estimator="uniform")[0]["error"]
+
+    def test_estimators_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper swapped into the module, as a tracer does, sees the call
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args[1:])
+            return estimate_glue_sum(*args)
+
+        monkeypatch.setattr(cubeslicer.lab, "estimate_glue_sum", wrapped)
+        sweep([SweepCell(8, 2)], 100, RngSpec(57), estimator="glue")
+        assert calls[0][:2] == (0, None)
+
+
 class TestLocalSearch:
     def test_two_dims_one_plane_counting_optimum(self):
         _, rep = local_search_slicing(2, 1, 2000, RngSpec(24))
@@ -261,12 +290,14 @@ class TestLocalSearch:
             local_search_slicing(9, 3, 10, RngSpec(27))
 
     @pytest.mark.parametrize("relaxed", [False, True])
-    def test_replica_energy_is_unsliced_count(self, relaxed):
+    def test_replica_energy_is_unsliced_count(self, monkeypatch, relaxed):
         # the annealer's incremental energy against the per-edge reference;
-        # short runs keep random planes through vertices, where modes differ
+        # short runs keep random planes through vertices, where modes differ,
+        # and an early restart puts fresh planes into the 300-move runs
+        monkeypatch.setattr(cubeslicer.lab, "RESTART_AFTER", 50)
         for seed, iters in enumerate((0, 0, 5, 5, 300, 300)):
             gen = np.random.default_rng(seed)
-            energy, rows = _search_replica(4, 2, iters, gen, 3, relaxed, 50, 2.0, 0.05)
+            energy, rows = _search_replica(4, 2, iters, gen, 3, relaxed)
             planes = tuple(make_hyperplane([int(x) for x in row[:-1]], int(row[-1])) for row in rows)
             c = Configuration(4, planes, "relaxed" if relaxed else "strict")
             assert energy == naive_slicing(c)[0]
