@@ -15,8 +15,13 @@ Float atoms are built already sorted: each coordinate doubles the sorted
 atoms into two shifted sorted runs and merges them.  Their order is the
 stable order of the sign vectors' enumeration, which a merge keeps only
 while the values have no exact tie; on the first tie the atoms are
-enumerated again in sign-vector order and stably sorted once.  The window
-scan then searches each block of sorted window ends in a short slice.
+enumerated again in sign-vector order and stably sorted once.  Either way
+the merge order is held as int32 indices, and near-equal neighbours are
+compared in blocks, so the fold's one full-length temporary is a boolean
+per atom.  The window scan searches each block of sorted window ends in a
+short slice, and visits the blocks by decreasing upper bound on their
+window masses, stopping at the first block whose bound cannot beat the best
+mass found.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .sampler import as_generator, batch_mu
 ORACLE_MAX_DIM = 22
 MERGE_RTOL = 1e-12
 _SCAN_BLOCK = 1 << 12
+_FOLD_BLOCK = 1 << 16
 
 Number = Union[Fraction, float, int]
 
@@ -168,7 +174,7 @@ def _enumerated_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(probs[low], up, out=probs[high])
         np.multiply(probs[low], down, out=probs[low])
         half *= 2
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values, kind="stable").astype(np.int32)
     values = values[order]
     probs = probs[order]
     return values, probs
@@ -190,10 +196,13 @@ def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray] | None:
         both = np.empty(2 * half)
         np.subtract(values, vi, out=both[:half])
         np.add(values, vi, out=both[half:])
-        # each del frees a temporary before the next one is made; at n = 22
-        # the last step's are 32 MB apiece and set the oracle's peak memory
+        # each del frees a temporary before the next one is made.  The order
+        # is kept as int32 (every index is below 2^ORACLE_MAX_DIM), half the
+        # size of argsort's intp result, and numpy gathers with it in buffered
+        # chunks, making no intp copy; at n = 22 the last step's float arrays
+        # are 32 MB and its order 16 MB
         del values
-        order = np.argsort(both, kind="stable")
+        order = np.argsort(both, kind="stable").astype(np.int32)
         values = both[order]
         del both
         if np.any(values[1:] == values[:-1]):
@@ -218,19 +227,24 @@ def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
     del keep
     # fold runs of sorted neighbours a <= b with b - a within
     # MERGE_RTOL * max(floor, |a|, |b|), where max(|a|, |b|) = max(-a, b);
-    # the floor min(1, l1(v)) keeps the fold scale-invariant below l1(v) = 1
+    # the floor min(1, l1(v)) keeps the fold scale-invariant below l1(v) = 1.
+    # Neighbours are compared _FOLD_BLOCK at a time, so the gap and tolerance
+    # temporaries stay small.
     if values.size > 1:
-        # atoms beyond +-9e307 may be an infinite gap apart, never folded
-        with np.errstate(over="ignore"):
-            gap = values[1:] - values[:-1]
-        tol = np.negative(values[:-1])
-        np.maximum(tol, values[1:], out=tol)
-        np.maximum(tol, min(1.0, math.fsum(map(abs, v))), out=tol)
-        tol *= MERGE_RTOL
+        floor = min(1.0, math.fsum(map(abs, v)))
         heads = np.empty(values.size, dtype=bool)
         heads[0] = True
-        np.greater(gap, tol, out=heads[1:])
-        del gap, tol
+        for lo in range(0, values.size - 1, _FOLD_BLOCK):
+            hi = min(lo + _FOLD_BLOCK, values.size - 1)
+            a, b = values[lo:hi], values[lo + 1:hi + 1]
+            # atoms beyond +-9e307 may be an infinite gap apart, never folded
+            with np.errstate(over="ignore"):
+                gap = b - a
+            tol = np.negative(a)
+            np.maximum(tol, b, out=tol)
+            np.maximum(tol, floor, out=tol)
+            tol *= MERGE_RTOL
+            np.greater(gap, tol, out=heads[lo + 1:hi + 1])
         if not heads.all():
             starts = np.flatnonzero(heads)
             values = values[starts]
@@ -276,15 +290,25 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     # Windows in blocks of _SCAN_BLOCK anchors.  Window ends grow with their
     # anchors, so a block's ends lie between those of its first anchor and of
     # the next block's first anchor; only that slice of vals is searched.
+    # cum is non-decreasing and a rounded difference is monotone in both
+    # arguments, so no window mass of block k exceeds its computed
+    # ub[k] = cum[bounds[k + 1]] - cum[lo].  Blocks are visited by decreasing
+    # ub, and once ub[k] <= best no later block can raise the maximum.
     vals, probs = d.points, d.weights
     width = 2.0 * float(alpha)
     cum = np.empty(vals.size + 1, dtype=np.float64)
     cum[0] = 0.0
     np.cumsum(probs, out=cum[1:])
     firsts = np.arange(0, vals.size, _SCAN_BLOCK)
-    bounds = np.append(np.searchsorted(vals, vals[firsts] + width, side="left"), vals.size).tolist()
+    bounds = np.append(np.searchsorted(vals, vals[firsts] + width, side="left"), vals.size)
+    ub = cum[bounds[1:]] - cum[firsts]
+    visit = np.argsort(ub)[::-1].tolist()
+    ub, firsts, bounds = ub.tolist(), firsts.tolist(), bounds.tolist()
     best = 0.0
-    for k, lo in enumerate(firsts.tolist()):
+    for k in visit:
+        if ub[k] <= best:
+            break
+        lo = firsts[k]
         hi = min(lo + _SCAN_BLOCK, vals.size)
         ends = np.searchsorted(vals[bounds[k]:bounds[k + 1]], vals[lo:hi] + width, side="left")
         ends += bounds[k]

@@ -46,7 +46,8 @@ class UnnormalizedPlane(SlicerError):
 
 
 class DimensionTooSmall(SlicerError):
-    """Sampler needs n >= 2 (log n must be positive) and m >= 1."""
+    """A dimension or plane count below what the operation needs: the sampler
+    needs n >= 2 (log n must be positive) and m >= 1, random planes n >= 1."""
 
 
 class RetriesExhausted(SlicerError):

@@ -32,7 +32,7 @@ from .core import (
     sign_pair_crossings,
     zero_tolerance,
 )
-from .errors import DimensionTooLarge, SlicerError
+from .errors import DimensionTooLarge, DimensionTooSmall, SlicerError
 from .sampler import (
     P_MAX,
     RngSpec,
@@ -244,6 +244,9 @@ def run_estimator(
 def random_unit_configuration(n: int, m: int, rng, threshold_spread: float = 0.0) -> Configuration:
     """m random unit-norm float planes (Gaussian directions); thresholds are 0
     or uniform on [-spread, spread]."""
+    if n < 1:
+        # a direction in no dimensions has norm 0, and the redraw would never end
+        raise DimensionTooSmall(f"random planes need n >= 1, got {n}")
     gen = as_generator(rng)
     planes = []
     for _ in range(m):

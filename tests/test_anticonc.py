@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,8 +145,18 @@ class TestFloatAtomsBitwise:
 
     def test_tie_free(self):
         gen = np.random.default_rng(73)
-        for n in (1, 5, 10, 14, 16):
+        for n in (1, 5, 10, 14, 16, 18):
             self.assert_bitwise_equal(gen.standard_normal(n).tolist(), gen.uniform(-0.5, 0.5, n).tolist())
+
+    def test_fold_across_blocks(self):
+        # 2^18 atoms are compared in four fold blocks; the pairs (c, c + 1e-14)
+        # give exact ties (so the atoms are enumerated and sorted once) and
+        # runs of near-equal atoms that fold, across block edges too
+        gen = np.random.default_rng(1106)
+        v = [x for c in gen.standard_normal(9).tolist() for x in (c, c + 1e-14)]
+        p = gen.uniform(-0.5, 0.5, 18).tolist()
+        assert anticonc._sorted_atoms(tuple(v), tuple(p)) is None
+        self.assert_bitwise_equal(v, p)
 
     def test_rounding_tie(self):
         # rounding makes distinct partial sums equal within one shifted copy
@@ -234,6 +245,95 @@ class TestLevyQBlockScan:
                     alphas.append((vals[j] - vals[i]) / 2)
         for alpha in alphas:
             assert levy_q(d, alpha) == whole_array_levy_q(vals, d.probs, alpha)
+
+    # The scan visits blocks by decreasing bound on their window masses and
+    # stops at the first bound that cannot beat the best mass; these laws
+    # have many blocks and put the winning window where pruning could miss it.
+
+    @staticmethod
+    def assert_matches(d, alphas):
+        assert len(d) > 2 * anticonc._SCAN_BLOCK
+        for alpha in alphas:
+            q = levy_q(d, alpha)
+            expected = whole_array_levy_q(d.points, d.probs, alpha)
+            assert type(q) is float and q == expected, alpha
+
+    def test_bimodal_law(self):
+        # one coordinate 2^10 against the rest below 1: two clusters of atoms,
+        # each with light blocks at its edges and a heavy middle, the heavier
+        # cluster on top; windows within a cluster and spanning the gap
+        gen = np.random.default_rng(1101)
+        n = 16
+        v = [1024.0] + (gen.integers(1, 1 << 12, size=n - 1) / (1 << 16)).tolist()
+        p = [0.25] + gen.uniform(-0.5, 0.5, size=n - 1).tolist()
+        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
+        self.assert_matches(d, [1e-3, 0.01, 0.1, 0.5, 1023.0, 1024.0, 1025.0])
+
+    def test_flat_law_shares_block_bounds(self):
+        # v_i = 2^-i with p = 0: evenly spaced atoms of mass exactly 2^-n, so
+        # every full block has the same bound and every window of one width
+        # the same mass; alpha = block * step / 2 ends each block's windows
+        # on the next block's first atom
+        n = 15
+        d = linear_form_atoms(LinearFormSpec(tuple(2.0 ** -i for i in range(n)), (0.0,) * n))
+        assert np.all(d.probs == 2.0 ** -n)
+        step = d.points[1] - d.points[0]
+        block = anticonc._SCAN_BLOCK
+        self.assert_matches(d, [step / 2, 3 * step, block * step / 2, block * step, (block + 1) * step])
+
+    def test_evenly_spaced_skewed_law(self):
+        # the same atoms with every p_i = 0.9: atom masses grow steeply to the
+        # right, so the last atom within a block's bound can outweigh all the
+        # block's anchors, and a bound that left it out would prune the winner
+        n = 15
+        d = linear_form_atoms(LinearFormSpec(tuple(2.0 ** -i for i in range(n)), (0.9,) * n))
+        span = d.points[-1] - d.points[0]
+        self.assert_matches(d, [span / 2 ** k for k in range(1, 13)])
+
+    def test_zero_alpha(self):
+        gen = np.random.default_rng(1102)
+        d = linear_form_atoms(LinearFormSpec(tuple(gen.standard_normal(14)), tuple(gen.uniform(-0.5, 0.5, 14))))
+        self.assert_matches(d, [0.0])
+        assert levy_q(d, 0.0) == 0.0
+
+    def test_alpha_beyond_l1_holds_every_atom(self):
+        gen = np.random.default_rng(1103)
+        v = gen.standard_normal(14)
+        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(gen.uniform(-0.5, 0.5, 14))))
+        l1 = float(np.abs(v).sum())
+        self.assert_matches(d, [l1, 2 * l1])
+        assert levy_q(d, 2 * l1) == float(np.cumsum(d.probs)[-1])
+
+    def test_window_ends_on_block_edges(self):
+        # dyadic atoms: alpha = (value_j - value_i) / 2 ends anchor i's window
+        # exactly on atom j, here the first or last atom of a block
+        gen = np.random.default_rng(1104)
+        n = 16
+        v = (gen.integers(1, 1 << 20, size=n) * gen.choice([-1, 1], size=n) / (1 << 20)).tolist()
+        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(gen.uniform(-0.5, 0.5, n).tolist())))
+        vals, block = d.points, anticonc._SCAN_BLOCK
+        edges = [k * block + e for k in range(1, len(d) // block) for e in (-1, 0)]
+        alphas = [(vals[j] - vals[i]) / 2 for i in (0, block, 3 * block - 1) for j in edges if j > i]
+        self.assert_matches(d, alphas)
+
+
+class TestOracleMemory:
+    def test_float_oracle_peak(self):
+        # the merge order is int32 and the fold works in blocks, so at n = 20
+        # atoms plus scan stay below 3.6 arrays of 2^n doubles (4.13 with an
+        # intp order and full-length fold temporaries)
+        gen = np.random.default_rng(1105)
+        n = 20
+        spec = LinearFormSpec(tuple(gen.standard_normal(n)), tuple(gen.uniform(-0.5, 0.5, n)))
+        tracemalloc.start()
+        try:
+            d = linear_form_atoms(spec)
+            levy_q(d, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 1 << n
+        assert peak <= 3.6 * 8 * (1 << n)
 
 
 class TestLevyQ:

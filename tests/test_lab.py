@@ -25,7 +25,7 @@ from cubeslicer import (
     sweep,
     verify_slicing,
 )
-from cubeslicer.errors import DimensionTooLarge, SlicerError
+from cubeslicer.errors import DimensionTooLarge, DimensionTooSmall, SlicerError
 from cubeslicer.lab import _bernoulli_report, _search_replica, run_estimator
 from helpers import naive_slicing
 
@@ -321,3 +321,9 @@ class TestRandomUnitConfiguration:
         c = random_unit_configuration(10, 5, RngSpec(30), threshold_spread=0.5)
         assert any(h.threshold != 0.0 for h in c.planes)
         assert all(abs(h.threshold) <= 0.5 for h in c.planes)
+
+    def test_zero_dimension_refused(self):
+        # a direction in no dimensions has norm 0 and could never be redrawn
+        for m in (0, 2):
+            with pytest.raises(DimensionTooSmall):
+                random_unit_configuration(0, m, RngSpec(31))
