@@ -272,13 +272,16 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     captured by (t-alpha, t+alpha) is value_i, then the window's mass is at
     most the mass of [value_i, value_i + 2*alpha), and pushing t toward
     value_i + alpha realizes that mass in the limit.  So scanning the
-    half-open windows [value_i, value_i + 2*alpha) is exact.  For alpha > 0
-    a window always holds its anchor atom, so a float Q is at least the
+    half-open windows [value_i, value_i + 2*alpha) is exact.  At alpha = 0
+    every window is empty and Q is 0, with no scan.  For alpha > 0 a window
+    always holds its anchor atom, so a float Q is at least the
     largest atom's mass, even where value_i + 2*alpha rounds to value_i or
     a difference of cumulative sums rounds below that mass.
     """
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    if alpha == 0:
+        return Fraction(0) if d.exact else 0.0
     if d.exact:
         # value_j < value_i + 2*alpha  <=>  V_j*den(alpha) < V_i*den(alpha) + 2*num(alpha)*scale
         alpha = Fraction(alpha)
@@ -315,9 +318,7 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
         masses = cum[ends]
         masses -= cum[lo:hi]
         best = max(best, float(masses.max()))
-    if alpha > 0:
-        return max(best, float(probs.max()))
-    return best
+    return max(best, float(probs.max()))
 
 
 def levy_scaling_check(d: AtomDistribution, alpha, k: int) -> tuple[Number, Number, bool]:

@@ -6,11 +6,17 @@ and a superblock the 2^B vertices that share their high n - B bits
 (B = min(n, _PACK_BITS), b <= B), that is 2^(B-b) consecutive blocks.  A
 vertex's side value <v, u> - t is a low-part table entry plus a per-block
 offset; both tables come from the doubling recursion over coordinates (one
-flip adds or removes 2*v_k), so a block costs one addition per plane and
-vertex.
+flip adds or removes 2*v_k).
 
-Side values are computed and classified a block at a time (core.side_bits:
-positive and nonzero, the one zero rule), and bit-packed into the
+Sides are classified by rank, never vertex by vertex.  Each plane's low-part
+table is sorted once per run, and every low vertex keeps its int16 rank in
+that order.  Within a block the side is low + off for one offset off, and
+the classes of core.side_bits (positive, nonzero: the one zero rule) are
+monotone in low, floats included, since rounding is monotone.  So a block's
+positive sides are a suffix of the sorted order and its negative sides a
+prefix, and two cuts per plane and block, found by a binary search that
+evaluates side_bits on the sorted table, classify all of its vertices by
+int16 compares of the ranks.  The classes are bit-packed into the
 superblock's 64-bit words, vertex lo at bit lo % 64 of word lo // 64.  The
 crossing rule (core.crossing_bits) then runs in three kinds of pass:
 - a word-internal axis k < 6 pairs each word with itself shifted right by
@@ -18,22 +24,24 @@ crossing rule (core.crossing_bits) then runs in three kinds of pass:
 - a packed axis 6 <= k < B pairs the superblock's words 2^(k-6) apart;
 - on a high axis k >= B, only superblocks whose bit k - B is clear hold
   base vertices, and the other endpoint's side is the base side plus 2*v_k
-  (the endpoint identity), classified and packed one block at a time, so no
-  partner superblock is built.
-So a block is classified once plus once per high axis whose bit is clear in
-its superblock: (n - B) / 2 times more on average.  Per-plane counts are
+  (the endpoint identity).  (low + off) + 2*v_k is monotone in low as
+  well, so its cuts come from the same search; its classes are packed one
+  block at a time, and no partner superblock is built.
+The cuts of a superblock's blocks, for its base sides and each high axis
+whose bit is clear, are searched together, so a worker holds at most
+2 * m * (n - B + 1) * 2^(B-b) cuts at a time.  Per-plane counts are
 popcounts, the union is an OR over planes, and the unsliced bits are
 unpacked to edge indices only while the sample has room.  Blocks of fewer
 than 64 vertices (b < 6) are classified a word at a time, and a superblock
 of fewer than 64 (B < 6) fills one word in part.
 
 Thread runs split the superblocks.  Each worker allocates its buffers once
-and every pass writes into them: the block's side values (m * 2^b scalars)
-and their two boolean classes, and four word arrays of m * 2^(B-6) words
-(the superblock's two classes and two for the partners of a pass).  For
-int64 and float planes that is about m * (10 * 2^b + 2^(B-1)) bytes per
-worker (3 MB at m = 21, b = 13, B = 17), plus the m * 2^(n-b) offsets
-shared by all workers.
+and every pass writes into them: a block's two boolean classes (2 * m * 2^b
+bytes) and four word arrays of m * 2^(B-6) words (the superblock's two
+classes and two for the partners of a pass), about m * (2 * 2^b + 2^(B-1))
+bytes per worker (1.7 MB at m = 21, b = 13, B = 17).  All workers share the
+sorted low-part tables (m * 2^b scalars), the ranks (m * 2^b int16) and the
+m * 2^(n-b) offsets.
 
 Each edge is visited once in canonical form: the base vertex has coordinate
 -1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
@@ -65,7 +73,7 @@ from .core import (
     total_edges,
     zero_tolerance,
 )
-from .errors import BoundViolation, DimensionTooLarge
+from .errors import BoundViolation, DimensionTooLarge, NonFiniteScalar
 
 VERIFY_MAX_DIM = 28
 _SAMPLE_CAP = 100
@@ -112,7 +120,9 @@ def _plane_stack(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     Exact planes are int64 when 2 * (l1(v) + |t|) stays below the guard for
     every plane.  That bound covers every intermediate of the sweep (the
     doubled partial sums, the offsets, 2 * v_k and every side value);
-    otherwise the stack holds arbitrary-precision Python integers.
+    otherwise the stack holds arbitrary-precision Python integers.  Float
+    planes need the same bound to be a finite double (NonFiniteScalar
+    otherwise).
     """
     if c.kind == EXACT:
         rows = [_int_plane(h) for h in c.planes]
@@ -120,6 +130,10 @@ def _plane_stack(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray |
         dtype = np.int64 if fits else object
         coeffs = np.array([cs for cs, _ in rows], dtype=dtype).reshape(c.m, c.n)
         return coeffs, np.array([t for _, t in rows], dtype=dtype), None
+    # the int64 guard's float twin: past it a side value, an offset or 2 * v_k
+    # is infinite, and inf - inf sides are NaN
+    if not all(math.isfinite(2 * (sum(abs(x) for x in h.coeffs) + abs(h.threshold))) for h in c.planes):
+        raise NonFiniteScalar("2 * (l1(v) + |t|) overflows a double; use exact mode")
     coeffs = np.array([h.coeffs for h in c.planes], dtype=np.float64).reshape(c.m, c.n)
     thresholds = np.array([h.threshold for h in c.planes], dtype=np.float64)
     return coeffs, thresholds, zero_tolerance(coeffs, thresholds)
@@ -132,6 +146,71 @@ def _subset_sums(cs: np.ndarray) -> np.ndarray:
     for i in range(cs.shape[1]):
         s = np.concatenate([s, s + cs[:, i : i + 1]], axis=1)
     return s
+
+
+def _side_tables(coeffs, thresholds, b: int):
+    """The sweep's side tables for blocks of 2^b vertices.
+
+    side(h * 2^b + lo) = low[:, lo] + off[:, h], with low = 2*S_low - sum(v) - t
+    and off = 2*S_high for the subset sums S of the low and the high
+    coefficients.  Returns each plane's low sides in sorted order, the int16
+    rank of every low vertex in that order (a stable argsort; ranks stay
+    below 2^b <= 2^13), off, and the shifts: column 0 adds nothing (the
+    base side) and column k + 1 adds 2 * v_k (the partner across axis k).
+    """
+    # off first: its doubling transients are the largest at n > 2b, and the
+    # sort's would add to them
+    off = 2 * _subset_sums(coeffs[:, b:])
+    low = 2 * _subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
+    order = np.argsort(low, axis=1, kind="stable")
+    rank = np.empty(low.shape, dtype=np.int16)
+    np.put_along_axis(rank, order, np.arange(low.shape[1], dtype=np.int16)[None, :], axis=1)
+    shifts = np.concatenate([np.zeros_like(coeffs[:, :1]), 2 * coeffs], axis=1)
+    return np.take_along_axis(low, order, axis=1), rank, off, shifts
+
+
+def _cuts(ordered, offsets, shifts, tol):
+    """Where each block's classes change in the sorted low order.
+
+    For block offsets o = offsets[:, i] and shifts w = shifts[:, a], a
+    vertex's side is (low + o) + w, and side_bits' classes of it are
+    monotone in low (float rounding is monotone too): the positive sides
+    are a suffix of the sorted order and the negative ones a prefix.
+    cut[0, :, a, i] counts the sides that are not positive and cut[1, :, a, i]
+    the negative ones, each found by a binary search that evaluates
+    side_bits on the sweep's own arithmetic.  Returns int16 of shape
+    (2, m, shifts, blocks); tol is None or broadcasts against (m, 1, 1).
+    """
+    m, size = ordered.shape
+    flat = ordered.reshape(-1)
+    # the searches run on flat indices, from each plane's first entry
+    first = np.arange(0, m * size, size)[:, None, None]
+    cut = np.broadcast_to(first, (2, m, shifts.shape[1], offsets.shape[1])).copy()
+    o, w = offsets[:, None, :], shifts[:, :, None]
+    # binary lifting: steps size/2 .. 1 leave cut at min(count, size - 1),
+    # and one more probe at cut itself settles count = size
+    for step in [size >> i for i in range(1, size.bit_length())] + [1]:
+        side = flat.take(cut + (step - 1))
+        side += o
+        side += w
+        before, nz = side_bits(side, tol)
+        np.invert(before, out=before)
+        before[1] &= nz[1]
+        np.add(cut, step, out=cut, where=before)
+    cut -= first
+    return cut.astype(np.int16)
+
+
+def _classify(rank, cut, out=None):
+    """(positive, nonzero) of the blocks whose cuts are cut[:, :, i], from
+    the low vertices' ranks: positive is rank >= cut[0], negative is
+    rank < cut[1].  Shape (m, blocks * 2^b), or out's."""
+    (m, size), blocks = rank.shape, cut.shape[-1]
+    pos, nz = (None, None) if out is None else out.reshape(2, m, blocks, size)
+    pos = np.greater_equal(rank[:, None, :], cut[0, :, :, None], out=pos)
+    nz = np.less(rank[:, None, :], cut[1, :, :, None], out=nz)
+    nz |= pos
+    return pos.reshape(m, blocks * size), nz.reshape(m, blocks * size)
 
 
 def _clear_bit_mask(k: int) -> int:
@@ -157,12 +236,8 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     # share one word when blocks are shorter than 64 vertices
     u = max(b, min(B, 6))
     coeffs, thresholds, tol = _plane_stack(c)
-    # side(h * 2^b + lo) = low[:, lo] + off[:, h], with low = 2*S_low - sum(v) - t
-    # and off = 2*S_high for the subset sums S of the low and the high coefficients
-    low = 2 * _subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
-    off = 2 * _subset_sums(coeffs[:, b:])
-    twice = 2 * coeffs
-    tol = None if tol is None else tol[:, None]
+    ordered, rank, off, shifts = _side_tables(coeffs, thresholds, b)
+    tol = None if tol is None else tol[:, None, None]
     words, unit_words = 1 << max(0, B - 6), 1 << max(0, u - 6)
     unit_bytes = 1 << max(0, u - 3)
     # the word bits that are superblock positions (all of them unless
@@ -179,8 +254,6 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
         unsliced = 0
         samples: list[list[int]] = [[] for _ in range(n)]
         # every buffer is allocated once per run; the passes write in place
-        side = np.empty((m, 1 << u), dtype=low.dtype)
-        unit_sides = side.reshape(m, 1 << (u - b), 1 << b)
         classes = np.empty((2, m, 1 << u), dtype=bool)
         pos, nz = np.zeros((2, m, words), dtype=np.uint64)
         unit_pos, unit_nz = np.zeros((2, m, unit_words), dtype=np.uint64)
@@ -190,10 +263,10 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
         ones = np.empty(m * words, dtype=np.uint8)
         miss = np.empty(words, dtype=np.uint64)
 
-        def pack(values, pw, nw, slot):
-            # classify one unit's side values into words slot*unit_words.. of pw, nw
+        def pack(cut, pw, nw, slot):
+            # classify one unit's blocks by their cuts into words slot*unit_words.. of pw, nw
             at = slot * unit_words * 8
-            for x, dst in zip(side_bits(values, tol, out=classes), (pw, nw)):
+            for x, dst in zip(_classify(rank, cut, out=classes), (pw, nw)):
                 dst.view(np.uint8)[:, at : at + unit_bytes] = np.packbits(x, axis=-1, bitorder="little")
 
         def tally(k, cross, todo, first_edge):
@@ -216,25 +289,19 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
                     samples[k].extend((at + first_edge).tolist())
 
         for sb in range(first, stop):
+            # the cuts of the superblock's blocks: column 0 for the base sides,
+            # then one per high axis k >= B whose bit k - B is clear (only
+            # those superblocks hold base vertices of axis k, and the other
+            # endpoint's side is the base side plus 2*v_k, the endpoint identity)
+            axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
+            h = sb << (B - b)
+            cuts = _cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
             for slot in range(1 << (B - u)):
-                # the side values of the unit's blocks, from block h on
-                h = (sb << (B - b)) + (slot << (u - b))
-                blocks = off[:, h : h + (1 << (u - b)), None]
-                np.add(low[:, None, :], blocks, out=unit_sides)
-                pack(side, pos, nz, slot)
-                based = True  # side holds the base sides
-                for k in range(B, n):
+                blocks = cuts[..., slot << (u - b) : (slot + 1) << (u - b)]
+                pack(blocks[:, :, 0], pos, nz, slot)
+                for a, k in enumerate(axes, 1):
                     j = k - B
-                    if (sb >> j) & 1:
-                        continue
-                    # a high axis: only superblocks whose bit j is clear hold
-                    # base vertices, and the other endpoint's side is the
-                    # base side plus 2*v_k (the endpoint identity)
-                    if not based:
-                        np.add(low[:, None, :], blocks, out=unit_sides)
-                    side += twice[:, k : k + 1]
-                    based = False
-                    pack(side, unit_pos, unit_nz, 0)
+                    pack(blocks[:, :, a], unit_pos, unit_nz, 0)
                     here = slice(slot * unit_words, (slot + 1) * unit_words)
                     cross = crossing_bits(pos[:, here], nz[:, here], unit_pos, unit_nz, relaxed, out=unit_pos)
                     # sb with bit j removed, times 2^B, plus the unit's offset

@@ -187,6 +187,12 @@ MALFORMED_INPUTS = {
     "qfunc_float_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e400", "--alpha", "1"], "NonFiniteScalar"),
     "decompose_float_overflow": (None, ["decompose", "--mode", "float", "--v", "1e400"], "NonFiniteScalar"),
     "qfunc_float_l1_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"], "NonFiniteScalar"),
+    "verify_float_side_overflow": (
+        '{"n": 4, "planes": [{"coeffs": [1e308, -1e308, 1e308, 1.0], "threshold": 0.0},'
+        ' {"coeffs": [1, 1, 1, 1], "threshold": 0.5}]}',
+        ["verify"],
+        "NonFiniteScalar",
+    ),
 }
 
 
@@ -229,6 +235,26 @@ class TestDecomposeAndQfunc:
     def test_qfunc_float_mode(self, capsys):
         _, out, _ = run(capsys, ["qfunc", "--v", "1,1", "--alpha", "1.5", "--mode", "float"])
         assert json.loads(out)["q"] == 0.75
+
+    @pytest.mark.parametrize(
+        "args, stdout",
+        [
+            (["--mode", "exact", "--v", "1,2,3"], '{\n  "a": 3,\n  "q": "0",\n  "sperner": "3/8",\n  "ratio": 0\n}\n'),
+            (["--mode", "float", "--v", "1,2,3"], '{\n  "a": 3,\n  "q": 0,\n  "sperner": "3/8",\n  "ratio": 0\n}\n'),
+            (
+                ["--mode", "exact", "--v", "1/2,1/3,1,2", "--p", "1/4,0,-1/2,0"],
+                '{\n  "a": 4,\n  "q": "0",\n  "sperner": "3/8",\n  "ratio": 0\n}\n',
+            ),
+            (
+                ["--mode", "float", "--v", "0.5,1.25,-3,2", "--p", "0.25,0,-0.5,0.1"],
+                '{\n  "a": 4,\n  "q": 0,\n  "sperner": "3/8",\n  "ratio": 0\n}\n',
+            ),
+        ],
+    )
+    def test_qfunc_alpha_zero_stdout(self, capsys, args, stdout):
+        # pinned from the full window scan; alpha = 0 now answers with no scan
+        code, out, _ = run(capsys, ["qfunc", *args, "--alpha", "0"])
+        assert (code, out) == (0, stdout)
 
     def test_qfunc_float_near_overflow_limit(self, capsys):
         # l1(v) = 8e307 is still a double; 1e308,1e308 (the next case) is not

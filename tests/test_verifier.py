@@ -24,8 +24,9 @@ from cubeslicer import (
     max_crossings_bound,
     verify_slicing,
 )
+from cubeslicer.core import side_bits
 from cubeslicer import verifier
-from cubeslicer.errors import DimensionTooLarge
+from cubeslicer.errors import DimensionTooLarge, NonFiniteScalar
 from helpers import naive_slicing, random_rational_config
 
 F = Fraction
@@ -178,6 +179,16 @@ class TestVerifySlicing:
         unsliced, counts = naive_slicing(c)
         assert rep.unsliced_count == unsliced
         assert list(rep.per_plane_crossings) == counts
+
+    def test_float_sides_near_the_double_limit(self):
+        # 2 * (l1(v) + |t|) = 1.6e308 is a double: every side is finite
+        c = Configuration(2, (make_hyperplane([4e307, 4e307], 0.0, "float"),))
+        unsliced, counts = naive_slicing(c)
+        rep = verify_slicing(c)
+        assert (rep.unsliced_count, list(rep.per_plane_crossings)) == (unsliced, counts)
+        # past it a side value or an offset would be infinite
+        with pytest.raises(NonFiniteScalar):
+            verify_slicing(Configuration(2, (make_hyperplane([4e307, 4e307], 1e308, "float"),)))
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
@@ -374,6 +385,92 @@ class TestWordBoundaryBlocks:
             configs += [Configuration(n, tuple(planes), mode) for mode in ("strict", "relaxed")]
         for c in configs:
             _check_bits(monkeypatch, c, self.PAIRS, (1, 2))
+
+
+def _check_rank_classes(coeffs, thresholds, tol, pairs):
+    """The packed classes from ranks and cuts against side_bits + packbits on
+    the per-vertex sides (low + off, then + 2*v_k), unit by unit, for the
+    base sides and every high-axis partner, at each (block, pack) bit pair."""
+    n = coeffs.shape[1]
+    tol = None if tol is None else tol[:, None, None]
+    for block, pack in pairs:
+        B = min(n, pack)
+        b = min(B, block)
+        u = max(b, min(B, 6))
+        ordered, rank, off, shifts = verifier._side_tables(coeffs, thresholds, b)
+        low = 2 * verifier._subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
+        assert (np.take_along_axis(ordered, rank.astype(np.intp), axis=1) == low).all()
+        for sb in range(1 << (n - B)):
+            axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
+            h = sb << (B - b)
+            cuts = verifier._cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
+            assert cuts.dtype == np.int16
+            for slot in range(1 << (B - u)):
+                blocks = slice(slot << (u - b), (slot + 1) << (u - b))
+                base = low[:, None, :] + off[:, h:][:, blocks, None]
+                for a, k in enumerate([None] + axes):
+                    side = base if k is None else base + 2 * coeffs[:, k, None, None]
+                    want = [np.packbits(x.reshape(len(low), -1), axis=-1) for x in side_bits(side, tol)]
+                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, blocks])]
+                    for w, g in zip(want, got):
+                        assert np.array_equal(w, g), ((block, pack), sb, slot, k)
+
+
+class TestRankClasses:
+    """Ranks and cuts classify every unit exactly as side_bits does on the
+    per-vertex sides, bit for bit after packing."""
+
+    PAIRS = TestBlockedSweep.PAIRS + TestWordBoundaryBlocks.PAIRS
+
+    def _check(self, c):
+        coeffs, thresholds, tol = verifier._plane_stack(c)
+        _check_rank_classes(coeffs, thresholds, tol, self.PAIRS)
+
+    def test_exact_int64(self):
+        gen = np.random.default_rng(211)
+        for n in (7, 9):
+            c = random_rational_config(gen, n, 3)
+            assert verifier._plane_stack(c)[0].dtype == np.int64
+            self._check(c)
+
+    def test_exact_object(self):
+        primes = [999999937, 999999893, 999999883, 999999867, 999999863, 999999797, 999999761, 999999757]
+        planes = [make_hyperplane([F(1, p) for p in primes], F(1, 999999751)),
+                  make_hyperplane([F(s, p) for s, p in zip([1, -1, 2, -3, 1, 1, -2, 5], primes)], 0)]
+        c = Configuration(8, tuple(planes))
+        assert verifier._plane_stack(c)[0].dtype == object
+        self._check(c)
+
+    def test_float(self):
+        gen = np.random.default_rng(223)
+        rows = gen.standard_normal((3, 9))
+        self._check(Configuration(9, tuple(make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in rows)))
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_relaxed_with_zero_sides(self, kind):
+        gen = np.random.default_rng(227)
+        cast = int if kind == "exact" else float
+        planes = [make_hyperplane([cast(x) for x in row], cast(t), kind)
+                  for row, t in zip(gen.integers(-2, 3, size=(3, 8)) | np.eye(3, 8, dtype=int), gen.integers(-2, 3, size=3))]
+        self._check(Configuration(8, tuple(planes), "relaxed"))
+
+    def test_float_sides_on_the_tolerance_and_one_ulp_inside(self):
+        # even integer sides, with a tolerance of 2 (sides +-2 on it) and one
+        # ulp above 2 (sides +-2 one ulp inside).  The high coefficients
+        # +-2^53 make the order of the additions matter: (low + off) + 2*v_k
+        # rounds the low part away where low + (off + 2*v_k) keeps it.
+        big = 2.0**53
+        coeffs = np.array([
+            [1, 2, -1, 3, 1, -2, big, -big],
+            [3, -1, 1, 1, 2, 2, -big, big],
+            [1, 1, 1, 1, 1, 1, 2, 2],
+            [2, -3, 1, 1, -1, 2, big / 2, -big / 2],
+        ])
+        thresholds = np.zeros(4)
+        sides = 2 * verifier._subset_sums(coeffs) - coeffs.sum(axis=1)[:, None]
+        assert ((sides == 2).any(axis=1) & (sides == -2).any(axis=1)).all()
+        for tol in (2.0, np.nextafter(2.0, 3.0)):
+            _check_rank_classes(coeffs, thresholds, np.full(4, tol), self.PAIRS)
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
