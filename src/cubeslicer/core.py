@@ -235,19 +235,17 @@ def edge_crosses(h: Hyperplane, e: Edge, mode: str = STRICT) -> bool:
     raise ValueError(f"unknown crossing mode {mode!r}")
 
 
-def side_bits(side: np.ndarray, tol=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+def side_bits(side: np.ndarray, tol=None) -> tuple[np.ndarray, np.ndarray]:
     """Classify side values once: (positive, nonzero) boolean arrays.
 
     tol=None decides zero exactly; otherwise |s| < tol counts as zero, with
     an array tol broadcast against side.  positive is only meaningful where
-    nonzero is set, which is all crossing_bits reads of it.  out, if given,
-    is a pair of boolean arrays of side's shape that receive the classes.
+    nonzero is set, which is all crossing_bits reads of it.
     """
-    pos, nz = (None, None) if out is None else out
     if tol is None:
-        return np.greater(side, 0, out=pos), np.not_equal(side, 0, out=nz)
-    pos = np.greater_equal(side, tol, out=pos)
-    nz = np.less_equal(side, -tol, out=nz)
+        return np.greater(side, 0), np.not_equal(side, 0)
+    pos = np.greater_equal(side, tol)
+    nz = np.less_equal(side, -tol)
     nz |= pos
     return pos, nz
 

@@ -201,16 +201,16 @@ def _cuts(ordered, offsets, shifts, tol):
     return cut.astype(np.int16)
 
 
-def _classify(rank, cut, out=None):
+def _classify(rank, cut, out):
     """(positive, nonzero) of the blocks whose cuts are cut[:, :, i], from
-    the low vertices' ranks: positive is rank >= cut[0], negative is
-    rank < cut[1].  Shape (m, blocks * 2^b), or out's."""
+    the low vertices' ranks, into out (2, m, blocks * 2^b): positive is
+    rank >= cut[0], negative is rank < cut[1]."""
     (m, size), blocks = rank.shape, cut.shape[-1]
-    pos, nz = (None, None) if out is None else out.reshape(2, m, blocks, size)
-    pos = np.greater_equal(rank[:, None, :], cut[0, :, :, None], out=pos)
-    nz = np.less(rank[:, None, :], cut[1, :, :, None], out=nz)
+    pos, nz = out.reshape(2, m, blocks, size)
+    np.greater_equal(rank[:, None, :], cut[0, :, :, None], out=pos)
+    np.less(rank[:, None, :], cut[1, :, :, None], out=nz)
     nz |= pos
-    return pos.reshape(m, blocks * size), nz.reshape(m, blocks * size)
+    return out
 
 
 def _clear_bit_mask(k: int) -> int:
@@ -266,7 +266,7 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
         def pack(cut, pw, nw, slot):
             # classify one unit's blocks by their cuts into words slot*unit_words.. of pw, nw
             at = slot * unit_words * 8
-            for x, dst in zip(_classify(rank, cut, out=classes), (pw, nw)):
+            for x, dst in zip(_classify(rank, cut, classes), (pw, nw)):
                 dst.view(np.uint8)[:, at : at + unit_bytes] = np.packbits(x, axis=-1, bitorder="little")
 
         def tally(k, cross, todo, first_edge):

@@ -411,7 +411,8 @@ def _check_rank_classes(coeffs, thresholds, tol, pairs):
                 for a, k in enumerate([None] + axes):
                     side = base if k is None else base + 2 * coeffs[:, k, None, None]
                     want = [np.packbits(x.reshape(len(low), -1), axis=-1) for x in side_bits(side, tol)]
-                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, blocks])]
+                    out = np.empty((2, len(low), side[0].size), dtype=bool)
+                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, blocks], out)]
                     for w, g in zip(want, got):
                         assert np.array_equal(w, g), ((block, pack), sb, slot, k)
 
