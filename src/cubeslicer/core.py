@@ -239,8 +239,10 @@ def side_bits(side: np.ndarray, tol=None) -> tuple[np.ndarray, np.ndarray]:
     """Classify side values once: (positive, nonzero) boolean arrays.
 
     tol=None decides zero exactly; otherwise |s| < tol counts as zero, with
-    an array tol broadcast against side.  positive is only meaningful where
-    nonzero is set, which is all crossing_bits reads of it.
+    an array tol broadcast against side.  positive is s > 0 (s >= tol with a
+    tol), so it is set only where nonzero is.  Positive and negative
+    (nonzero, not positive) are each monotone in s; the verifier's search
+    for the class boundaries relies on that.
     """
     if tol is None:
         return np.greater(side, 0), np.not_equal(side, 0)

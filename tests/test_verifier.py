@@ -444,15 +444,16 @@ class TestRankClasses:
 
     def test_float(self):
         gen = np.random.default_rng(223)
-        rows = gen.standard_normal((3, 9))
-        self._check(Configuration(9, tuple(make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in rows)))
+        planes = [make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in gen.standard_normal((3, 9))]
+        self._check(Configuration(9, tuple(planes)))
 
     @pytest.mark.parametrize("kind", ["exact", "float"])
     def test_relaxed_with_zero_sides(self, kind):
         gen = np.random.default_rng(227)
         cast = int if kind == "exact" else float
-        planes = [make_hyperplane([cast(x) for x in row], cast(t), kind)
-                  for row, t in zip(gen.integers(-2, 3, size=(3, 8)) | np.eye(3, 8, dtype=int), gen.integers(-2, 3, size=3))]
+        # the identity rows keep every plane nonzero
+        rows = gen.integers(-2, 3, size=(3, 8)) | np.eye(3, 8, dtype=int)
+        planes = [make_hyperplane([cast(x) for x in row], cast(t), kind) for row, t in zip(rows, gen.integers(-2, 3, size=3))]
         self._check(Configuration(8, tuple(planes), "relaxed"))
 
     def test_float_sides_on_the_tolerance_and_one_ulp_inside(self):
