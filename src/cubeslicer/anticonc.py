@@ -343,6 +343,17 @@ def _require_small_bias(s: LinearFormSpec) -> None:
         raise BiasTooLarge("bound checks require max |p_i| <= 1/2")
 
 
+def small_ball(s: LinearFormSpec, alpha) -> tuple[int, Number, float, Fraction | None]:
+    """The small-ball numbers of X = <v, x>: a = #{i : |v_i| >= alpha},
+    q = Q(alpha, X), ratio = q*sqrt(a) and the Sperner bound
+    C(a, floor(a/2)) / 2^a (None when a = 0)."""
+    if alpha < 0:
+        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    q = levy_q(linear_form_atoms(s), alpha)
+    a = sum(1 for vi in s.v if abs(vi) >= alpha)
+    return a, q, float(q) * math.sqrt(a), sperner_bound(a) if a >= 1 else None
+
+
 def littlewood_check(s: LinearFormSpec, alpha) -> tuple[int, Number, float]:
     """Small-ball check: a = #{i : |v_i| >= alpha}, q = Q(alpha, X), ratio = q*sqrt(a).
 
@@ -352,14 +363,8 @@ def littlewood_check(s: LinearFormSpec, alpha) -> tuple[int, Number, float]:
     pinned down.
     """
     _require_small_bias(s)
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
-    d = linear_form_atoms(s)
-    a = sum(1 for vi in s.v if abs(vi) >= alpha)
-    q = levy_q(d, alpha)
-    ratio = float(q) * math.sqrt(a)
-    if a >= 1 and all(pi == 0 for pi in s.p):
-        bound = sperner_bound(a)
+    a, q, ratio, bound = small_ball(s, alpha)
+    if bound is not None and all(pi == 0 for pi in s.p):
         within = q <= bound if s.kind == EXACT else float(q) <= float(bound) + 1e-12
         if not (within and ratio <= 1.0 + 1e-12):
             raise BoundViolation(f"Q(alpha, X) = {q} breaks the Sperner bound {bound} (a = {a})")

@@ -37,7 +37,7 @@ from .core import (
     construction,
     total_edges,
 )
-from .anticonc import LinearFormSpec, levy_q, linear_form_atoms, sperner_bound
+from .anticonc import LinearFormSpec, small_ball
 from .decomp import binary_decompose
 from .errors import MalformedInput, SlicerError
 from .lab import REPORT_COLUMNS, SweepCell, local_search_slicing, random_unit_configuration, run_estimator, sweep
@@ -249,16 +249,8 @@ def _cmd_qfunc(args):
     v = _parse_scalars(args.v, args.mode)
     p = [0] * len(v) if args.p is None else _parse_scalars(args.p, args.mode)
     spec = LinearFormSpec(tuple(v), tuple(p))
-    alpha = as_scalar(args.alpha, args.mode)
-    d = linear_form_atoms(spec)
-    q = levy_q(d, alpha)
-    a = sum(1 for vi in spec.v if abs(vi) >= alpha)
-    result = {
-        "a": a,
-        "q": q,
-        "sperner": sperner_bound(a) if a >= 1 else None,
-        "ratio": float(q) * math.sqrt(a),
-    }
+    a, q, ratio, sperner = small_ball(spec, as_scalar(args.alpha, args.mode))
+    result = {"a": a, "q": q, "sperner": sperner, "ratio": ratio}
     return 0, to_json_text(result, indent=2) + "\n", "qfunc.json"
 
 

@@ -89,16 +89,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The set {x : <coeffs, x> = threshold}, in exact or float arithmetic.
-
-    norm_cache holds the Euclidean norm of the coefficient vector in float
-    kind (recorded at construction, the plane itself stays unscaled).
-    """
+    """The set {x : <coeffs, x> = threshold}, in exact or float arithmetic."""
 
     coeffs: tuple
     threshold: Scalar
     kind: str
-    norm_cache: float | None = None
 
     @property
     def n(self) -> int:
@@ -144,8 +139,7 @@ def make_hyperplane(coeffs: Sequence, threshold, kind: str = EXACT) -> Hyperplan
         raise DimensionZero("hyperplane needs at least one coefficient")
     if not any(cs):
         raise AllZeroCoefficients("all coefficients are zero")
-    norm = math.sqrt(math.fsum(c * c for c in cs)) if kind == FLOAT else None
-    return Hyperplane(cs, as_scalar(threshold, kind), kind, norm)
+    return Hyperplane(cs, as_scalar(threshold, kind), kind)
 
 
 @dataclass(frozen=True)

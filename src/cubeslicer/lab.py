@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     EXACT,
     RELAXED,
-    STRICT,
     Configuration,
     canonical_base,
     construction,
@@ -241,9 +240,8 @@ def run_estimator(
     raise SlicerError(f"unknown estimator {name!r}")
 
 
-def random_unit_configuration(n: int, m: int, rng, threshold_spread: float = 0.0) -> Configuration:
-    """m random unit-norm float planes (Gaussian directions); thresholds are 0
-    or uniform on [-spread, spread]."""
+def random_unit_configuration(n: int, m: int, rng) -> Configuration:
+    """m random unit-norm float planes (Gaussian directions) through the origin."""
     if n < 1:
         # a direction in no dimensions has norm 0, and the redraw would never end
         raise DimensionTooSmall(f"random planes need n >= 1, got {n}")
@@ -256,8 +254,7 @@ def random_unit_configuration(n: int, m: int, rng, threshold_spread: float = 0.0
             row = gen.standard_normal(n)
             norm = math.sqrt(float(row @ row))
         row /= norm
-        t = float(gen.uniform(-threshold_spread, threshold_spread)) if threshold_spread else 0.0
-        planes.append(make_hyperplane(row.tolist(), t, "float"))
+        planes.append(make_hyperplane(row.tolist(), 0.0, "float"))
     return Configuration(n, tuple(planes))
 
 
@@ -334,11 +331,11 @@ def _edge_tables(n: int):
     return verts, np.stack([bases, bases | (1 << np.arange(n))[:, None]]).reshape(2, -1)
 
 
-def _plane_edge_mask(tables, plane: np.ndarray, relaxed: bool) -> np.ndarray:
+def _plane_edge_mask(tables, plane: np.ndarray) -> np.ndarray:
     # the sides of the plane [coeffs, t] are classified once, at both ends
     verts, ends = tables
     pos, nz = side_bits((verts @ plane)[ends])
-    return crossing_bits(pos[0], nz[0], pos[1], nz[1], relaxed)
+    return crossing_bits(pos[0], nz[0], pos[1], nz[1])
 
 
 def _random_plane(gen: np.random.Generator, n: int, coeff_range: int) -> np.ndarray:
@@ -348,14 +345,14 @@ def _random_plane(gen: np.random.Generator, n: int, coeff_range: int) -> np.ndar
             return np.append(row, gen.integers(-coeff_range, coeff_range + 1))
 
 
-def _search_replica(n: int, m: int, iters: int, gen: np.random.Generator, coeff_range: int, relaxed: bool):
+def _search_replica(n: int, m: int, iters: int, gen: np.random.Generator, coeff_range: int):
     """One annealing run: (best energy, its planes as int64 rows [coeffs, t])."""
     tables = _edge_tables(n)
     edges_total = n << (n - 1)
 
     def fresh_state():
         planes = np.array([_random_plane(gen, n, coeff_range) for _ in range(m)])
-        masks = np.array([_plane_edge_mask(tables, row, relaxed) for row in planes])
+        masks = np.array([_plane_edge_mask(tables, row) for row in planes])
         cover = masks.sum(axis=0)
         return planes, masks, cover, edges_total - int(np.count_nonzero(cover))
 
@@ -386,7 +383,7 @@ def _search_replica(n: int, m: int, iters: int, gen: np.random.Generator, coeff_
         else:
             new_plane = _random_plane(gen, n, coeff_range)
 
-        new_mask = _plane_edge_mask(tables, new_plane, relaxed)
+        new_mask = _plane_edge_mask(tables, new_plane)
         new_cover = cover - masks[ell] + new_mask
         new_energy = edges_total - int(np.count_nonzero(new_cover))
         delta = new_energy - energy
@@ -418,25 +415,23 @@ def local_search_slicing(
     coeff_range: int = 8,
     replicas: int = 1,
     threads: int = 1,
-    mode: str = STRICT,
 ) -> tuple[Configuration, SlicingReport]:
     """Anneal integer-coefficient planes toward a complete slicing of the
     n-cube, minimizing the unsliced-edge count.  The returned report comes
     from an exact re-verification of the best configuration, so the reported
     objective is never better than the truth.
 
-    The default objective counts strict crossings: under the relaxed notion
+    The objective counts strict crossings: under the relaxed notion
     a single plane through two opposite vertices of the square already
     touches all four edges, so the counting-bound optimum only constrains
     the strict objective."""
     if n > SEARCH_MAX_DIM:
         raise DimensionTooLarge(f"search objective is exhaustive; capped at n <= {SEARCH_MAX_DIM}")
     spec = _require_spec(rng)
-    relaxed = mode == RELAXED
 
     def replica(r: int):
         gen = spec.child(r).generator()
-        return _search_replica(n, m, iters, gen, coeff_range, relaxed)
+        return _search_replica(n, m, iters, gen, coeff_range)
 
     results = _run_ordered(replica, replicas, threads)
     # deterministic best-of: ties broken by replica index
@@ -444,6 +439,6 @@ def local_search_slicing(
     planes = tuple(
         make_hyperplane([int(x) for x in row[:n]], int(row[n]), EXACT) for row in results[best_idx][1]
     )
-    config = Configuration(n, planes, mode)
+    config = Configuration(n, planes)
     report = verify_slicing(config)
     return config, report

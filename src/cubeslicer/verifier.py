@@ -25,8 +25,9 @@ crossing rule (core.crossing_bits) then runs in three kinds of pass:
 - on a high axis k >= B, only superblocks whose bit k - B is clear hold
   base vertices, and the other endpoint's side is the base side plus 2*v_k
   (the endpoint identity).  (low + off) + 2*v_k is monotone in low as
-  well, so its cuts come from the same search; its classes are packed one
-  block at a time, and no partner superblock is built.
+  well, so its cuts come from the same search, and its classes for the
+  whole superblock are packed into the partner words, idle until the
+  word-internal passes; no partner superblock is built.
 The cuts of a superblock's blocks, for its base sides and each high axis
 whose bit is clear, are searched together, so a worker holds at most
 2 * m * (n - B + 1) * 2^(B-b) cuts at a time.  Per-plane counts are
@@ -238,8 +239,7 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     coeffs, thresholds, tol = _plane_stack(c)
     ordered, rank, off, shifts = _side_tables(coeffs, thresholds, b)
     tol = None if tol is None else tol[:, None, None]
-    words, unit_words = 1 << max(0, B - 6), 1 << max(0, u - 6)
-    unit_bytes = 1 << max(0, u - 3)
+    words, unit_bytes = 1 << max(0, B - 6), 1 << max(0, u - 3)
     # the word bits that are superblock positions (all of them unless
     # B < 6), and for a word-internal axis k < 6 those whose bit k is
     # clear: the base vertices of the axis-k edges
@@ -254,20 +254,21 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
         unsliced = 0
         samples: list[list[int]] = [[] for _ in range(n)]
         # every buffer is allocated once per run; the passes write in place
+        # (the word arrays start at zero: pack fills part of a word if B < 6)
         classes = np.empty((2, m, 1 << u), dtype=bool)
-        pos, nz = np.zeros((2, m, words), dtype=np.uint64)
-        unit_pos, unit_nz = np.zeros((2, m, unit_words), dtype=np.uint64)
-        # flat, so that the half-size cross words of a word-pair pass are a
-        # contiguous prefix
-        shifted_pos, shifted_nz = np.empty((2, m * words), dtype=np.uint64)
+        # the superblock's classes, and its partners' in a pass
+        pos, nz, partner_pos, partner_nz = np.zeros((4, m, words), dtype=np.uint64)
         ones = np.empty(m * words, dtype=np.uint8)
         miss = np.empty(words, dtype=np.uint64)
 
-        def pack(cut, pw, nw, slot):
-            # classify one unit's blocks by their cuts into words slot*unit_words.. of pw, nw
-            at = slot * unit_words * 8
-            for x, dst in zip(_classify(rank, cut, classes), (pw, nw)):
-                dst.view(np.uint8)[:, at : at + unit_bytes] = np.packbits(x, axis=-1, bitorder="little")
+        def pack(cut, pw, nw):
+            # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
+            # one unit at a time, into the words of pw, nw
+            per = 1 << (u - b)
+            for slot in range(1 << (B - u)):
+                at = slot * unit_bytes
+                for x, dst in zip(_classify(rank, cut[..., slot * per : (slot + 1) * per], classes), (pw, nw)):
+                    dst.view(np.uint8)[:, at : at + unit_bytes] = np.packbits(x, axis=-1, bitorder="little")
 
         def tally(k, cross, todo, first_edge):
             nonlocal counts, unsliced
@@ -296,22 +297,19 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
             axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
             h = sb << (B - b)
             cuts = _cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
-            for slot in range(1 << (B - u)):
-                blocks = cuts[..., slot << (u - b) : (slot + 1) << (u - b)]
-                pack(blocks[:, :, 0], pos, nz, slot)
-                for a, k in enumerate(axes, 1):
-                    j = k - B
-                    pack(blocks[:, :, a], unit_pos, unit_nz, 0)
-                    here = slice(slot * unit_words, (slot + 1) * unit_words)
-                    cross = crossing_bits(pos[:, here], nz[:, here], unit_pos, unit_nz, relaxed, out=unit_pos)
-                    # sb with bit j removed, times 2^B, plus the unit's offset
-                    first_edge = ((((sb >> (j + 1)) << j) | (sb & ((1 << j) - 1))) << B) + (slot << u)
-                    tally(k, cross, valid, first_edge)
+            pack(cuts[:, :, 0], pos, nz)
+            for a, k in enumerate(axes, 1):
+                # the partner words are idle until the word-internal passes
+                pack(cuts[:, :, a], partner_pos, partner_nz)
+                cross = crossing_bits(pos, nz, partner_pos, partner_nz, relaxed, out=partner_pos)
+                j = k - B
+                # sb with bit j removed, times 2^B
+                tally(k, cross, valid, (((sb >> (j + 1)) << j) | (sb & ((1 << j) - 1))) << B)
             for k in range(B):
                 if k < 6:
                     # the partner of position p is p + 2^k in the same word
-                    pw = np.right_shift(pos, 1 << k, out=shifted_pos.reshape(m, words))
-                    nw = np.right_shift(nz, 1 << k, out=shifted_nz.reshape(m, words))
+                    pw = np.right_shift(pos, 1 << k, out=partner_pos)
+                    nw = np.right_shift(nz, 1 << k, out=partner_nz)
                     cross = crossing_bits(pos, nz, pw, nw, relaxed, out=pw)
                     cross &= bases[k]
                     tally(k, cross, bases[k], sb << (B - 1))
@@ -321,7 +319,8 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
                     # [..., 0, low] and [..., 1, low]
                     pairs = (m, 1 << (B - 1 - k), 2, 1 << (k - 6))
                     p, z = pos.reshape(pairs), nz.reshape(pairs)
-                    out = shifted_pos[: m * words // 2].reshape(m, pairs[1], pairs[3])
+                    # the half-size cross words: a contiguous prefix of partner_pos
+                    out = partner_pos.reshape(-1)[: m * words // 2].reshape(m, pairs[1], pairs[3])
                     crossing_bits(p[:, :, 0], z[:, :, 0], p[:, :, 1], z[:, :, 1], relaxed, out=out)
                     tally(k, out.reshape(m, words // 2), valid, sb << (B - 1))
         return counts, unsliced, samples

@@ -1,6 +1,5 @@
 """CLI dispatch: exit codes, piping, determinism, artifacts."""
 
-import functools
 import hashlib
 import io
 import json
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 
 from cubeslicer.cli import build_parser, dispatch, to_json_text
 from cubeslicer.core import config_from_json_dict
-from cubeslicer.lab import local_search_slicing
 
 TWO_AXIS_PLANES_Q3 = {
     "n": 3,
@@ -552,34 +550,25 @@ class TestSample:
 class TestSearchPinned:
     # sha256 of the search stdout, captured before the annealing loop kept
     # each plane as one [coeffs, t] row and dropped its numpy scalar calls.
-    # The CLI anneals strict crossings; the relaxed case runs the same
-    # command with local_search_slicing's mode set.  n = 8 is the largest
-    # dimension the search takes (256 vertices, 1024 edges).
+    # The search anneals strict crossings.  n = 8 is the largest dimension
+    # the search takes (256 vertices, 1024 edges).
     GOLDEN = {
         "strict_n6_two_replicas": (
             ["--n", "6", "--m", "6", "--iters", "6000", "--replicas", "2", "--seed", "4"],
-            "strict",
             "33ae79c5751dc2ef1e86b54a1880286cd9d41cbde1207fa53a44beebf3c9ed63",
-        ),
-        "relaxed_n5": (
-            ["--n", "5", "--m", "3", "--iters", "3000", "--seed", "5"],
-            "relaxed",
-            "fc3e91a22110017db50fb4bce5c1094c8c3ae3cc71b5d4ccf78cfb823d4db4ef",
         ),
         "strict_n8": (
             ["--n", "8", "--m", "4", "--iters", "3000", "--seed", "6"],
-            "strict",
             "966f02979a181ec05f4198f975c4fe60166b96569147bbc892d9ef8cd9a4d2c7",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_output_bytes_are_pinned(self, capsys, monkeypatch, case):
-        flags, mode, digest = self.GOLDEN[case]
-        monkeypatch.setattr("cubeslicer.cli.local_search_slicing", functools.partial(local_search_slicing, mode=mode))
+    def test_output_bytes_are_pinned(self, capsys, case):
+        flags, digest = self.GOLDEN[case]
         code, out, _ = run(capsys, ["search", *flags])
         assert code == 0
-        assert json.loads(out)["config"]["mode"] == mode
+        assert json.loads(out)["config"]["mode"] == "strict"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,6 +1,7 @@
 """Domain types, crossing predicates, and the classical constructions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +44,6 @@ class TestMakeHyperplane:
         assert h.coeffs == (Fraction(1), Fraction(0))
         assert h.threshold == 0
         assert h.kind == "exact"
-        assert h.norm_cache is None
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroCoefficients):
@@ -57,7 +57,6 @@ class TestMakeHyperplane:
 
     def test_345_norm_recorded(self):
         h = make_hyperplane([3, 4], 5, "float")
-        assert h.norm_cache == 5.0
         assert h.coeffs == (3.0, 4.0)
 
     def test_nonfinite_rejected(self):
@@ -347,7 +346,7 @@ class TestConstructions:
     def test_float_kind_normalized(self):
         c = construction("middle_layers", 4, kind="float")
         for h in c.planes:
-            assert abs(h.norm_cache - 1.0) < 1e-12
+            assert abs(math.hypot(*h.coeffs) - 1.0) < 1e-12
         assert verify_slicing(c).unsliced_count == 0
 
     def test_unknown_name(self):

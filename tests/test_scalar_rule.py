@@ -58,13 +58,13 @@ def _cli_text(x):
 def _qfunc_outcome(text, kind):
     built = []
 
-    def spy(spec):
+    def spy(spec, alpha):
         built.append(spec)
-        return real(spec)
+        return real(spec, alpha)
 
-    real = cli.linear_form_atoms
+    real = cli.small_ball
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "linear_form_atoms", spy), contextlib.redirect_stdout(out), \
+    with mock.patch.object(cli, "small_ball", spy), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         code = cli.dispatch(["qfunc", f"--v={text}", "--alpha", "1", "--mode", kind])
     if code != 0:

@@ -24,7 +24,7 @@ from cubeslicer import (
     max_crossings_bound,
     verify_slicing,
 )
-from cubeslicer.core import side_bits
+from cubeslicer.core import crossing_bits, side_bits
 from cubeslicer import verifier
 from cubeslicer.errors import DimensionTooLarge, NonFiniteScalar
 from helpers import naive_slicing, random_rational_config
@@ -338,6 +338,27 @@ class TestBlockedSweep:
         unsliced, _ = naive_slicing(c)
         assert unsliced > 100
         self._check(monkeypatch, c, threads=(1, 2, 3))
+
+    def test_one_pass_per_axis_and_superblock(self, monkeypatch):
+        # (b, B) = (6, 8) at n = 10: four superblocks of four word-sized
+        # units each.  Every axis pass, high axes included, crosses whole
+        # superblocks: B passes in each superblock, and each high axis in the
+        # half of the superblocks that hold its base vertices.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return crossing_bits(*args, **kwargs)
+
+        n, B = 10, 8
+        c = random_rational_config(np.random.default_rng(131), n, 3)
+        unsliced, counts = naive_slicing(c)
+        _set_bits(monkeypatch, 6, B)
+        monkeypatch.setattr(verifier, "crossing_bits", counting)
+        rep = verify_slicing(c)
+        assert len(calls) == (B << (n - B)) + ((n - B) << (n - B - 1)) == 36
+        assert rep.unsliced_count == unsliced and list(rep.per_plane_crossings) == counts
+        assert list(rep.unsliced_sample) == _first_unsliced(c)
 
     def test_worker_count_capped_by_threads_and_blocks(self, monkeypatch):
         seen = []
