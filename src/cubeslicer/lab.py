@@ -6,8 +6,11 @@ its own substream (child of the caller's RngSpec), and fold integer partial
 counts in chunk order - so reports are byte-identical for any thread count.
 _fold_chunks does this for every estimator, which supplies only the counts
 of one chunk.  Within a chunk the sampler's blocks are folded one at a time,
-so memory is per block (sampler.BLOCK rows), not per chunk.  run_estimator
-picks an estimator by name, for the CLI and for sweep.
+so memory is per block (sampler.BLOCK rows), not per chunk: the blocks of a
+chunk reuse the sampler's buffers, and the vertices are drawn and tested in
+row slices of a block (sampler.row_slices), so their float copies and side
+values hold one slice.  run_estimator picks an estimator by name, for the
+CLI and for sweep.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .sampler import (
     batch_mu,
     bias_blocks,
     bias_setup,
+    row_max_abs,
+    row_slices,
 )
 from .verifier import SlicingReport, verify_slicing
 
@@ -136,8 +141,8 @@ def estimate_evasion(
     relaxed = c.mode == RELAXED
 
     def crossings(U: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # one block's (edge, plane) crossing flags; the float copy of U and
-        # the side values are freed before the next block is drawn
+        # one slice's (edge, plane) crossing flags; the float copy of U and
+        # the side values are freed before the next slice is drawn
         X = U.astype(np.float64)
         # side values at the endpoints U and U with coordinate k flipped
         s0 = X @ setup.V.T - setup.t
@@ -148,8 +153,8 @@ def estimate_evasion(
         edges, drawn = batch_evasive_edges(setup, gen, rows)
         per_plane = np.zeros(c.m, dtype=np.int64)
         union = 0
-        for block in edges:
-            cross = crossings(*block)
+        for part in edges:
+            cross = crossings(*part)
             per_plane += cross.sum(axis=0)
             union += int(cross.any(axis=1).sum())
         return [*per_plane, union, drawn]
@@ -175,7 +180,7 @@ def estimate_linf_tail(
     setup = bias_setup(c)
 
     def fold(gen: np.random.Generator, rows: int) -> list:
-        return [sum(np.count_nonzero(np.abs(P).max(axis=1) > P_MAX) for P in bias_blocks(setup, gen, rows))]
+        return [sum(np.count_nonzero(row_max_abs(P) > P_MAX) for P in bias_blocks(setup, gen, rows))]
 
     (count,) = _fold_chunks(rng, samples, threads, fold)
     return replace(_bernoulli_report(count, samples, rng.seed, 2.0 / c.n), bias_rows_drawn=samples)
@@ -205,11 +210,12 @@ def estimate_glue_sum(
         biases, drawn = batch_bias_conditioned(setup, gen, rows)
         total = total_sq = 0
         for P in biases:
-            # per sample, the count of axes k with |<v,x> - t| < 2|v_k|
-            s = batch_mu(P, gen).astype(np.float64) @ v - tval
-            cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
-            total += int(cnt.sum())
-            total_sq += int((cnt * cnt).sum())
+            for part in row_slices(P):
+                # per sample, the count of axes k with |<v,x> - t| < 2|v_k|
+                s = batch_mu(P[part], gen).astype(np.float64) @ v - tval
+                cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
+                total += int(cnt.sum())
+                total_sq += int((cnt * cnt).sum())
         return [total, total_sq, drawn]
 
     total, total_sq, drawn = _fold_chunks(rng, samples, threads, fold)

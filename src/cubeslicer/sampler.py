@@ -11,7 +11,9 @@ consume the same random stream.  The bias is damped by the paper's constant
 A batch of more than BLOCK rows is produced BLOCK rows at a time, with the
 bits one whole draw would give: each block draws from a generator positioned
 by PCG64.advance where its words lie in the batch's stream, so memory is
-per block, not per batch.
+per block, not per batch.  The blocks of one batch are drawn into one
+multiplier buffer and one bias buffer, and the mu draw runs on row slices
+of a block, so the uniforms and the vertices' float work hold one slice.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ from .errors import (
 # gave a row the same bits in every product of 1024 or more rows measured,
 # but not always in smaller ones (a single row is a gemv).
 BLOCK = 1 << 10
+# Cells per row slice of a block, for the mu draw and the work on its
+# vertices: the uniforms and a float copy of a slice hold about 1 MB at any n
+# (128 rows at n = 1024).  Slices of 2^16 cells ran slower at n = 1024, and
+# slices of 2^20 cells held more.
+SLICE_CELLS = 1 << 17
 # The conditioned bias accepts a draw when max|P_i| <= P_MAX.
 P_MAX = 0.5
 
@@ -179,7 +186,7 @@ def sample_bias_conditioned(c: Configuration, rng, max_retries: int = 1000) -> B
     gen = as_generator(rng)
     for _ in range(max_retries + 1):
         bv = sample_bias(c, gen)
-        if np.max(np.abs(bv.p)) <= P_MAX:
+        if row_max_abs(bv.p) <= P_MAX:
             return dataclasses.replace(bv, conditioned=True)
     raise RetriesExhausted(f"no acceptance within {max_retries} retries")
 
@@ -273,8 +280,14 @@ def _positioned(gen: np.random.Generator, words: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _bias(setup: BiasSetup, alphas: np.ndarray) -> np.ndarray:
-    P = alphas @ setup.W
+def row_max_abs(P: np.ndarray) -> np.ndarray:
+    """max_i |P_i| of each row of P (of P itself when it is one vector),
+    exactly and without a temporary the size of P."""
+    return np.maximum(P.max(axis=-1), -P.min(axis=-1))
+
+
+def _bias(setup: BiasSetup, alphas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    P = np.matmul(alphas, setup.W, out=out)
     P *= setup.scale
     return P
 
@@ -287,16 +300,24 @@ def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.nda
 
 def bias_blocks(setup: BiasSetup, gen: np.random.Generator, count: int) -> Iterator[np.ndarray]:
     """The rows of batch_bias(setup, gen, count), BLOCK rows at a time, with
-    the same bits and the same words drawn from gen."""
-    prev = None
+    the same bits and the same words drawn from gen.
+
+    Every block is a view of one bias buffer, which the next block
+    overwrites: copy a block to keep it past the next step."""
+    window = min(BLOCK, count)
+    alphas = np.empty((window, len(setup.keys)))
+    P = np.empty((window, setup.W.shape[1]))
     for start in range(0, count, BLOCK):
         rows = min(BLOCK, count - start)
-        alphas = gen.uniform(-1.0, 1.0, size=(rows, len(setup.keys)))
-        if rows < BLOCK and prev is not None:
-            yield _bias(setup, np.concatenate([prev[rows:], alphas]))[BLOCK - rows:]
-        else:
-            yield _bias(setup, alphas)
-        prev = alphas
+        # A short last block is the end of a full window.  The rows before it
+        # still hold the previous block's multipliers: they only pad the
+        # product to BLOCK rows, since a row's bits depend on its own
+        # multipliers and the product's shape, not on the other rows.
+        fresh = alphas[window - rows :]
+        gen.random(out=fresh)  # uniform(-1, 1) bit for bit: -1 + 2u
+        fresh *= 2.0
+        fresh -= 1.0
+        yield _bias(setup, alphas, out=P)[window - rows :]
 
 
 def _condition(setup: BiasSetup, gen: np.random.Generator, P: np.ndarray, max_retries: int) -> int:
@@ -304,7 +325,7 @@ def _condition(setup: BiasSetup, gen: np.random.Generator, P: np.ndarray, max_re
     until none is left; returns the number of rows redrawn."""
     redrawn = 0
     for attempt in range(max_retries + 1):
-        bad = np.flatnonzero(np.abs(P).max(axis=1) > P_MAX)
+        bad = np.flatnonzero(row_max_abs(P) > P_MAX)
         if bad.size == 0:
             return redrawn
         if attempt < max_retries:
@@ -317,7 +338,9 @@ def batch_bias_conditioned(
     setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
 ) -> tuple[Iterator[np.ndarray], int]:
     """count biases conditioned on max|P_i| <= P_MAX, as (blocks of rows,
-    bias rows drawn).  The batch is the concatenation of the blocks.
+    bias rows drawn).  The batch is the concatenation of the blocks; past
+    one block, each is a view of bias_blocks' buffer that the next block
+    overwrites.
 
     Row r's multipliers are words r*K on of gen's stream; the rejected rows
     are redrawn, round by round, from word count*K on.  On return gen stands
@@ -337,7 +360,7 @@ def batch_bias_conditioned(
     else:
         found, first = [], []
         for i, P in enumerate(bias_blocks(setup, gen, count)):
-            bad = np.flatnonzero(np.abs(P).max(axis=1) > P_MAX)
+            bad = np.flatnonzero(row_max_abs(P) > P_MAX)
             found.append(i * BLOCK + bad)
             first.append(P[bad])
         rows, redraws = np.concatenate(found), np.concatenate(first)
@@ -350,7 +373,7 @@ def _accepted_blocks(setup, gen, count, rows, redraws) -> Iterator[np.ndarray]:
     for i, P in enumerate(bias_blocks(setup, gen, count)):
         lo, hi = np.searchsorted(rows, [i * BLOCK, (i + 1) * BLOCK])
         P[rows[lo:hi] - i * BLOCK] = redraws[lo:hi]
-        if np.abs(P).max() > P_MAX:
+        if row_max_abs(P).max() > P_MAX:
             raise BoundViolation(f"an accepted bias row exceeds {P_MAX}")
         yield P
 
@@ -363,24 +386,41 @@ def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return (gen.random(P.shape) < thr).view(np.int8) * 2 - 1
 
 
+def row_slices(P: np.ndarray) -> list[slice]:
+    """P's rows in order, as slices of about SLICE_CELLS cells each."""
+    step = max(1, SLICE_CELLS // P.shape[1])
+    return [slice(lo, lo + step) for lo in range(0, len(P), step)]
+
+
 def batch_evasive_edges(
     setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
 ) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], int]:
-    """count evasive edges (U, k), as (blocks of (U, k), bias rows drawn):
+    """count evasive edges (U, k), as (slices of (U, k), bias rows drawn):
     +-1 rows U drawn with conditioned biases, and axes k uniform on range(n).
+    The slices follow row_slices within each bias block; each U is a view of
+    one buffer that the next block overwrites.
 
     The stream is that of batch_bias_conditioned, then U's uniforms, then the
     axes.  One block draws in order from gen; more blocks draw the axes from
-    a positioned copy.  Consume every block: the last leaves gen where one
+    a positioned copy.  Consume every slice: the last leaves gen where one
     whole draw would."""
     n = setup.V.shape[1]
     biases, drawn = batch_bias_conditioned(setup, gen, count, max_retries)
     axes = gen if count <= BLOCK else _positioned(gen, count * n)
 
-    def blocks():
+    def slices():
+        vertices = np.empty((min(BLOCK, count), n), dtype=np.int8)
         for P in biases:
-            yield batch_mu(P, gen), axes.integers(n, size=len(P))
+            # a block's vertices are all drawn before its axes, which one
+            # block draws from gen itself
+            U = vertices[: len(P)]
+            parts = row_slices(P)
+            for part in parts:
+                U[part] = batch_mu(P[part], gen)
+            k = axes.integers(n, size=len(P))
+            for part in parts:
+                yield U[part], k[part]
         if axes is not gen:
             gen.bit_generator.state = axes.bit_generator.state
 
-    return blocks(), drawn
+    return slices(), drawn

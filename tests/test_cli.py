@@ -734,12 +734,39 @@ class TestEstimatorOutputsPinned:
         ("glue", "csv", "diag_t2"): "d7440655bf27785324bc3238ffea93c62296d89892905c293c39cb44109acd38",
     }
 
+    # stdout pinned before the bias blocks reused their buffers and mu and the
+    # crossings ran in row slices: n = 1024 (K = 1232 terms, a 952-row last
+    # block), and float middle layers at n = 256, where p_bound = 0.68 > 1/2
+    # sends both chunks (16384 and 3616 rows) through the first pass
+    LARGE = {
+        "evasion_1024": "94750bf3fd5c3635e89a4a6144ad27dacc078166644afd945d86322577729b1d",
+        "evasion_middle_256": "8b59239d12235477acf5bc7bd8a9baa923021e7c68baca93c78a2e67ae930047",
+        "glue_middle_256": "0c77cbc358353b04e63d3108f3eb8d0194bbf6f0958d87441e2ddb1664cd1065",
+        "linf-tail_middle_256": "95dd750cdf85ad3d375af4cdb99f4d36c2c7fec5f367acbddf4193de9481f8f3",
+    }
+
     @pytest.mark.parametrize("case", sorted(ESTIMATE))
     def test_estimate_bytes_are_pinned(self, capsys, case):
         flags, digest = self.ESTIMATE[case]
         code, out, _ = run(capsys, ["estimate", *flags])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(LARGE))
+    def test_large_estimate_bytes_are_pinned(self, capsys, tmp_path, case, threads):
+        what, where = case.split("_", 1)
+        if where == "1024":
+            source = ["--n", "1024", "--m", "100", "--samples", "3000"]
+        else:
+            code, config, _ = run(capsys, ["construct", "middle-layers", "--n", "256", "--float"])
+            assert code == 0
+            path = tmp_path / "middle.json"
+            path.write_text(config)
+            source = ["--config", str(path), "--samples", "20000"]
+        code, out, _ = run(capsys, ["estimate", what, *source, "--threads", threads])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.LARGE[case]
 
     @pytest.mark.parametrize("estimator,report,grid", sorted(SWEEP))
     def test_sweep_bytes_are_pinned(self, capsys, estimator, report, grid):

@@ -411,9 +411,11 @@ class TestBlockedDraws:
         for g in (gen, ref, bias_gen):
             g.integers(c.n)  # a buffered 32-bit half on entry, as in the `sample` loop
         biases, _ = batch_bias_conditioned(setup, bias_gen, count)
-        P = np.concatenate(list(biases))
+        # a block or slice is a view of a buffer that the next one
+        # overwrites, so each is copied as it arrives
+        P = np.concatenate([P.copy() for P in biases])
         blocks, drawn = batch_evasive_edges(setup, gen, count)
-        parts = list(blocks)
+        parts = [(U.copy(), k.copy()) for U, k in blocks]
         assert all(len(k) <= sampler_mod.BLOCK for _, k in parts)
         U = np.concatenate([u for u, _ in parts])
         k = np.concatenate([k for _, k in parts])
@@ -428,6 +430,8 @@ class TestBlockedDraws:
     @pytest.mark.parametrize("n,m", CONFIGS)
     def test_evasive_edges_match_the_whole_chunk(self, monkeypatch, block, n, m):
         monkeypatch.setattr(sampler_mod, "BLOCK", block)
+        # slices of 37 rows: several per block, the last one short
+        monkeypatch.setattr(sampler_mod, "SLICE_CELLS", 37 * n)
         c = random_unit_config(np.random.default_rng(n * 100 + m), n, m)
         setup = bias_setup(c)
         counts = [1, block, block + 1, 3 * block - 7]
@@ -475,7 +479,7 @@ class TestBlockedDraws:
         setup = bias_setup(c)
         for count in (5, 1025, 2500):
             gen, ref = RngSpec(count).generator(), RngSpec(count).generator()
-            blocks = list(bias_blocks(setup, gen, count))
+            blocks = [P.copy() for P in bias_blocks(setup, gen, count)]
             assert [len(P) for P in blocks] == [min(1024, count - r) for r in range(0, count, 1024)]
             assert np.array_equal(np.concatenate(blocks), batch_bias(setup, ref, count))
             assert gen.bit_generator.state == ref.bit_generator.state
