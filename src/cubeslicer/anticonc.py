@@ -47,7 +47,7 @@ from .errors import (
     NegativeAlpha,
     NonFiniteScalar,
 )
-from .sampler import as_generator, batch_mu
+from .sampler import as_generator, batch_mu, row_slices
 
 ORACLE_MAX_DIM = 22
 MERGE_RTOL = 1e-12
@@ -392,9 +392,6 @@ def group_bound_check(s: LinearFormSpec, alpha, n: int) -> tuple[int, Number, fl
     return r, q, float(q) * math.ldexp(1.0, r)
 
 
-_HOEFFDING_CHUNK = 1 << 14
-
-
 def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple[float, float]:
     """Empirical two-sided tail Pr[|X - <v,p>| > sigma*||v||_2] against the
     Hoeffding bound 2*exp(-sigma^2/2); raises BoundViolation unless the
@@ -408,13 +405,11 @@ def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple
     p = np.array([float(x) for x in s.p])
     mean = float(v @ p)
     dev = sigma * math.sqrt(float(v @ v))
+    P = np.broadcast_to(p, (samples, v.size))
     count = 0
-    left = samples
-    while left > 0:
-        b = min(left, _HOEFFDING_CHUNK)
-        x = batch_mu(np.broadcast_to(p, (b, v.size)), gen).astype(np.float64)
+    for part in row_slices(P):
+        x = batch_mu(P[part], gen).astype(np.float64)
         count += int(np.count_nonzero(np.abs(x @ v - mean) > dev))
-        left -= b
     emp = count / samples
     bound = 2.0 * math.exp(-sigma * sigma / 2.0)
     se = math.sqrt(emp * (1.0 - emp) / samples)

@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -228,11 +227,11 @@ def _cmd_sample(args):
     lines = []
     for _ in range(args.count):
         if dyadic and args.emit == "edges":
-            ((U, k),), _ = batch_evasive_edges(setup, gen, 1, args.max_retries)
+            U, k, _ = batch_evasive_edges(setup, gen, 1, args.max_retries)
             signs, axis = U[0], k[0]
         else:
             if dyadic:
-                (P,), _ = batch_bias_conditioned(setup, gen, 1, args.max_retries)
+                P, _ = batch_bias_conditioned(setup, gen, 1, args.max_retries)
                 p, clamped = P[0], False
             else:
                 bv = sample_bias_simple(config, gen)
@@ -376,19 +375,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SLICER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubeslicer", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
     common.add_argument("--stream", type=_nonnegative_int, default=0, help="substream index")
-    common.add_argument("--threads", type=_positive_int, default=None, help="worker count (default $SLICER_THREADS or 1)")
+    common.add_argument("--threads", type=_positive_int, default=1, help="worker count")
     common.add_argument("--out", type=str, default=None, help="directory for result + run manifest")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -496,8 +488,6 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is None:
-        args.threads = _default_threads()
     start = time.perf_counter()
     try:
         # argparse before Python 3.12 passes [] for `--flag=--`, without

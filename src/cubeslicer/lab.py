@@ -5,12 +5,10 @@ Estimators split the sample budget into fixed-size chunks, give every chunk
 its own substream (child of the caller's RngSpec), and fold integer partial
 counts in chunk order - so reports are byte-identical for any thread count.
 _fold_chunks does this for every estimator, which supplies only the counts
-of one chunk.  Within a chunk the sampler's blocks are folded one at a time,
-so memory is per block (sampler.BLOCK rows), not per chunk: the blocks of a
-chunk reuse the sampler's buffers, and the vertices are drawn and tested in
-row slices of a block (sampler.row_slices), so their float copies and side
-values hold one slice.  run_estimator picks an estimator by name, for the
-CLI and for sweep.
+of one chunk.  A chunk is one sampler batch of at most CHUNK rows, so memory
+is per chunk; its vertices are drawn and tested in row slices
+(sampler.row_slices), so their float copies and side values hold one slice.
+run_estimator picks an estimator by name, for the CLI and for sweep.
 """
 
 from __future__ import annotations
@@ -39,17 +37,19 @@ from .sampler import (
     P_MAX,
     RngSpec,
     as_generator,
+    batch_bias,
     batch_bias_conditioned,
     batch_evasive_edges,
     batch_mu,
-    bias_blocks,
     bias_setup,
     row_max_abs,
     row_slices,
 )
 from .verifier import SlicingReport, verify_slicing
 
-CHUNK = 1 << 14
+# Rows per chunk of an estimate, each chunk one batch on its own substream: a
+# chunk's multipliers and biases hold about 18 MB at n = 1024, m = 100.
+CHUNK = 1 << 10
 _Z95 = 1.959963984540054
 
 
@@ -142,7 +142,7 @@ def estimate_evasion(
 
     def crossings(U: np.ndarray, k: np.ndarray) -> np.ndarray:
         # one slice's (edge, plane) crossing flags; the float copy of U and
-        # the side values are freed before the next slice is drawn
+        # the side values are freed before the next slice is tested
         X = U.astype(np.float64)
         # side values at the endpoints U and U with coordinate k flipped
         s0 = X @ setup.V.T - setup.t
@@ -150,11 +150,11 @@ def estimate_evasion(
         return sign_pair_crossings(s0, s1, tol, relaxed)
 
     def fold(gen: np.random.Generator, rows: int) -> list:
-        edges, drawn = batch_evasive_edges(setup, gen, rows)
+        U, k, drawn = batch_evasive_edges(setup, gen, rows)
         per_plane = np.zeros(c.m, dtype=np.int64)
         union = 0
-        for part in edges:
-            cross = crossings(*part)
+        for part in row_slices(U):
+            cross = crossings(U[part], k[part])
             per_plane += cross.sum(axis=0)
             union += int(cross.any(axis=1).sum())
         return [*per_plane, union, drawn]
@@ -180,7 +180,7 @@ def estimate_linf_tail(
     setup = bias_setup(c)
 
     def fold(gen: np.random.Generator, rows: int) -> list:
-        return [sum(np.count_nonzero(row_max_abs(P) > P_MAX) for P in bias_blocks(setup, gen, rows))]
+        return [np.count_nonzero(row_max_abs(batch_bias(setup, gen, rows)) > P_MAX)]
 
     (count,) = _fold_chunks(rng, samples, threads, fold)
     return replace(_bernoulli_report(count, samples, rng.seed, 2.0 / c.n), bias_rows_drawn=samples)
@@ -207,15 +207,14 @@ def estimate_glue_sum(
     gates = 2.0 * np.abs(v)
 
     def fold(gen: np.random.Generator, rows: int) -> list:
-        biases, drawn = batch_bias_conditioned(setup, gen, rows)
+        P, drawn = batch_bias_conditioned(setup, gen, rows)
         total = total_sq = 0
-        for P in biases:
-            for part in row_slices(P):
-                # per sample, the count of axes k with |<v,x> - t| < 2|v_k|
-                s = batch_mu(P[part], gen).astype(np.float64) @ v - tval
-                cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
-                total += int(cnt.sum())
-                total_sq += int((cnt * cnt).sum())
+        for part in row_slices(P):
+            # per sample, the count of axes k with |<v,x> - t| < 2|v_k|
+            s = batch_mu(P[part], gen).astype(np.float64) @ v - tval
+            cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
+            total += int(cnt.sum())
+            total_sq += int((cnt * cnt).sum())
         return [total, total_sq, drawn]
 
     total, total_sq, drawn = _fold_chunks(rng, samples, threads, fold)

@@ -8,12 +8,11 @@ sample_mu and sample_evasive_edge are batch-of-one draws through them and
 consume the same random stream.  The bias is damped by the paper's constant
 1/(10 sqrt(m ln n)).
 
-A batch of more than BLOCK rows is produced BLOCK rows at a time, with the
-bits one whole draw would give: each block draws from a generator positioned
-by PCG64.advance where its words lie in the batch's stream, so memory is
-per block, not per batch.  The blocks of one batch are drawn into one
-multiplier buffer and one bias buffer, and the mu draw runs on row slices
-of a block, so the uniforms and the vertices' float work hold one slice.
+A batch is drawn in stream order from one generator: the multipliers of its
+rows, the redraws of its rejected rows, its vertices' uniforms, then its
+axes.  The estimators draw one batch per chunk of lab.CHUNK rows, each on
+its own substream, so memory is per chunk; the mu draw runs on row slices
+of a batch, so the uniforms hold one slice.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,12 +34,7 @@ from .errors import (
     UnnormalizedPlane,
 )
 
-# Rows per block of a batch draw.  A bias product of a batch has exactly
-# BLOCK rows (a short last block is the end of a BLOCK-row window): OpenBLAS
-# gave a row the same bits in every product of 1024 or more rows measured,
-# but not always in smaller ones (a single row is a gemv).
-BLOCK = 1 << 10
-# Cells per row slice of a block, for the mu draw and the work on its
+# Cells per row slice of a batch, for the mu draw and the work on its
 # vertices: the uniforms and a float copy of a slice hold about 1 MB at any n
 # (128 rows at n = 1024).  Slices of 2^16 cells ran slower at n = 1024, and
 # slices of 2^20 cells held more.
@@ -167,8 +161,8 @@ def sample_bias(c: Configuration, rng) -> BiasVector:
     copies of the planes.  The draw is recorded in BiasVector.draws.
     """
     # The one draw that keeps its multipliers.  The batch draws return only P:
-    # keeping alphas there would hold a (BLOCK x K) float array per block
-    # (1024 x 1210, ~10 MB, at n=1024, m=100) for every block of a batch.
+    # keeping alphas there would hold a (rows x K) float array per batch
+    # (1024 x 1210, ~10 MB, at n=1024, m=100) for every estimator chunk.
     gen = as_generator(rng)
     setup = bias_setup(c)
     alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
@@ -218,8 +212,7 @@ def sample_mu(p, rng) -> Vertex:
 def sample_evasive_edge(c: Configuration, rng, max_retries: int = 1000) -> Edge:
     """The evasive random edge (U, k): U from the product distribution with
     conditioned bias P, and k a uniform axis independent of U given P."""
-    blocks, _ = batch_evasive_edges(bias_setup(c), as_generator(rng), 1, max_retries)
-    ((U, k),) = blocks
+    U, k, _ = batch_evasive_edges(bias_setup(c), as_generator(rng), 1, max_retries)
     return Edge(Vertex.from_signs(U[0].tolist()), int(k[0]))
 
 
@@ -231,18 +224,13 @@ def sample_evasive_edge(c: Configuration, rng, max_retries: int = 1000) -> Edge:
 
 @dataclass(frozen=True, eq=False)
 class BiasSetup:
-    """Precomputed normalized planes and dyadic term matrix for batch work.
-
-    p_bound bounds max|P_i| over every draw: a coordinate lies in one scale
-    of each plane, so |P_i| <= scale * sum_j |W_ji| (times 1 + 1e-9 for the
-    rounding of the sums)."""
+    """Precomputed normalized planes and dyadic term matrix for batch work."""
 
     V: np.ndarray
     t: np.ndarray
     keys: list
     W: np.ndarray
     scale: float
-    p_bound: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -253,31 +241,7 @@ def bias_setup(c: Configuration) -> BiasSetup:
     V, t = normalized_float_planes(c)
     keys, W = dyadic_terms(V)
     scale = 1.0 / (10.0 * math.sqrt(c.m * math.log(c.n)))
-    col_l1 = np.zeros(c.n)
-    for start in range(0, len(W), 64):  # no full |W| temporary
-        col_l1 += np.abs(W[start : start + 64]).sum(axis=0)
-    return BiasSetup(V, t, keys, W, scale, scale * float(col_l1.max()) * (1.0 + 1e-9))
-
-
-def _skip(bitgen, words: int) -> None:
-    """Move bitgen `words` 64-bit draws ahead.  advance() also drops the
-    buffered 32-bit half that integers() reads first; it is put back."""
-    state = bitgen.state
-    bitgen.advance(words)
-    moved = bitgen.state
-    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-    bitgen.state = moved
-
-
-def _positioned(gen: np.random.Generator, words: int) -> np.random.Generator:
-    """A copy of gen, `words` 64-bit draws ahead of it."""
-    if not isinstance(gen.bit_generator, np.random.PCG64):
-        raise TypeError(f"a batch of more than {BLOCK} rows needs a PCG64 generator")
-    bitgen = np.random.PCG64(0)
-    bitgen.state = gen.bit_generator.state
-    if words:
-        _skip(bitgen, words)
-    return np.random.Generator(bitgen)
+    return BiasSetup(V, t, keys, W, scale)
 
 
 def row_max_abs(P: np.ndarray) -> np.ndarray:
@@ -286,96 +250,35 @@ def row_max_abs(P: np.ndarray) -> np.ndarray:
     return np.maximum(P.max(axis=-1), -P.min(axis=-1))
 
 
-def _bias(setup: BiasSetup, alphas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    P = np.matmul(alphas, setup.W, out=out)
+def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.ndarray:
+    """count unconditioned biases in one product; row r's multipliers are
+    words r*K to (r+1)*K of gen's stream (K terms)."""
+    P = gen.uniform(-1.0, 1.0, size=(count, len(setup.keys))) @ setup.W
     P *= setup.scale
     return P
 
 
-def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.ndarray:
-    """count unconditioned biases in one product; row r's multipliers are
-    words r*K to (r+1)*K of gen's stream (K terms)."""
-    return _bias(setup, gen.uniform(-1.0, 1.0, size=(count, len(setup.keys))))
+def batch_bias_conditioned(
+    setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
+) -> tuple[np.ndarray, int]:
+    """count biases conditioned on max|P_i| <= P_MAX, as (P, bias rows drawn).
 
-
-def bias_blocks(setup: BiasSetup, gen: np.random.Generator, count: int) -> Iterator[np.ndarray]:
-    """The rows of batch_bias(setup, gen, count), BLOCK rows at a time, with
-    the same bits and the same words drawn from gen.
-
-    Every block is a view of one bias buffer, which the next block
-    overwrites: copy a block to keep it past the next step."""
-    window = min(BLOCK, count)
-    alphas = np.empty((window, len(setup.keys)))
-    P = np.empty((window, setup.W.shape[1]))
-    for start in range(0, count, BLOCK):
-        rows = min(BLOCK, count - start)
-        # A short last block is the end of a full window.  The rows before it
-        # still hold the previous block's multipliers: they only pad the
-        # product to BLOCK rows, since a row's bits depend on its own
-        # multipliers and the product's shape, not on the other rows.
-        fresh = alphas[window - rows :]
-        gen.random(out=fresh)  # uniform(-1, 1) bit for bit: -1 + 2u
-        fresh *= 2.0
-        fresh -= 1.0
-        yield _bias(setup, alphas, out=P)[window - rows :]
-
-
-def _condition(setup: BiasSetup, gen: np.random.Generator, P: np.ndarray, max_retries: int) -> int:
-    """The rejection loop: redraw P's rows above P_MAX from gen, in place,
-    until none is left; returns the number of rows redrawn."""
-    redrawn = 0
+    Row r's multipliers are words r*K on of gen's stream; the rows above
+    P_MAX are redrawn, round by round, from word count*K on, so on return gen
+    stands after the last redraw, where a mu draw starts."""
+    P = batch_bias(setup, gen, count)
+    drawn = count
     for attempt in range(max_retries + 1):
         bad = np.flatnonzero(row_max_abs(P) > P_MAX)
         if bad.size == 0:
-            return redrawn
-        if attempt < max_retries:
-            P[bad] = batch_bias(setup, gen, bad.size)
-            redrawn += bad.size
-    raise RetriesExhausted(f"no acceptance within {max_retries} retries")
-
-
-def batch_bias_conditioned(
-    setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
-) -> tuple[Iterator[np.ndarray], int]:
-    """count biases conditioned on max|P_i| <= P_MAX, as (blocks of rows,
-    bias rows drawn).  The batch is the concatenation of the blocks; past
-    one block, each is a view of bias_blocks' buffer that the next block
-    overwrites.
-
-    Row r's multipliers are words r*K on of gen's stream; the rejected rows
-    are redrawn, round by round, from word count*K on.  On return gen stands
-    after the last redraw, where a mu draw starts.  One block draws all of
-    this in order from gen; more blocks replay the multipliers from a
-    positioned copy, after a first pass that finds the rejected rows when
-    p_bound allows any.
-    """
-    if count <= BLOCK:
-        P = batch_bias(setup, gen, count)
-        return iter((P,)), count + _condition(setup, gen, P, max_retries)
-    start = _positioned(gen, 0)
-    rows = np.empty(0, dtype=np.int64)
-    redraws = np.empty((0, setup.W.shape[1]))
-    if setup.p_bound <= P_MAX:  # no row can be rejected
-        _skip(gen.bit_generator, count * len(setup.keys))
-    else:
-        found, first = [], []
-        for i, P in enumerate(bias_blocks(setup, gen, count)):
-            bad = np.flatnonzero(row_max_abs(P) > P_MAX)
-            found.append(i * BLOCK + bad)
-            first.append(P[bad])
-        rows, redraws = np.concatenate(found), np.concatenate(first)
-    drawn = count + _condition(setup, gen, redraws, max_retries)
-    return _accepted_blocks(setup, start, count, rows, redraws), drawn
-
-
-def _accepted_blocks(setup, gen, count, rows, redraws) -> Iterator[np.ndarray]:
-    """bias_blocks with the sorted rejected `rows` replaced by `redraws`."""
-    for i, P in enumerate(bias_blocks(setup, gen, count)):
-        lo, hi = np.searchsorted(rows, [i * BLOCK, (i + 1) * BLOCK])
-        P[rows[lo:hi] - i * BLOCK] = redraws[lo:hi]
-        if row_max_abs(P).max() > P_MAX:
-            raise BoundViolation(f"an accepted bias row exceeds {P_MAX}")
-        yield P
+            break
+        if attempt == max_retries:
+            raise RetriesExhausted(f"no acceptance within {max_retries} retries")
+        P[bad] = batch_bias(setup, gen, bad.size)
+        drawn += bad.size
+    if row_max_abs(P).max() > P_MAX:
+        raise BoundViolation(f"an accepted bias row exceeds {P_MAX}")
+    return P, drawn
 
 
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -394,33 +297,14 @@ def row_slices(P: np.ndarray) -> list[slice]:
 
 def batch_evasive_edges(
     setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
-) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], int]:
-    """count evasive edges (U, k), as (slices of (U, k), bias rows drawn):
-    +-1 rows U drawn with conditioned biases, and axes k uniform on range(n).
-    The slices follow row_slices within each bias block; each U is a view of
-    one buffer that the next block overwrites.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """count evasive edges as (U, k, bias rows drawn): +-1 rows U drawn with
+    conditioned biases, and axes k uniform on range(n).
 
-    The stream is that of batch_bias_conditioned, then U's uniforms, then the
-    axes.  One block draws in order from gen; more blocks draw the axes from
-    a positioned copy.  Consume every slice: the last leaves gen where one
-    whole draw would."""
-    n = setup.V.shape[1]
-    biases, drawn = batch_bias_conditioned(setup, gen, count, max_retries)
-    axes = gen if count <= BLOCK else _positioned(gen, count * n)
-
-    def slices():
-        vertices = np.empty((min(BLOCK, count), n), dtype=np.int8)
-        for P in biases:
-            # a block's vertices are all drawn before its axes, which one
-            # block draws from gen itself
-            U = vertices[: len(P)]
-            parts = row_slices(P)
-            for part in parts:
-                U[part] = batch_mu(P[part], gen)
-            k = axes.integers(n, size=len(P))
-            for part in parts:
-                yield U[part], k[part]
-        if axes is not gen:
-            gen.bit_generator.state = axes.bit_generator.state
-
-    return slices(), drawn
+    The stream is that of batch_bias_conditioned, then U's uniforms (drawn
+    on row_slices, row by row), then the axes."""
+    P, drawn = batch_bias_conditioned(setup, gen, count, max_retries)
+    U = np.empty(P.shape, dtype=np.int8)
+    for part in row_slices(P):
+        U[part] = batch_mu(P[part], gen)
+    return U, gen.integers(P.shape[1], size=count), drawn

@@ -562,6 +562,14 @@ class TestHoeffding:
                 emp, bound = hoeffding_check(LinearFormSpec(v, p), sigma, 20000, RngSpec(trial, 7))
                 assert emp <= bound + 4 * math.sqrt(max(emp * (1 - emp), 1e-9) / 20000)
 
+    def test_fixed_seed_is_pinned(self):
+        # captured when the vertices were drawn 16384 rows at a time; several
+        # row slices (3276 rows at n = 40) draw the same words
+        gen = np.random.default_rng(19)
+        v = tuple(gen.standard_normal(40).tolist())
+        p = tuple(gen.uniform(-0.5, 0.5, 40).tolist())
+        assert hoeffding_check(LinearFormSpec(v, p), 1.5, 40000, RngSpec(3)) == (0.12195, 0.6493049347166995)
+
 
 class TestMixtureRealization:
     def test_random_instances_match_exactly(self):

@@ -591,14 +591,6 @@ class TestThreadInvariance:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_env_default_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("SLICER_THREADS", "4")
-        argv = ["estimate", "evasion", "--n", "8", "--m", "2", "--samples", "8000", "--seed", "1"]
-        _, with_env, _ = run(capsys, argv)
-        monkeypatch.delenv("SLICER_THREADS")
-        _, without, _ = run(capsys, argv)
-        assert with_env == without
-
 
 class TestArtifacts:
     def test_out_dir_and_manifest(self, capsys, tmp_path):
@@ -644,13 +636,14 @@ class TestArtifacts:
         assert len(lines) == 2
 
 class TestBiasRowsInManifest:
-    # stdout of each command, pinned before the bias row counts were added
-    # to the manifest and before the estimators drew in blocks
+    # stdout of each command; linf-tail's is pinned from before the bias row
+    # counts were added to the manifest, evasion's and glue's from when each
+    # 1024-sample chunk became one batch on its own substream
     PINNED = {
-        ("evasion", "json"): "045a171ab33f48c7f01b0f3f544bd5b871bd2b02401ce1884b755911f1900ac4",
-        ("evasion", "csv"): "c450c8db263e5401b0f83f78fc877a6bf81adbf27120766ae535230506701344",
-        ("glue", "json"): "289c1565904bb98bef230b11432888422515c5cdf35f050ec5ef95d7cbf9a60c",
-        ("glue", "csv"): "90de1c60cf943eb3cb4fc7332b18442d4c0c244811fe3f7c266ba9acef2e2324",
+        ("evasion", "json"): "b2bf7ba0cfebc6ad193eb2c7a974545409c23e4764f324a0b2c29582604334ec",
+        ("evasion", "csv"): "fed7f0234fce95b5fec7d23deda589750dad39e800053986d31bc942b1d8d6e2",
+        ("glue", "json"): "939dfc793b17d830129dfcf3ed1e03fb322a4d873a430d1b2692275a326b2616",
+        ("glue", "csv"): "e5bdb2d96be373169008f41fe1a4f834758399922fe965a37f54529f282fbbff",
         ("linf-tail", "json"): "50ab3d5d235d9f3a1d13a35b4828c2dff99f74bb5aa47a80adad947a11bba1e9",
         ("linf-tail", "csv"): "806c29a43de9ec5d03cfd97eac985d32566c950b02d06f097f8055ca3ec61fc2",
     }
@@ -688,15 +681,17 @@ class TestEstimatorOutputsPinned:
     # stdout of estimate and sweep runs, pinned before the estimators shared
     # one chunk fold and one dispatcher: every estimator in json and csv, a
     # plane index with a threshold, several chunks on two threads, and sweep
-    # grids with m = 0 error cells, middle-layers cells and the diagonal
+    # grids with m = 0 error cells, middle-layers cells and the diagonal.
+    # The evasion and glue digests were pinned again when each 1024-sample
+    # chunk became one batch on its own substream.
     ESTIMATE = {
         "glue_plane2_t": (
             ["glue", "--n", "12", "--m", "3", "--samples", "20000", "--seed", "7", "--plane-index", "2", "--t", "0.1"],
-            "7e0dfb0c940bb706cacbab2682b37bf57a132b932919650a335cd82b20c7c8f7",
+            "c0cd0fe8e588b2089f13ee0e15fc8d2d7790d3ea0eea9a82444f464bca340365",
         ),
         "evasion_t2": (
             ["evasion", "--n", "16", "--m", "5", "--samples", "40000", "--seed", "3", "--threads", "2"],
-            "2f1449c3555969bc6499395ec6819a4bdd9cb799c1989602d22c4dda0bd90f4f",
+            "4a8f214b2fb02068d0af0afacb9cb29d17448644bea13cb605ebc980eb23fed6",
         ),
         "linf_tail_t2_csv": (
             ["linf-tail", "--n", "32", "--m", "6", "--samples", "40000", "--seed", "4", "--threads", "2", "--report", "csv"],
@@ -705,7 +700,7 @@ class TestEstimatorOutputsPinned:
         "glue_t2_csv": (
             ["glue", "--n", "20", "--m", "5", "--plane-index", "4", "--samples", "30000", "--seed", "8",
              "--threads", "2", "--report", "csv"],
-            "b0ba54ecb7b2cd84cc1847cbde72019fec72649adda89a9328f39c766b1171f9",
+            "b2534d37bd828a4bc4009489910885e72362eb067929c784cf051599cfa33649",
         ),
     }
     GRIDS = {
@@ -714,33 +709,34 @@ class TestEstimatorOutputsPinned:
         "diag_t2": ["--n", "8,27", "--samples", "2000", "--seed", "11", "--threads", "2"],
     }
     SWEEP = {
-        ("evasion", "json", "m0"): "3dd1fb35cf5b4affa2112b8528d53edf33d3fd3fb2a1a84e0ac74f3002f99b7a",
-        ("evasion", "json", "middle"): "1251314d1ec54799957ada4080ad9af2eed4d97013537e2de88c64ca455c3bd1",
-        ("evasion", "json", "diag_t2"): "df3211719886fc5a1322fc411cc3c5cb628a6806db2cf79035c8ed12ec7cbcd9",
-        ("evasion", "csv", "m0"): "7a28a4e521a5b1bda669fe0c0d13f430ae9766a85f44da4ad3819ccf7c46439a",
-        ("evasion", "csv", "middle"): "a6c9e5d507fed296ddaa23f2d008f380ed66d4a9d54544a6969c674ee6e4ab07",
-        ("evasion", "csv", "diag_t2"): "6e471e177747eca1fc4381725034547c82f7134eb1cdbcffaa42046cf24d8ae2",
+        ("evasion", "json", "m0"): "5d1c14cf0efce84178ef0551bd5a2d9656f22a3e0571ee1ca6b11c73ae412676",
+        ("evasion", "json", "middle"): "1d0bdba01ff1865dbf46b49f7958dc6de9cb53f04e021ae2279e725b3af24032",
+        ("evasion", "json", "diag_t2"): "c27c5b8ed09955a7085d1cdfa68627db4e09506df197cde68f67d1f34d779566",
+        ("evasion", "csv", "m0"): "663decfd92779f7d05e3caf2c2ef66244b06ac37efa5cca74ebdc0fd5f5d25a1",
+        ("evasion", "csv", "middle"): "4097b03ead468d2a5a3c0cd206f0bdb2b4254cb0ba4cc8e2c3d9f0a15bbddb78",
+        ("evasion", "csv", "diag_t2"): "6a5c851dd4e39691a7222f477185e6d5867ee6b0a8eb8c6e602111e15c6ef8a0",
         ("linf_tail", "json", "m0"): "8a6c545250e88e0041c29b50688695136f4cf805911c3b3a3e25d9db2c3b5cfc",
         ("linf_tail", "json", "middle"): "0f9988025f93cb32e0321bd9fe0e9d024a41188bbe0ff2ea0884c5b16b3138f6",
         ("linf_tail", "json", "diag_t2"): "5068a849ef9b52a94335ec1c31d81fea2ad6365d592e7990aa45de0d9e0d38fb",
         ("linf_tail", "csv", "m0"): "8f0251d5fed57d6d571152dd6134de1f16ab2cb1c786d17ea96b12684f275ee0",
         ("linf_tail", "csv", "middle"): "3fcbb024fbe1e7a04b8b8cb18b4a458a8cf04d769437986edefde03ec98bafeb",
         ("linf_tail", "csv", "diag_t2"): "930e8c127b49fa0353b47651b45ebbaa5bc90e0c0246b6cae1ad7be713e9a7a4",
-        ("glue", "json", "m0"): "cb5886d0f27278151140ca53b65c629326b7b7b54ea67b225188511b5a03c533",
-        ("glue", "json", "middle"): "914922f34380f36c829fc199a14aaefbb8ece03a003394a2f7b84f4703d6fd1e",
-        ("glue", "json", "diag_t2"): "113ba5a73f26e1d0fb05e09d353eef9f7a9b822dcb9f8802cfd8b05933a12330",
-        ("glue", "csv", "m0"): "da5fedc0be7877f59aa9c029c51051eadd0e80442b0e4c2edfc469ab601405be",
-        ("glue", "csv", "middle"): "a3b2b97dddbd7224f714b23401975a2df5aadf7044bdb6069e3d589e312de975",
-        ("glue", "csv", "diag_t2"): "d7440655bf27785324bc3238ffea93c62296d89892905c293c39cb44109acd38",
+        ("glue", "json", "m0"): "be372af3689433561688899828a0ec6f60598454260cad49ddc4e4b76f3b9bc0",
+        ("glue", "json", "middle"): "e84a89f44033ae81cd5e74097939c9ea1e0ad30adea75353d3672e508051fee6",
+        ("glue", "json", "diag_t2"): "c9aa5fd9db3bf4ed99010265985fde09e8f0df0a230a0e6453fec7f5522ef1c2",
+        ("glue", "csv", "m0"): "25dffcf196483221afdd19b252ff2623d4f6fbf10d8356d827dc7bd211e6a7a3",
+        ("glue", "csv", "middle"): "00b20779c867b1f1c73d4184ee8e2642bef3a86b38526f9ac4af7c6df693d76e",
+        ("glue", "csv", "diag_t2"): "42714e1b43a0708793a02d584bda0209aa4c1717083fdc713c85973325a39ccc",
     }
 
-    # stdout pinned before the bias blocks reused their buffers and mu and the
-    # crossings ran in row slices: n = 1024 (K = 1232 terms, a 952-row last
-    # block), and float middle layers at n = 256, where p_bound = 0.68 > 1/2
-    # sends both chunks (16384 and 3616 rows) through the first pass
+    # stdout pinned at n = 1024 (K = 1232 terms, a 952-row last chunk) and on
+    # float middle layers at n = 256, where |P_i| can reach 0.68 > 1/2; the
+    # glue and linf-tail digests from before the bias blocks reused their
+    # buffers, the evasion ones from when each 1024-sample chunk became one
+    # batch on its own substream
     LARGE = {
-        "evasion_1024": "94750bf3fd5c3635e89a4a6144ad27dacc078166644afd945d86322577729b1d",
-        "evasion_middle_256": "8b59239d12235477acf5bc7bd8a9baa923021e7c68baca93c78a2e67ae930047",
+        "evasion_1024": "e659aedec5aba9ad6d5c3a8545fa45042ed10dc41eafd544748203d7445da761",
+        "evasion_middle_256": "9c5b9b02f290bddc5ed8235f690e8d6ad6afe55b4fec22b71c6441ecc1c7957f",
         "glue_middle_256": "0c77cbc358353b04e63d3108f3eb8d0194bbf6f0958d87441e2ddb1664cd1065",
         "linf-tail_middle_256": "95dd750cdf85ad3d375af4cdb99f4d36c2c7fec5f367acbddf4193de9481f8f3",
     }

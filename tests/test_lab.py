@@ -116,6 +116,42 @@ class TestDrawCounts:
         # the same chunk streams draw the same biases in both estimators
         assert union.bias_rows_drawn == glue.bias_rows_drawn > 20000
 
+    @pytest.mark.parametrize("what", ["evasion", "glue"])
+    def test_every_bias_row_is_drawn_inside_a_conditioned_batch(self, monkeypatch, what):
+        # perfbench's tracer counts the bias rows drawn as the rows of
+        # sampler.batch_bias calls made inside sampler.batch_bias_conditioned
+        # calls; wrapped here the same way, in every module that holds them
+        import cubeslicer.lab as lab_mod
+        import cubeslicer.sampler as sampler_mod
+
+        stack, batches = [], []
+
+        def wrap(fn):
+            def wrapper(setup, gen, count, *rest):
+                if fn.__name__ == "batch_bias":
+                    batches.append((tuple(stack), count))
+                stack.append(fn.__name__)
+                try:
+                    return fn(setup, gen, count, *rest)
+                finally:
+                    stack.pop()
+
+            return wrapper
+
+        for name in ("batch_bias", "batch_bias_conditioned"):
+            original = getattr(sampler_mod, name)
+            for module in (sampler_mod, lab_mod):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrap(original))
+        # float middle layers at n = 256: P = p * (1, ..., 1) with |p| up to
+        # 0.68; 0.03 rejects about a fifth of the rows
+        monkeypatch.setattr(sampler_mod, "P_MAX", 0.03)
+        c = construction("middle_layers", 256, kind="float")
+        _, rep = run_estimator(what, c, 3000, RngSpec(46))
+        assert rep.bias_rows_drawn > rep.bias_rows_accepted == 3000
+        assert {where for where, _ in batches} == {("batch_bias_conditioned",)}
+        assert sum(rows for _, rows in batches) == rep.bias_rows_drawn
+
 
 def test_evasion_chunk_memory_is_per_block():
     # A child process runs one full chunk of estimate_evasion at n = 1024,

@@ -26,7 +26,6 @@ from cubeslicer.sampler import (
     batch_bias_conditioned,
     batch_evasive_edges,
     batch_mu,
-    bias_blocks,
     bias_setup,
     dyadic_terms,
 )
@@ -324,8 +323,7 @@ def scalar_reference_edge(c, gen):
 
 
 class TestBatchOfOne:
-    # no row is ever rejected here (p_bound <= 1/2 in every case); the
-    # redraws are exercised in TestBlockedDraws with a lowered P_MAX
+    # the redraws are exercised in TestBlockedDraws with a lowered P_MAX
     CASES = [(2, 1), (6, 8), (9, 3), (40, 6), (256, 12)]
 
     @pytest.mark.parametrize("n,m", CASES)
@@ -333,8 +331,7 @@ class TestBatchOfOne:
         c = random_unit_config(np.random.default_rng(n * 100 + m), n, m)
         setup = bias_setup(c)
         for seed in range(25):
-            blocks, drawn = batch_evasive_edges(setup, RngSpec(seed).generator(), 1)
-            ((U, k),) = blocks
+            U, k, drawn = batch_evasive_edges(setup, RngSpec(seed).generator(), 1)
             assert drawn >= 1
             assert U.shape == (1, n) and k.shape == (1,)
             edge = sample_evasive_edge(c, RngSpec(seed))
@@ -355,7 +352,7 @@ class TestBatchOfOne:
 
 
 class TestStreamAccounting:
-    """The facts about numpy's PCG64 stream that the blocked draws rely on."""
+    """The fact about numpy's stream that the batch draws' docstrings state."""
 
     def test_uniform_and_random_take_one_word_per_double(self):
         gen, ref = RngSpec(3).generator(), RngSpec(3).generator()
@@ -364,28 +361,12 @@ class TestStreamAccounting:
         ref.bit_generator.advance(15 + 14)
         assert gen.bit_generator.state == ref.bit_generator.state
 
-    def test_advance_drops_the_buffered_half(self):
-        # integers(n) for n < 2^32 reads 32-bit halves and keeps the second
-        # half of a word for the next call; advance() forgets it
-        gen = RngSpec(4).generator()
-        gen.integers(10, size=1)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        gen.bit_generator.advance(0)
-        assert gen.bit_generator.state["has_uint32"] == 0
 
-    def test_one_block_draws_from_gen_itself(self, monkeypatch):
-        # positioning a copy costs tens of microseconds; `sample` makes one
-        # batch-of-one call per line, so one block must need no copy
-        def no_copy(gen, words):
-            raise AssertionError("positioned a copy for one block")
-
-        monkeypatch.setattr(sampler_mod, "_positioned", no_copy)
-        c = random_unit_config(np.random.default_rng(0), 40, 6)
-        gen = RngSpec(5).generator()
-        for _ in range(5):
-            sample_evasive_edge(c, gen)
-        blocks, _ = batch_evasive_edges(bias_setup(c), gen, sampler_mod.BLOCK)
-        assert sum(len(k) for _, k in blocks) == sampler_mod.BLOCK
+def _same_state(a, b):
+    """Equal bit generator states (MT19937 keeps an array in its state)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
 
 
 def _rejecting_p_max(setup, share):
@@ -395,94 +376,79 @@ def _rejecting_p_max(setup, share):
 
 
 class TestBlockedDraws:
-    """The blocked draws against the whole-chunk draws of tests/helpers.py:
+    """The batch draws against the whole-chunk draws of tests/helpers.py:
     same P, U, k and x bit for bit, same rows drawn, same end state of the
-    caller's generator.  A lowered P_MAX makes rows fail, so redraws (also
-    in later rounds) and the first pass of the multi-block path run.  Below
-    1024 rows BLAS does not give every configuration's rows the same bits in
-    products of different sizes (at n = 4, m = 200 it does not), so the
-    smaller monkeypatched blocks run on configurations where it does."""
+    caller's generator, with the vertices drawn on row slices of 64, 100 or
+    1024 rows.  A lowered P_MAX makes rows fail, so redraws (also in later
+    rounds) run."""
 
     CONFIGS = [(6, 8), (9, 3), (40, 6), (64, 16)]
+    COUNTS = [1, 100, 1024, 3000]
 
-    def _check_edges(self, c, count, seed):
+    def _check_edges(self, c, count, make_gen):
         setup = bias_setup(c)
-        gen, ref, bias_gen = (RngSpec(seed, 1).generator() for _ in range(3))
+        gen, ref, bias_gen = make_gen(), make_gen(), make_gen()
         for g in (gen, ref, bias_gen):
             g.integers(c.n)  # a buffered 32-bit half on entry, as in the `sample` loop
-        biases, _ = batch_bias_conditioned(setup, bias_gen, count)
-        # a block or slice is a view of a buffer that the next one
-        # overwrites, so each is copied as it arrives
-        P = np.concatenate([P.copy() for P in biases])
-        blocks, drawn = batch_evasive_edges(setup, gen, count)
-        parts = [(U.copy(), k.copy()) for U, k in blocks]
-        assert all(len(k) <= sampler_mod.BLOCK for _, k in parts)
-        U = np.concatenate([u for u, _ in parts])
-        k = np.concatenate([k for _, k in parts])
+        P, _ = batch_bias_conditioned(setup, bias_gen, count)
+        U, k, drawn = batch_evasive_edges(setup, gen, count)
         P_ref, U_ref, k_ref, rounds = whole_chunk_evasive_edges(setup, ref, count)
         assert U.dtype == U_ref.dtype and k.dtype == k_ref.dtype
         assert np.array_equal(U, U_ref) and np.array_equal(k, k_ref)
-        assert gen.bit_generator.state == ref.bit_generator.state
+        assert _same_state(gen.bit_generator.state, ref.bit_generator.state)
         assert drawn == count + sum(rounds)
-        return P, P_ref, rounds
+        assert np.array_equal(P, P_ref)
+        return P, rounds
 
-    @pytest.mark.parametrize("block", [1024, 100, 64])
+    @pytest.mark.parametrize("slice_rows", [1024, 100, 64])
     @pytest.mark.parametrize("n,m", CONFIGS)
-    def test_evasive_edges_match_the_whole_chunk(self, monkeypatch, block, n, m):
-        monkeypatch.setattr(sampler_mod, "BLOCK", block)
-        # slices of 37 rows: several per block, the last one short
-        monkeypatch.setattr(sampler_mod, "SLICE_CELLS", 37 * n)
+    def test_evasive_edges_match_the_whole_chunk(self, monkeypatch, slice_rows, n, m):
+        monkeypatch.setattr(sampler_mod, "SLICE_CELLS", slice_rows * n)
         c = random_unit_config(np.random.default_rng(n * 100 + m), n, m)
         setup = bias_setup(c)
-        counts = [1, block, block + 1, 3 * block - 7]
-        for count in counts:
-            P, P_ref, rounds = self._check_edges(c, count, count)
+        for count in self.COUNTS:
+            _, rounds = self._check_edges(c, count, RngSpec(count, 1).generator)
             assert not rounds
-            assert np.array_equal(P, P_ref)
         monkeypatch.setattr(sampler_mod, "P_MAX", _rejecting_p_max(setup, 0.3))
-        assert setup.p_bound > sampler_mod.P_MAX
         later_rounds = 0
-        for count in counts:
-            P, P_ref, rounds = self._check_edges(c, count, count)
-            assert np.array_equal(P, P_ref)
+        for count in self.COUNTS:
+            P, rounds = self._check_edges(c, count, RngSpec(count, 1).generator)
             assert np.abs(P).max() <= sampler_mod.P_MAX
             later_rounds += len(rounds) >= 2
         assert later_rounds >= 2
 
-    @pytest.mark.parametrize("block", [1024, 64])
-    def test_mu_after_the_bias_blocks_matches_the_whole_chunk(self, monkeypatch, block):
-        # the glue estimator's draw: conditioned blocks, then mu from gen
-        monkeypatch.setattr(sampler_mod, "BLOCK", block)
+    def test_any_bit_generator(self, monkeypatch):
+        # nothing positions a copy of the generator, so any bit generator serves
+        c = random_unit_config(np.random.default_rng(7), 40, 6)
+        monkeypatch.setattr(sampler_mod, "P_MAX", _rejecting_p_max(bias_setup(c), 0.3))
+        _, rounds = self._check_edges(c, 3000, lambda: np.random.Generator(np.random.MT19937(1)))
+        assert len(rounds) >= 2
+
+    @pytest.mark.parametrize("slice_rows", [1024, 64])
+    def test_mu_after_the_bias_blocks_matches_the_whole_chunk(self, monkeypatch, slice_rows):
+        # the glue estimator's draw: a conditioned batch, then mu on its row slices
+        monkeypatch.setattr(sampler_mod, "SLICE_CELLS", slice_rows * 40)
         c = random_unit_config(np.random.default_rng(1), 40, 6)
         setup = bias_setup(c)
         monkeypatch.setattr(sampler_mod, "P_MAX", _rejecting_p_max(setup, 0.3))
-        count = 2 * block + 5
+        count = 3000
         gen, ref = RngSpec(8).generator(), RngSpec(8).generator()
-        biases, drawn = batch_bias_conditioned(setup, gen, count)
-        x = np.concatenate([batch_mu(P, gen) for P in biases])
+        P, drawn = batch_bias_conditioned(setup, gen, count)
+        x = np.concatenate([batch_mu(P[part], gen) for part in sampler_mod.row_slices(P)])
         P_ref, rounds = whole_chunk_bias_conditioned(setup, ref, count)
         assert len(rounds) >= 2
+        assert np.array_equal(P, P_ref)
         assert np.array_equal(x, whole_chunk_mu(P_ref, ref))
         assert drawn == count + sum(rounds)
         assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_rejections_possible_but_absent(self):
-        # p_bound > 1/2 takes the first pass, which finds nothing here
+        # scale * sum_j |W_ji| > 1/2 allows a rejection, but none happens here
         c = random_unit_config(np.random.default_rng(2), 4, 200)
         setup = bias_setup(c)
-        assert setup.p_bound > sampler_mod.P_MAX
-        P, P_ref, rounds = self._check_edges(c, 3000, 3)
-        assert not rounds and np.array_equal(P, P_ref)
-
-    def test_unconditioned_blocks_match_one_product(self):
-        c = random_unit_config(np.random.default_rng(3), 64, 16)
-        setup = bias_setup(c)
-        for count in (5, 1025, 2500):
-            gen, ref = RngSpec(count).generator(), RngSpec(count).generator()
-            blocks = [P.copy() for P in bias_blocks(setup, gen, count)]
-            assert [len(P) for P in blocks] == [min(1024, count - r) for r in range(0, count, 1024)]
-            assert np.array_equal(np.concatenate(blocks), batch_bias(setup, ref, count))
-            assert gen.bit_generator.state == ref.bit_generator.state
+        assert setup.scale * np.abs(setup.W).sum(axis=0).max() > sampler_mod.P_MAX
+        _, rounds = self._check_edges(c, 3000, RngSpec(3, 1).generator)
+        assert not rounds
 
     def test_exhausted_retries_raise_before_any_block(self, monkeypatch):
         monkeypatch.setattr(sampler_mod, "P_MAX", 0.0)
