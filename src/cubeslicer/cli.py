@@ -34,7 +34,6 @@ from .core import (
     config_from_json_dict,
     config_to_json_dict,
     construction,
-    total_edges,
 )
 from .anticonc import LinearFormSpec, small_ball
 from .decomp import binary_decompose
@@ -197,13 +196,6 @@ def _cmd_verify(args):
     args._input_hashes = hashes
     if args.mode:
         config = Configuration(config.n, config.planes, args.mode)
-    if config.n > 24:
-        per_plane = total_edges(config.n)
-        print(
-            f"# cost estimate: {config.m} planes x {per_plane} edges = "
-            f"{config.m * per_plane} edge tests",
-            file=sys.stderr,
-        )
     report = verify_slicing(config, threads=args.threads)
     code = 0 if report.complete else 1
     if args.report == "csv":
@@ -227,11 +219,11 @@ def _cmd_sample(args):
     lines = []
     for _ in range(args.count):
         if dyadic and args.emit == "edges":
-            U, k, _ = batch_evasive_edges(setup, gen, 1, args.max_retries)
+            U, k, _ = batch_evasive_edges(setup, gen, 1)
             signs, axis = U[0], k[0]
         else:
             if dyadic:
-                P, _ = batch_bias_conditioned(setup, gen, 1, args.max_retries)
+                P, _ = batch_bias_conditioned(setup, gen, 1)
                 p, clamped = P[0], False
             else:
                 bv = sample_bias_simple(config, gen)
@@ -346,8 +338,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of --seed, --stream and --max-retries (where 0 allows one
-    attempt): an integer >= 0."""
+    """argparse type of --seed and --stream: an integer >= 0."""
     return _int_at_least(text, 0)
 
 
@@ -408,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--variant", choices=["dyadic", "simple"], default="dyadic")
     p.add_argument("--emit", choices=["edges", "bias"], default="edges")
-    p.add_argument("--max-retries", type=_nonnegative_int, default=1000)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("qfunc", parents=[common], help="exact concentration of a biased linear form")

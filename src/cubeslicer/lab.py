@@ -6,7 +6,7 @@ its own substream (child of the caller's RngSpec), and fold integer partial
 counts in chunk order - so reports are byte-identical for any thread count.
 _fold_chunks does this for every estimator, which supplies only the counts
 of one chunk.  A chunk is one sampler batch of at most CHUNK rows, so memory
-is per chunk; its vertices are drawn and tested in row slices
+is per chunk; its int8 vertices are tested in row slices
 (sampler.row_slices), so their float copies and side values hold one slice.
 run_estimator picks an estimator by name, for the CLI and for sweep.
 """
@@ -32,9 +32,9 @@ from .core import (
     sign_pair_crossings,
     zero_tolerance,
 )
+from . import sampler
 from .errors import DimensionTooLarge, DimensionTooSmall, SlicerError
 from .sampler import (
-    P_MAX,
     RngSpec,
     as_generator,
     batch_bias,
@@ -175,12 +175,12 @@ def estimate_linf_tail(
     rng,
     threads: int = 1,
 ) -> EstimateReport:
-    """Frequency of max|P_i| > 1/2 under the unconditioned dyadic bias;
-    the target bound is 2/n."""
+    """Frequency of max|P_i| > sampler.P_MAX = 1/2 under the unconditioned
+    dyadic bias; the target bound is 2/n."""
     setup = bias_setup(c)
 
     def fold(gen: np.random.Generator, rows: int) -> list:
-        return [np.count_nonzero(row_max_abs(batch_bias(setup, gen, rows)) > P_MAX)]
+        return [np.count_nonzero(row_max_abs(batch_bias(setup, gen, rows)) > sampler.P_MAX)]
 
     (count,) = _fold_chunks(rng, samples, threads, fold)
     return replace(_bernoulli_report(count, samples, rng.seed, 2.0 / c.n), bias_rows_drawn=samples)
@@ -208,10 +208,11 @@ def estimate_glue_sum(
 
     def fold(gen: np.random.Generator, rows: int) -> list:
         P, drawn = batch_bias_conditioned(setup, gen, rows)
+        x = batch_mu(P, gen)
         total = total_sq = 0
-        for part in row_slices(P):
+        for part in row_slices(x):
             # per sample, the count of axes k with |<v,x> - t| < 2|v_k|
-            s = batch_mu(P[part], gen).astype(np.float64) @ v - tval
+            s = x[part].astype(np.float64) @ v - tval
             cnt = (np.abs(s)[:, None] < gates).sum(axis=1)
             total += int(cnt.sum())
             total_sq += int((cnt * cnt).sum())

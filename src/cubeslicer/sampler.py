@@ -11,8 +11,8 @@ consume the same random stream.  The bias is damped by the paper's constant
 A batch is drawn in stream order from one generator: the multipliers of its
 rows, the redraws of its rejected rows, its vertices' uniforms, then its
 axes.  The estimators draw one batch per chunk of lab.CHUNK rows, each on
-its own substream, so memory is per chunk; the mu draw runs on row slices
-of a batch, so the uniforms hold one slice.
+its own substream, so memory is per chunk; batch_mu draws on row slices
+of its batch, so the uniforms hold one slice.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from .errors import (
 # (128 rows at n = 1024).  Slices of 2^16 cells ran slower at n = 1024, and
 # slices of 2^20 cells held more.
 SLICE_CELLS = 1 << 17
-# The conditioned bias accepts a draw when max|P_i| <= P_MAX.
+# The conditioned bias accepts a draw when max|P_i| <= P_MAX; it redraws a row
+# at most MAX_RETRIES times, a safety cap (acceptance is >= 1 - 2/n likely).
 P_MAX = 0.5
+MAX_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -170,19 +172,19 @@ def sample_bias(c: Configuration, rng) -> BiasVector:
     return BiasVector(p, dict(zip(setup.keys, alphas.tolist())), conditioned=False)
 
 
-def sample_bias_conditioned(c: Configuration, rng, max_retries: int = 1000) -> BiasVector:
+def sample_bias_conditioned(c: Configuration, rng) -> BiasVector:
     """Rejection-sample the dyadic bias until max|P_i| <= P_MAX = 1/2.
 
     Rejection reproduces the conditional law exactly; the acceptance
     probability is at least 1 - 2/n, so the expected number of retries is
-    tiny.  max_retries counts re-draws after the first attempt.
+    tiny.  MAX_RETRIES counts re-draws after the first attempt.
     """
     gen = as_generator(rng)
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         bv = sample_bias(c, gen)
         if row_max_abs(bv.p) <= P_MAX:
             return dataclasses.replace(bv, conditioned=True)
-    raise RetriesExhausted(f"no acceptance within {max_retries} retries")
+    raise RetriesExhausted(f"no acceptance within {MAX_RETRIES} retries")
 
 
 def sample_bias_simple(c: Configuration, rng) -> BiasVector:
@@ -209,10 +211,10 @@ def sample_mu(p, rng) -> Vertex:
     return Vertex.from_signs(batch_mu(arr[None, :], as_generator(rng))[0].tolist())
 
 
-def sample_evasive_edge(c: Configuration, rng, max_retries: int = 1000) -> Edge:
+def sample_evasive_edge(c: Configuration, rng) -> Edge:
     """The evasive random edge (U, k): U from the product distribution with
     conditioned bias P, and k a uniform axis independent of U given P."""
-    U, k, _ = batch_evasive_edges(bias_setup(c), as_generator(rng), 1, max_retries)
+    U, k, _ = batch_evasive_edges(bias_setup(c), as_generator(rng), 1)
     return Edge(Vertex.from_signs(U[0].tolist()), int(k[0]))
 
 
@@ -233,10 +235,12 @@ class BiasSetup:
     scale: float
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def bias_setup(c: Configuration) -> BiasSetup:
     # Configurations are frozen and hashable, so the setup (normalization +
     # dyadic split) is computed once per config; arrays are treated read-only.
+    # One entry: callers work on one config at a time, and a sweep would
+    # otherwise keep every cell's setup alive.
     _check_dims(c)
     V, t = normalized_float_planes(c)
     keys, W = dyadic_terms(V)
@@ -258,35 +262,42 @@ def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.nda
     return P
 
 
-def batch_bias_conditioned(
-    setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
-) -> tuple[np.ndarray, int]:
+def batch_bias_conditioned(setup: BiasSetup, gen: np.random.Generator, count: int) -> tuple[np.ndarray, int]:
     """count biases conditioned on max|P_i| <= P_MAX, as (P, bias rows drawn).
 
     Row r's multipliers are words r*K on of gen's stream; the rows above
     P_MAX are redrawn, round by round, from word count*K on, so on return gen
-    stands after the last redraw, where a mu draw starts."""
+    stands after the last redraw, where a mu draw starts.  Each row's max|P_i|
+    is taken once per draw of the row."""
     P = batch_bias(setup, gen, count)
+    top = row_max_abs(P)
     drawn = count
-    for attempt in range(max_retries + 1):
-        bad = np.flatnonzero(row_max_abs(P) > P_MAX)
+    for attempt in range(MAX_RETRIES + 1):
+        bad = np.flatnonzero(top > P_MAX)
         if bad.size == 0:
             break
-        if attempt == max_retries:
-            raise RetriesExhausted(f"no acceptance within {max_retries} retries")
+        if attempt == MAX_RETRIES:
+            raise RetriesExhausted(f"no acceptance within {MAX_RETRIES} retries")
         P[bad] = batch_bias(setup, gen, bad.size)
+        top[bad] = row_max_abs(P[bad])
         drawn += bad.size
-    if row_max_abs(P).max() > P_MAX:
+    if top.max() > P_MAX:
         raise BoundViolation(f"an accepted bias row exceeds {P_MAX}")
     return P, drawn
 
 
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Rows of +-1 vertices drawn coordinate-wise with means P (one row per
-    sample); row r's uniforms are words r*n to (r+1)*n of gen's stream."""
-    thr = P + 1.0
-    thr *= 0.5
-    return (gen.random(P.shape) < thr).view(np.int8) * 2 - 1
+    """int8 rows of +-1 vertices drawn coordinate-wise with means P (one row
+    per sample); row r's uniforms are words r*n to (r+1)*n of gen's stream.
+    The uniforms are drawn on row_slices(P), so they hold one slice."""
+    U = np.empty(P.shape, dtype=np.int8)
+    for part in row_slices(P):
+        thr = P[part] + 1.0
+        thr *= 0.5
+        U[part] = gen.random(thr.shape) < thr
+    U *= 2
+    U -= 1
+    return U
 
 
 def row_slices(P: np.ndarray) -> list[slice]:
@@ -296,15 +307,12 @@ def row_slices(P: np.ndarray) -> list[slice]:
 
 
 def batch_evasive_edges(
-    setup: BiasSetup, gen: np.random.Generator, count: int, max_retries: int = 1000
+    setup: BiasSetup, gen: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """count evasive edges as (U, k, bias rows drawn): +-1 rows U drawn with
     conditioned biases, and axes k uniform on range(n).
 
-    The stream is that of batch_bias_conditioned, then U's uniforms (drawn
-    on row_slices, row by row), then the axes."""
-    P, drawn = batch_bias_conditioned(setup, gen, count, max_retries)
-    U = np.empty(P.shape, dtype=np.int8)
-    for part in row_slices(P):
-        U[part] = batch_mu(P[part], gen)
-    return U, gen.integers(P.shape[1], size=count), drawn
+    The stream is that of batch_bias_conditioned, then U's uniforms (row by
+    row), then the axes."""
+    P, drawn = batch_bias_conditioned(setup, gen, count)
+    return batch_mu(P, gen), gen.integers(P.shape[1], size=count), drawn

@@ -32,9 +32,9 @@ The cuts of a superblock's blocks, for its base sides and each high axis
 whose bit is clear, are searched together, so a worker holds at most
 2 * m * (n - B + 1) * 2^(B-b) cuts at a time.  Per-plane counts are
 popcounts, the union is an OR over planes, and the unsliced bits are
-unpacked to edge indices only while the sample has room.  Blocks of fewer
-than 64 vertices (b < 6) are classified a word at a time, and a superblock
-of fewer than 64 (B < 6) fills one word in part.
+unpacked to edge indices only while the sample has room.  Since
+_BLOCK_BITS >= 6, a block fills whole words unless it is the whole
+superblock (b = B = n < 6), which then fills one word in part.
 
 Thread runs split the superblocks.  Each worker allocates its buffers once
 and every pass writes into them: a block's two boolean classes (2 * m * 2^b
@@ -78,6 +78,7 @@ from .errors import BoundViolation, DimensionTooLarge, NonFiniteScalar
 
 VERIFY_MAX_DIM = 28
 _SAMPLE_CAP = 100
+# the packing needs _BLOCK_BITS >= 6 (see the module docstring)
 _BLOCK_BITS = 13
 _PACK_BITS = 17
 _INT64_GUARD = 1 << 62
@@ -203,13 +204,12 @@ def _cuts(ordered, offsets, shifts, tol):
 
 
 def _classify(rank, cut, out):
-    """(positive, nonzero) of the blocks whose cuts are cut[:, :, i], from
-    the low vertices' ranks, into out (2, m, blocks * 2^b): positive is
-    rank >= cut[0], negative is rank < cut[1]."""
-    (m, size), blocks = rank.shape, cut.shape[-1]
-    pos, nz = out.reshape(2, m, blocks, size)
-    np.greater_equal(rank[:, None, :], cut[0, :, :, None], out=pos)
-    np.less(rank[:, None, :], cut[1, :, :, None], out=nz)
+    """(positive, nonzero) of the block whose cuts are cut (2, m), from the
+    low vertices' ranks, into out (2, m, 2^b): positive is rank >= cut[0],
+    negative is rank < cut[1]."""
+    pos, nz = out
+    np.greater_equal(rank, cut[0, :, None], out=pos)
+    np.less(rank, cut[1, :, None], out=nz)
     nz |= pos
     return out
 
@@ -233,13 +233,10 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     relaxed = c.mode == RELAXED
     B = min(n, _PACK_BITS)
     b = min(B, _BLOCK_BITS)
-    # a unit is what one classification covers: one block, or the blocks that
-    # share one word when blocks are shorter than 64 vertices
-    u = max(b, min(B, 6))
     coeffs, thresholds, tol = _plane_stack(c)
     ordered, rank, off, shifts = _side_tables(coeffs, thresholds, b)
     tol = None if tol is None else tol[:, None, None]
-    words, unit_bytes = 1 << max(0, B - 6), 1 << max(0, u - 3)
+    words, block_bytes = 1 << max(0, B - 6), 1 << max(0, b - 3)
     # the word bits that are superblock positions (all of them unless
     # B < 6), and for a word-internal axis k < 6 those whose bit k is
     # clear: the base vertices of the axis-k edges
@@ -255,7 +252,7 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
         samples: list[list[int]] = [[] for _ in range(n)]
         # every buffer is allocated once per run; the passes write in place
         # (the word arrays start at zero: pack fills part of a word if B < 6)
-        classes = np.empty((2, m, 1 << u), dtype=bool)
+        classes = np.empty((2, m, 1 << b), dtype=bool)
         # the superblock's classes, and its partners' in a pass
         pos, nz, partner_pos, partner_nz = np.zeros((4, m, words), dtype=np.uint64)
         ones = np.empty(m * words, dtype=np.uint8)
@@ -263,12 +260,11 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
 
         def pack(cut, pw, nw):
             # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
-            # one unit at a time, into the words of pw, nw
-            per = 1 << (u - b)
-            for slot in range(1 << (B - u)):
-                at = slot * unit_bytes
-                for x, dst in zip(_classify(rank, cut[..., slot * per : (slot + 1) * per], classes), (pw, nw)):
-                    dst.view(np.uint8)[:, at : at + unit_bytes] = np.packbits(x, axis=-1, bitorder="little")
+            # one block at a time, into the words of pw, nw
+            for i in range(1 << (B - b)):
+                at = i * block_bytes
+                for x, dst in zip(_classify(rank, cut[..., i], classes), (pw, nw)):
+                    dst.view(np.uint8)[:, at : at + block_bytes] = np.packbits(x, axis=-1, bitorder="little")
 
         def tally(k, cross, todo, first_edge):
             nonlocal counts, unsliced

@@ -147,17 +147,17 @@ def whole_array_levy_q(values, probs, alpha):
     return float(max(masses.max(), probs.max())) if alpha > 0 else float(masses.max())
 
 
-def whole_chunk_bias_conditioned(setup, gen, count, max_retries=1000):
+def whole_chunk_bias_conditioned(setup, gen, count):
     """Conditioned biases of count rows in one product, rejected rows redrawn
     round by round from gen; returns (P, rows redrawn in each round)."""
     K = len(setup.keys)
     P = setup.scale * (gen.uniform(-1.0, 1.0, size=(count, K)) @ setup.W)
     rounds = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(sampler_mod.MAX_RETRIES + 1):
         bad = np.flatnonzero(np.abs(P).max(axis=1) > sampler_mod.P_MAX)
         if bad.size == 0:
             return P, rounds
-        if attempt < max_retries:
+        if attempt < sampler_mod.MAX_RETRIES:
             P[bad] = setup.scale * (gen.uniform(-1.0, 1.0, size=(bad.size, K)) @ setup.W)
             rounds.append(bad.size)
     raise AssertionError("no acceptance")

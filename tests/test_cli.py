@@ -126,6 +126,17 @@ class TestConstructVerify:
         assert code == 1
         assert json.loads(out2)["unsliced_count"] == 16
 
+    def test_verify_stderr_is_one_manifest_line_above_n_24(self, capsys, tmp_path):
+        # stderr holds the manifest alone, one JSON line, above n = 24 too
+        coeffs = [1] + [0] * 24
+        path = tmp_path / "one_plane_25.json"
+        path.write_text(json.dumps({"n": 25, "planes": [{"coeffs": coeffs, "threshold": 0}]}))
+        code, out, err = run(capsys, ["verify", "--config", str(path)])
+        assert code == 1
+        assert json.loads(out)["unsliced_count"] == 24 << 24
+        assert err.count("\n") == 1
+        assert json.loads(err)["subcommand"] == "verify"
+
     def test_verify_csv_report(self, capsys, tmp_path):
         _, out, _ = run(capsys, ["construct", "axis", "--n", "3"])
         path = tmp_path / "axis3.json"
@@ -408,7 +419,6 @@ BAD_FLAGS = {
     "qfunc_float_l1_overflow": ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"],
     "sample_zero_count": ["sample", "--count", "0"],
     "sample_negative_count": ["sample", "--count", "-1"],
-    "sample_negative_max_retries": ["sample", "--max-retries", "-1"],
     "search_negative_iters": ["search", "--n", "3", "--m", "2", "--iters", "-1"],
     "negative_seed": ["estimate", "evasion", "--n", "4", "--m", "2", "--samples", "10", "--seed", "-1"],
     "negative_stream": ["search", "--n", "3", "--m", "2", "--iters", "10", "--stream", "-1"],
@@ -441,7 +451,6 @@ class TestBadFlags:
             ["estimate", "evasion", "--n", "0", "--m", "3"],
             BAD_FLAGS["sample_zero_count"],
             BAD_FLAGS["sample_negative_count"],
-            BAD_FLAGS["sample_negative_max_retries"],
             BAD_FLAGS["search_negative_iters"],
             BAD_FLAGS["sweep_zero_dimension"],
             BAD_FLAGS["negative_seed"],
@@ -449,15 +458,11 @@ class TestBadFlags:
     )
     def test_flags_that_would_never_finish_are_usage_errors(self, argv):
         # the first two and sweep --n 0 once looped forever; the counts once
-        # ran to exit 0 with no result, a negative retry budget drew once and
-        # failed with "no acceptance within -1 retries", and a negative seed
-        # ended in numpy's ValueError; all are checked at the parser alone
+        # ran to exit 0 with no result, and a negative seed ended in numpy's
+        # ValueError; all are checked at the parser alone
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-
-    def test_zero_max_retries_allows_one_attempt(self):
-        assert build_parser().parse_args(["sample", "--max-retries", "0"]).max_retries == 0
 
 
 class TestSample:
@@ -540,7 +545,8 @@ class TestSample:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "617f38d82cbd37909ade94faf6d1f861312cb4f535092af85a79fdbc18632a80"
         )
-        code, out, err = run(capsys, argv + ["--max-retries", "0"])
+        monkeypatch.setattr(sampler_mod, "MAX_RETRIES", 0)
+        code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert json.loads(err.splitlines()[0]) == {
             "error": "RetriesExhausted", "message": "no acceptance within 0 retries"
@@ -763,6 +769,22 @@ class TestEstimatorOutputsPinned:
         code, out, _ = run(capsys, ["estimate", what, *source, "--threads", threads])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.LARGE[case]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_linf_tail_bytes_with_a_lowered_bound_are_pinned(self, capsys, monkeypatch, threads):
+        # a bound of 0.05, the median of max |P_i| here, counts about half
+        # of the 3000 rows (three chunks); linf-tail reads sampler.P_MAX at
+        # call time, so lowering it moves the count off 0
+        import cubeslicer.sampler as sampler_mod
+
+        monkeypatch.setattr(sampler_mod, "P_MAX", 0.05)
+        argv = ["estimate", "linf-tail", "--n", "16", "--m", "4", "--samples", "3000", "--seed", "6", "--threads", threads]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["point_estimate"] == 0.513
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fc0bd7c335116457ac5afeddb3131f52b61877af2ea0f9f2e5def6f986390e9c"
+        )
 
     @pytest.mark.parametrize("estimator,report,grid", sorted(SWEEP))
     def test_sweep_bytes_are_pinned(self, capsys, estimator, report, grid):

@@ -78,7 +78,6 @@ GRAMMAR = {
         ("--count", integers(1, 5), st.one_of(BAD_INT, integers(-1, 0))),
         ("--variant", pick("dyadic", "simple"), pick("uniform")),
         ("--emit", pick("edges", "bias"), pick("planes")),
-        ("--max-retries", integers(0, 3), st.one_of(BAD_INT, integers(-2, -1))),
     ],
     "qfunc": [
         ("--v", SCALARS, BAD_SCALARS),

@@ -28,7 +28,9 @@ from cubeslicer.sampler import (
     batch_mu,
     bias_setup,
     dyadic_terms,
+    row_max_abs,
 )
+from cubeslicer.lab import SweepCell, sweep
 from helpers import whole_chunk_bias_conditioned, whole_chunk_evasive_edges, whole_chunk_mu
 
 
@@ -142,9 +144,10 @@ class TestSampleBias:
 
 
 class TestSampleBiasConditioned:
-    def test_single_plane_never_rejects(self):
+    def test_single_plane_never_rejects(self, monkeypatch):
+        monkeypatch.setattr(sampler_mod, "MAX_RETRIES", 0)
         c = single_axis_config(8)
-        bv = sample_bias_conditioned(c, RngSpec(5), max_retries=0)
+        bv = sample_bias_conditioned(c, RngSpec(5))
         assert bv.conditioned
         assert np.max(np.abs(bv.p)) <= 0.5
 
@@ -163,8 +166,9 @@ class TestSampleBiasConditioned:
             return BiasVector(np.ones(config.n), {}, conditioned=False)
 
         monkeypatch.setattr(sampler_mod, "sample_bias", always_reject)
-        with pytest.raises(RetriesExhausted):
-            sample_bias_conditioned(c, RngSpec(0), max_retries=0)
+        monkeypatch.setattr(sampler_mod, "MAX_RETRIES", 0)
+        with pytest.raises(RetriesExhausted, match="no acceptance within 0 retries"):
+            sample_bias_conditioned(c, RngSpec(0))
 
     @pytest.mark.parametrize("max_retries", [0, 2])
     def test_batch_rejection_draws_once_per_check(self, monkeypatch, max_retries):
@@ -176,13 +180,33 @@ class TestSampleBiasConditioned:
             return np.ones((count, 8))
 
         monkeypatch.setattr(sampler_mod, "batch_bias", always_reject)
+        monkeypatch.setattr(sampler_mod, "MAX_RETRIES", max_retries)
         with pytest.raises(RetriesExhausted, match=f"no acceptance within {max_retries} retries"):
-            sampler_mod.batch_bias_conditioned(setup, RngSpec(0).generator(), 3, max_retries)
+            sampler_mod.batch_bias_conditioned(setup, RngSpec(0).generator(), 3)
         assert calls == [3] * (max_retries + 1)
         calls.clear()
         with pytest.raises(RetriesExhausted, match=f"no acceptance within {max_retries} retries"):
-            sample_evasive_edge(single_axis_config(8), RngSpec(0), max_retries)
+            sample_evasive_edge(single_axis_config(8), RngSpec(0))
         assert calls == [1] * (max_retries + 1)
+
+    def test_each_row_maximum_is_taken_once_per_draw(self, monkeypatch):
+        # row_max_abs sees the first draw once and then only the redrawn
+        # rows, so the rows it sees are the bias rows drawn
+        setup = bias_setup(random_unit_config(np.random.default_rng(1), 40, 6))
+        monkeypatch.setattr(sampler_mod, "P_MAX", _rejecting_p_max(setup, 0.3))
+        seen = []
+
+        def counting(P):
+            seen.append(len(P))
+            return row_max_abs(P)
+
+        monkeypatch.setattr(sampler_mod, "row_max_abs", counting)
+        for count in (1, 100, 3000):
+            seen.clear()
+            _, drawn = batch_bias_conditioned(setup, RngSpec(count).generator(), count)
+            assert seen[0] == count
+            assert sum(seen) == drawn
+        assert drawn > 3000 and len(seen) > 2
 
     def test_rejection_rate_within_tail_bound(self):
         # the max-norm tail must stay below 2/n plus sampling noise
@@ -434,7 +458,7 @@ class TestBlockedDraws:
         count = 3000
         gen, ref = RngSpec(8).generator(), RngSpec(8).generator()
         P, drawn = batch_bias_conditioned(setup, gen, count)
-        x = np.concatenate([batch_mu(P[part], gen) for part in sampler_mod.row_slices(P)])
+        x = batch_mu(P, gen)
         P_ref, rounds = whole_chunk_bias_conditioned(setup, ref, count)
         assert len(rounds) >= 2
         assert np.array_equal(P, P_ref)
@@ -452,10 +476,11 @@ class TestBlockedDraws:
 
     def test_exhausted_retries_raise_before_any_block(self, monkeypatch):
         monkeypatch.setattr(sampler_mod, "P_MAX", 0.0)
+        monkeypatch.setattr(sampler_mod, "MAX_RETRIES", 2)
         setup = bias_setup(random_unit_config(np.random.default_rng(4), 6, 2))
         for count in (3, 3000):
             with pytest.raises(RetriesExhausted):
-                batch_bias_conditioned(setup, RngSpec(0).generator(), count, max_retries=2)
+                batch_bias_conditioned(setup, RngSpec(0).generator(), count)
 
 
 class TestDyadicTerms:
@@ -496,3 +521,9 @@ class TestBiasSetupCache:
         setup = bias_setup(a)
         assert bias_setup(a) is setup
         assert bias_setup(b) is setup
+
+    def test_a_sweep_keeps_one_setup(self):
+        bias_setup.cache_clear()
+        rows = sweep([SweepCell(8, 2), SweepCell(12, 3)], 200, RngSpec(0))
+        assert [row["error"] for row in rows] == [None, None]
+        assert bias_setup.cache_info().currsize == 1

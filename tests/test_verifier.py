@@ -249,6 +249,8 @@ def _axis_planes(n, axes, kind="exact"):
 
 
 def _set_bits(monkeypatch, block, pack):
+    # the packing needs whole-word blocks, or one block per superblock
+    assert block >= min(pack, 6)
     monkeypatch.setattr(verifier, "_BLOCK_BITS", block)
     monkeypatch.setattr(verifier, "_PACK_BITS", pack)
 
@@ -272,9 +274,11 @@ class TestBlockedSweep:
     superblock's words, the per-superblock edge offsets and the run merge
     all run against the per-edge reference."""
 
-    # (block bits b, pack bits B): B = b (one block per superblock), B - b >= 2,
-    # b < 6 <= B (several blocks share a word), and B = 9 >= n (one superblock)
-    PAIRS = ((1, 1), (3, 3), (2, 5), (1, 6), (3, 7), (2, 9))
+    # (block bits b, pack bits B), with b >= 6 or b = B as the packing needs:
+    # B = b (one block per superblock, under a word at b < 6), two blocks per
+    # superblock with a packed and a high axis (n = 8), B - b = 2, and
+    # B = 9 >= n (one superblock)
+    PAIRS = ((1, 1), (3, 3), (5, 5), (6, 7), (6, 8), (6, 9))
 
     def _check(self, monkeypatch, c, threads=(1,)):
         _check_bits(monkeypatch, c, self.PAIRS, threads)
@@ -324,10 +328,10 @@ class TestBlockedSweep:
         [
             (8, (0, 1, 2)),  # more than 100 unsliced low-axis edges
             (8, (5, 6, 7)),  # low axes all sliced, more than 100 on high axes
-            (7, (1, 4, 6)),  # 64 per axis: at (b, B) = (2, 5) the sample runs
-                             # from a low axis through a packed one into a high one
+            (7, (1, 4, 6)),  # 64 per axis: at (b, B) = (5, 5) the sample runs
+                             # from word-internal axes into a high one
             (7, (2, 3, 5)),
-            (8, (7,)),  # one high axis: at (b, B) = (3, 7) its sample spans both words of a superblock
+            (8, (7,)),  # one high axis: at (b, B) = (6, 7) its sample spans both words of a superblock
         ],
     )
     def test_capped_sample_spans_low_and_high_axes(self, monkeypatch, n, unsliced_axes):
@@ -341,7 +345,7 @@ class TestBlockedSweep:
 
     def test_one_pass_per_axis_and_superblock(self, monkeypatch):
         # (b, B) = (6, 8) at n = 10: four superblocks of four word-sized
-        # units each.  Every axis pass, high axes included, crosses whole
+        # blocks each.  Every axis pass, high axes included, crosses whole
         # superblocks: B passes in each superblock, and each high axis in the
         # half of the superblocks that hold its base vertices.
         calls = []
@@ -369,15 +373,15 @@ class TestBlockedSweep:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingExecutor)
-        c = construction("axis", 6)
-        _set_bits(monkeypatch, 1, 5)
-        verify_slicing(c, threads=64)  # 2 superblocks of 16 blocks
-        _set_bits(monkeypatch, 1, 1)
+        c = construction("axis", 7)
+        _set_bits(monkeypatch, 6, 6)
+        verify_slicing(c, threads=64)  # 2 superblocks
+        _set_bits(monkeypatch, 2, 2)
         verify_slicing(c, threads=3)  # 32 superblocks of one block
-        _set_bits(monkeypatch, 1, 3)
+        _set_bits(monkeypatch, 4, 4)
         verify_slicing(c, threads=16)  # 8 superblocks
-        _set_bits(monkeypatch, 1, 6)
-        verify_slicing(c, threads=4)  # 1 superblock of 32 blocks: no pool
+        _set_bits(monkeypatch, 6, 7)
+        verify_slicing(c, threads=4)  # 1 superblock of 2 blocks: no pool
         assert seen == [2, 3, 8]
 
 
@@ -385,10 +389,10 @@ class TestWordBoundaryBlocks:
     """Blocks and superblocks of 2^4 .. 2^8 vertices put the packed sweep on
     both sides of the 64-bit word: one partly filled word (word-internal
     axes only), one full word, two words paired by the first word-apart
-    axis, and blocks of part of a word packed into whole ones, with high
-    axes above them, against the per-edge reference."""
+    axis, and superblocks of two and four one-word blocks, with high axes
+    above them, against the per-edge reference."""
 
-    PAIRS = ((4, 4), (5, 5), (6, 6), (7, 7), (4, 6), (5, 8), (6, 8))
+    PAIRS = ((4, 4), (5, 5), (6, 6), (7, 7), (6, 7), (6, 8))
 
     @pytest.mark.parametrize("n", range(6, 10))
     def test_random_configs(self, monkeypatch, n):
@@ -410,14 +414,13 @@ class TestWordBoundaryBlocks:
 
 def _check_rank_classes(coeffs, thresholds, tol, pairs):
     """The packed classes from ranks and cuts against side_bits + packbits on
-    the per-vertex sides (low + off, then + 2*v_k), unit by unit, for the
+    the per-vertex sides (low + off, then + 2*v_k), block by block, for the
     base sides and every high-axis partner, at each (block, pack) bit pair."""
     n = coeffs.shape[1]
     tol = None if tol is None else tol[:, None, None]
     for block, pack in pairs:
         B = min(n, pack)
         b = min(B, block)
-        u = max(b, min(B, 6))
         ordered, rank, off, shifts = verifier._side_tables(coeffs, thresholds, b)
         low = 2 * verifier._subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
         assert (np.take_along_axis(ordered, rank.astype(np.intp), axis=1) == low).all()
@@ -426,16 +429,15 @@ def _check_rank_classes(coeffs, thresholds, tol, pairs):
             h = sb << (B - b)
             cuts = verifier._cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
             assert cuts.dtype == np.int16
-            for slot in range(1 << (B - u)):
-                blocks = slice(slot << (u - b), (slot + 1) << (u - b))
-                base = low[:, None, :] + off[:, h:][:, blocks, None]
+            for i in range(1 << (B - b)):
+                base = low[:, None, :] + off[:, h + i, None, None]
                 for a, k in enumerate([None] + axes):
                     side = base if k is None else base + 2 * coeffs[:, k, None, None]
                     want = [np.packbits(x.reshape(len(low), -1), axis=-1) for x in side_bits(side, tol)]
-                    out = np.empty((2, len(low), side[0].size), dtype=bool)
-                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, blocks], out)]
+                    out = np.empty((2, *low.shape), dtype=bool)
+                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, i], out)]
                     for w, g in zip(want, got):
-                        assert np.array_equal(w, g), ((block, pack), sb, slot, k)
+                        assert np.array_equal(w, g), ((block, pack), sb, i, k)
 
 
 class TestRankClasses:
