@@ -451,15 +451,16 @@ class TestBadFlags:
             ["estimate", "evasion", "--n", "0", "--m", "3"],
             BAD_FLAGS["sample_zero_count"],
             BAD_FLAGS["sample_negative_count"],
+            BAD_FLAGS["evasion_zero_samples"],
             BAD_FLAGS["search_negative_iters"],
             BAD_FLAGS["sweep_zero_dimension"],
             BAD_FLAGS["negative_seed"],
         ],
     )
     def test_flags_that_would_never_finish_are_usage_errors(self, argv):
-        # the first two and sweep --n 0 once looped forever; the counts once
-        # ran to exit 0 with no result, and a negative seed ended in numpy's
-        # ValueError; all are checked at the parser alone
+        # the first two and sweep --n 0 once looped forever; the counts and
+        # zero samples once ran to exit 0 with no result, and a negative seed
+        # ended in numpy's ValueError; all are checked at the parser alone
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
