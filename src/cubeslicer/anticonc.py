@@ -12,16 +12,14 @@ the values, product of 2*den(p_i) for the probabilities), so no step does
 per-atom Fraction arithmetic.
 
 Float atoms are built already sorted: each coordinate doubles the sorted
-atoms into two shifted sorted runs and merges them.  Their order is the
-stable order of the sign vectors' enumeration, which a merge keeps only
-while the values have no exact tie; on the first tie the atoms are
-enumerated again in sign-vector order and stably sorted once.  Either way
-the merge order is held as int32 indices, and near-equal neighbours are
-compared in blocks, so the fold's one full-length temporary is a boolean
-per atom.  The window scan searches each block of sorted window ends in a
-short slice, and visits the blocks by decreasing upper bound on their
-window masses, stopping at the first block whose bound cannot beat the best
-mass found.
+atoms into two shifted sorted runs and merges them, and a merge that makes
+exact ties sums each run of equal values into one atom, as the exact
+builder does.  The merge order is held as int32 indices, and near-equal
+neighbours are compared in blocks, so the fold's one full-length temporary
+is a boolean per atom.  The window scan searches each block of sorted
+window ends in a short slice, and visits the blocks by decreasing upper
+bound on their window masses, stopping at the first block whose bound
+cannot beat the best mass found.
 """
 
 from __future__ import annotations
@@ -155,40 +153,13 @@ def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
     return AtomDistribution(points, weights, True, Fraction(1), scale, denom)
 
 
-def _enumerated_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # Doubling enumeration over sign vectors in place, then one stable sort:
-    # after coordinate i the first 2^(i+1) entries hold all partial sums and
-    # their probabilities, the -v_i half first and the +v_i half at offset 2^i.
-    size = 1 << len(v)
-    values = np.empty(size, dtype=np.float64)
-    probs = np.empty(size, dtype=np.float64)
-    values[0] = 0.0
-    probs[0] = 1.0
-    half = 1
-    for vi, pi in zip(v, p):
-        up = (1.0 + pi) / 2.0
-        down = (1.0 - pi) / 2.0
-        low, high = slice(0, half), slice(half, 2 * half)
-        np.add(values[low], vi, out=values[high])
-        np.subtract(values[low], vi, out=values[low])
-        np.multiply(probs[low], up, out=probs[high])
-        np.multiply(probs[low], down, out=probs[low])
-        half *= 2
-    order = np.argsort(values, kind="stable").astype(np.int32)
-    values = values[order]
-    probs = probs[order]
-    return values, probs
-
-
-def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray]:
     # Sorted doubling: after coordinate i the atoms are the stable merge of
     # the sorted atoms shifted by -v_i (first) and by +v_i, which a stable
     # argsort of the two concatenated sorted runs does as one linear merge.
-    # Each value and probability is _enumerated_atoms', made by the same
-    # operations.  While the values are strictly increasing their order is
-    # the only sorted one; a merge breaks an exact tie by earlier values, not
-    # by sign vector, so the first tie returns None.  A tie never goes away,
-    # as equal values get the same arithmetic from then on.
+    # A merge that makes exact ties sums each run of equal values, so the
+    # values stay strictly increasing; equal values get the same arithmetic
+    # from then on, so the values are those of the 2^n sign vectors.
     values = np.zeros(1)
     probs = np.ones(1)
     for vi, pi in zip(v, p):
@@ -205,21 +176,23 @@ def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray] | None:
         order = np.argsort(both, kind="stable").astype(np.int32)
         values = both[order]
         del both
-        if np.any(values[1:] == values[:-1]):
-            return None
+        tied = np.any(values[1:] == values[:-1])
         weights = np.empty(2 * half)
         np.multiply(probs, (1.0 - pi) / 2.0, out=weights[:half])
         np.multiply(probs, (1.0 + pi) / 2.0, out=weights[half:])
         del probs
         probs = weights[order]
         del weights, order
+        if tied:
+            # run starts by comparison: np.diff overflows near the double range
+            starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+            values = values[starts]
+            probs = np.add.reduceat(probs, starts)
     return values, probs
 
 
 def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
-    # The atoms in the stable order of the sign vectors' enumeration: by
-    # sorted doubling, or after an exact tie by enumerating and one stable sort
-    values, probs = _sorted_atoms(v, p) or _enumerated_atoms(v, p)
+    values, probs = _sorted_atoms(v, p)
     keep = probs > 0.0
     if not keep.all():
         values = values[keep]

@@ -39,7 +39,7 @@ from .anticonc import LinearFormSpec, small_ball
 from .decomp import binary_decompose
 from .errors import MalformedInput, SlicerError
 from .lab import REPORT_COLUMNS, SweepCell, local_search_slicing, random_unit_configuration, run_estimator, sweep
-from .sampler import RngSpec, batch_bias_conditioned, batch_evasive_edges, batch_mu, bias_setup, sample_bias_simple
+from .sampler import RngSpec, batch_bias_conditioned, batch_mu, bias_setup, sample_bias_simple
 from .verifier import verify_slicing
 
 
@@ -218,21 +218,17 @@ def _cmd_sample(args):
     setup = bias_setup(config)
     lines = []
     for _ in range(args.count):
-        if dyadic and args.emit == "edges":
-            U, k, _ = batch_evasive_edges(setup, gen, 1)
-            signs, axis = U[0], k[0]
+        if dyadic:
+            P, _ = batch_bias_conditioned(setup, gen, 1)
+            p, clamped = P[0], False
         else:
-            if dyadic:
-                P, _ = batch_bias_conditioned(setup, gen, 1)
-                p, clamped = P[0], False
-            else:
-                bv = sample_bias_simple(config, gen)
-                p, clamped = bv.p, bv.clamped
-            if args.emit == "bias":
-                lines.append(to_json_text({"p": p.tolist(), "conditioned": dyadic, "clamped": clamped}))
-                continue
-            signs, axis = batch_mu(p[None, :], gen)[0], gen.integers(config.n)
-        lines.append(to_json_text(_edge_dict(int(axis), signs.tolist())))
+            bv = sample_bias_simple(config, gen)
+            p, clamped = bv.p, bv.clamped
+        if args.emit == "bias":
+            lines.append(to_json_text({"p": p.tolist(), "conditioned": dyadic, "clamped": clamped}))
+        else:
+            signs = batch_mu(p[None, :], gen)[0]
+            lines.append(to_json_text(_edge_dict(int(gen.integers(config.n)), signs.tolist())))
     return 0, "\n".join(lines) + "\n", "samples.jsonl"
 
 
@@ -486,8 +482,10 @@ def dispatch(argv=None) -> int:
             if value == []:
                 raise MalformedInput(f"--{name.replace('_', '-')} has no value")
         code, text, artifact_name = args.func(args)
-    except SlicerError as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
+    except (SlicerError, MemoryError) as exc:
+        # numpy's allocation failures are private MemoryError subclasses
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        err = {"error": kind.__name__, "message": str(exc)}
         print(to_json_text(err), file=sys.stderr)
         if args.out:
             out = Path(args.out)

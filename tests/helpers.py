@@ -5,9 +5,11 @@ oracle loops edge_crosses over every edge, the atom oracle enumerates all
 2^n sign vectors with itertools, and the concentration oracle sums window
 masses with a plain double loop.  reference_float_atoms and
 whole_array_levy_q are the float oracle's arithmetic written the plain way,
-for bitwise comparison, and the whole_chunk_* draws are the sampler's batch
-draws with every array of the batch in memory at once, for bitwise
-comparison with the blocked draws.
+for bitwise comparison; enumerated_float_atoms is the float law from all
+2^n sign vectors, a second reference whose values match bit for bit and
+whose masses are summed in another order.  The whole_chunk_* draws are the
+sampler's batch draws with every array of the batch in memory at once, for
+bitwise comparison with the blocked draws.
 """
 
 import itertools
@@ -113,21 +115,42 @@ def direct_window_concentration(atoms, alpha):
 
 
 def reference_float_atoms(v, p, rtol=1e-12):
-    """Float atoms by whole-array doubling, a stable sort and a fold.
+    """Float atoms by a plain per-step merge, then a drop and a fold.
 
-    Per coordinate the sums v -+ v_i are concatenated (the +v_i half second)
-    with probabilities times (1 -+ p_i)/2; zero-probability sums are dropped
-    after the stable sort, and runs whose neighbouring gaps are within
-    rtol * max(min(1, l1(v)), |value|) fold into their first value with
-    summed mass.
+    Per coordinate the sorted values shifted by -v_i and by +v_i are
+    concatenated (the +v_i half second) with probabilities times
+    (1 -+ p_i)/2, stably sorted, and each run of equal values is summed
+    into one atom.  Then zero-probability atoms are dropped and neighbours
+    are folded as in _drop_and_fold.
     """
     values = np.zeros(1)
     probs = np.ones(1)
     for vi, pi in zip(v, p):
         values = np.concatenate([values - vi, values + vi])
         probs = np.concatenate([probs * ((1.0 - pi) / 2.0), probs * ((1.0 + pi) / 2.0)])
+        order = np.argsort(values, kind="stable")
+        values, probs = values[order], probs[order]
+        starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+        values, probs = values[starts], np.add.reduceat(probs, starts)
+    return _drop_and_fold(values, probs, v, rtol)
+
+
+def enumerated_float_atoms(v, p, rtol=1e-12):
+    """Float atoms from all 2^n sign vectors: whole-array doubling with no
+    merge, one stable sort, then the drop and fold of _drop_and_fold."""
+    values = np.zeros(1)
+    probs = np.ones(1)
+    for vi, pi in zip(v, p):
+        values = np.concatenate([values - vi, values + vi])
+        probs = np.concatenate([probs * ((1.0 - pi) / 2.0), probs * ((1.0 + pi) / 2.0)])
     order = np.argsort(values, kind="stable")
-    values, probs = values[order], probs[order]
+    return _drop_and_fold(values[order], probs[order], v, rtol)
+
+
+def _drop_and_fold(values, probs, v, rtol):
+    """Sorted atoms without their zero-probability ones, and with runs whose
+    neighbouring gaps are within rtol * max(min(1, l1(v)), |value|) folded
+    into their first value with summed mass."""
     keep = probs > 0.0
     values, probs = values[keep], probs[keep]
     if values.size < 2:

@@ -34,6 +34,7 @@ from cubeslicer.errors import (
 from helpers import (
     direct_window_concentration,
     enumerate_atoms_exact,
+    enumerated_float_atoms,
     mixture_atoms_exact,
     reference_float_atoms,
     whole_array_levy_q,
@@ -125,8 +126,10 @@ BIASES = st.one_of(
 
 
 class TestFloatAtomsBitwise:
-    """The float atoms are bitwise those of the plain doubling, stable sort
-    and fold in helpers.reference_float_atoms."""
+    """The float atoms are bitwise those of the plain per-step merge, drop
+    and fold in helpers.reference_float_atoms.  Against the law of all 2^n
+    sign vectors, summed in another order, the values are bitwise equal and
+    the masses within 2e-15 relative."""
 
     @staticmethod
     def assert_bitwise_equal(v, p):
@@ -134,6 +137,9 @@ class TestFloatAtomsBitwise:
         ref_values, ref_probs = reference_float_atoms(v, p)
         assert d.values.tobytes() == ref_values.tobytes()
         assert d.probs.tobytes() == ref_probs.tobytes()
+        enum_values, enum_probs = enumerated_float_atoms(v, p)
+        assert d.values.tobytes() == enum_values.tobytes()
+        assert np.all(np.abs(d.probs - enum_probs) <= 2e-15 * enum_probs)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -149,14 +155,22 @@ class TestFloatAtomsBitwise:
             self.assert_bitwise_equal(gen.standard_normal(n).tolist(), gen.uniform(-0.5, 0.5, n).tolist())
 
     def test_fold_across_blocks(self):
-        # 2^18 atoms are compared in four fold blocks; the pairs (c, c + 1e-14)
-        # give exact ties (so the atoms are enumerated and sorted once) and
-        # runs of near-equal atoms that fold, across block edges too
+        # the pairs (c, c + 1e-14) give exact ties, merged as the doubling
+        # makes them, and runs of near-equal atoms that fold: 116490 of the
+        # 2^18 sums stay distinct, compared in two fold blocks, and fold
+        # into 3^9 atoms, across the block edge too
         gen = np.random.default_rng(1106)
         v = [x for c in gen.standard_normal(9).tolist() for x in (c, c + 1e-14)]
         p = gen.uniform(-0.5, 0.5, 18).tolist()
-        assert anticonc._sorted_atoms(tuple(v), tuple(p)) is None
+        values, _ = anticonc._sorted_atoms(tuple(v), tuple(p))
+        assert anticonc._FOLD_BLOCK < values.size < 1 << 18
+        assert len(linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))) == 3**9
         self.assert_bitwise_equal(v, p)
+
+    def test_middle_layer(self):
+        gen = np.random.default_rng(1107)
+        for n in (8, 16):
+            self.assert_bitwise_equal([1.0] * n, gen.uniform(-0.5, 0.5, n).tolist())
 
     def test_rounding_tie(self):
         # rounding makes distinct partial sums equal within one shifted copy
@@ -334,6 +348,22 @@ class TestOracleMemory:
             tracemalloc.stop()
         assert len(d) == 1 << n
         assert peak <= 3.6 * 8 * (1 << n)
+
+    def test_middle_layer_peak(self):
+        # ties are merged as the doubling makes them, so the middle-layer law
+        # never holds more than n + 1 atoms (an enumeration of the 2^20 sign
+        # vectors held 28 MB)
+        gen = np.random.default_rng(1108)
+        n = 20
+        spec = LinearFormSpec((1.0,) * n, tuple(gen.uniform(-0.5, 0.5, n)))
+        tracemalloc.start()
+        try:
+            d = linear_form_atoms(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d) == n + 1
+        assert peak < 1 << 20
 
 
 class TestLevyQ:

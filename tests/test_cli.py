@@ -218,6 +218,28 @@ class TestMalformedInput:
         assert json.loads((out_dir / "manifest.json").read_text())["error"]["error"] == error
 
 
+class TestMemoryError:
+    def test_json_error_and_error_manifest(self, capsys, monkeypatch, tmp_path):
+        # numpy raises a private MemoryError subclass when an array does not fit
+        import cubeslicer.sampler as sampler_mod
+
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def raiser(V):
+            raise _ArrayMemoryError("Unable to allocate 393. MiB for an array")
+
+        monkeypatch.setattr(sampler_mod, "dyadic_terms", raiser)
+        sampler_mod.bias_setup.cache_clear()
+        out_dir = tmp_path / "run"
+        argv = ["estimate", "evasion", "--n", "16", "--m", "3", "--samples", "10", "--out", str(out_dir)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        expected = {"error": "MemoryError", "message": "Unable to allocate 393. MiB for an array"}
+        assert json.loads(err) == expected
+        assert json.loads((out_dir / "manifest.json").read_text())["error"] == expected
+
+
 class TestDecomposeAndQfunc:
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, ["decompose", "--v", "0.6,-0.2,0", "--mode", "float"])
@@ -298,7 +320,7 @@ class TestDecomposeAndQfunc:
         _, out, _ = run(capsys, argv)
         assert json.loads(out)["q"] == "3/8"
 
-    def test_qfunc_float_tie_fallback(self, capsys):
+    def test_qfunc_float_exact_ties(self, capsys):
         _, out, _ = run(capsys, ["qfunc", "--mode", "float", "--v", "1,1,1,1", "--alpha", "1"])
         assert json.loads(out)["q"] == 0.375
 
@@ -367,7 +389,10 @@ class TestQfuncPinned:
     # a digit of q, a, sperner or ratio shows here.  ties_n12_alpha0.05 alone
     # differs from that capture: its q there was one rounding below the
     # largest atom's mass 0.037634812068950106 (the exact Q, rounded), and a
-    # float Q for alpha > 0 is now at least that mass
+    # float Q for alpha > 0 is now at least that mass.  ties_small_alpha1
+    # was re-captured when exact ties were merged as the doubling makes them:
+    # its q, summed in another order, went from 0.39998437500000006 to
+    # 0.39998437500000011 (the exact Q is 0.399984375)
     GOLDEN_SHA256 = {
         "exact_n10_alpha1": "d60a6b6f78d93cbf723ed0942ae803405b436052b0535b2c40b1ac51c505caee",
         "exact_n10_alpha1over3": "83f4f951a138812a1ac04589058555695e8f789a254503f0d065b68fb4f3d4ca",
@@ -386,7 +411,7 @@ class TestQfuncPinned:
         "float_n14_alpha0.01": "a0edfbdb3dbf307ee8c976d956531eafc1cf1349cbb87f048b1c53beebe5f87a",
         "ties_small_alpha1over2": "be70caf6561bb55d2bfe9e940ec71330701adac92653d11f7d45ab75c9be9b5c",
         "ties_small_alpha0.25": "be70caf6561bb55d2bfe9e940ec71330701adac92653d11f7d45ab75c9be9b5c",
-        "ties_small_alpha1": "be501ba397ad9521252d7b988191531aa672e2c4da0bbf9efaa81207d3b6a86d",
+        "ties_small_alpha1": "bfc11ab36c1788abf6ac7e2a1480a091a5f94932e60f0bd482aa05bc101f29dd",
         "ties_small_alpha0": "856328d217a07f31c59caede349fc88046e42ad332c77505f740b273d9d31f0a",
         "ties_n12_alpha0.05": "c81b405de481e1def6cd1fd054f21934285fd8fd9bdda9cf487fa974ac7015a9",
         "ties_n12_alpha0.1": "c6c02b22776670c49544f64525f296244bbc4c6da566f5fe739b4efae76a894e",
@@ -740,10 +765,13 @@ class TestEstimatorOutputsPinned:
     # float middle layers at n = 256, where |P_i| can reach 0.68 > 1/2; the
     # glue and linf-tail digests from before the bias blocks reused their
     # buffers, the evasion ones from when each 1024-sample chunk became one
-    # batch on its own substream
+    # batch on its own substream.  glue_middle_256 reads plane 0, the
+    # outermost layer, and prints a glue sum of 0 whatever the stream;
+    # glue_central_256 reads plane 128 (threshold -1/16), whose sum is not 0
     LARGE = {
         "evasion_1024": "e659aedec5aba9ad6d5c3a8545fa45042ed10dc41eafd544748203d7445da761",
         "evasion_middle_256": "9c5b9b02f290bddc5ed8235f690e8d6ad6afe55b4fec22b71c6441ecc1c7957f",
+        "glue_central_256": "eb7f59ca39bb785e492feb44037d76869dab52b31dc50395c5b4c202b917bbda",
         "glue_middle_256": "0c77cbc358353b04e63d3108f3eb8d0194bbf6f0958d87441e2ddb1664cd1065",
         "linf-tail_middle_256": "95dd750cdf85ad3d375af4cdb99f4d36c2c7fec5f367acbddf4193de9481f8f3",
     }
@@ -767,6 +795,8 @@ class TestEstimatorOutputsPinned:
             path = tmp_path / "middle.json"
             path.write_text(config)
             source = ["--config", str(path), "--samples", "20000"]
+            if where == "central_256":
+                source += ["--plane-index", "128"]
         code, out, _ = run(capsys, ["estimate", what, *source, "--threads", threads])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.LARGE[case]
