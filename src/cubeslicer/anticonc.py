@@ -34,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import decomp
-from .core import EXACT, FLOAT, as_scalar, scalar_kind
+from .core import EXACT, FLOAT, as_scalars, scalar_kind
 from .errors import (
     BiasOutOfRange,
     BiasTooLarge,
@@ -58,7 +58,7 @@ Number = Union[Fraction, float, int]
 @dataclass(frozen=True)
 class LinearFormSpec:
     """The random variable <v, x> where x has independent +-1 coordinates
-    with means p.  Entries are normalized by core.as_scalar to the
+    with means p.  Entries are normalized by core.as_scalars to the
     core.scalar_kind of all of v and p: all Fractions or all finite floats."""
 
     v: tuple
@@ -70,8 +70,8 @@ class LinearFormSpec:
         if len(self.v) == 0:
             raise DimensionMismatch("empty linear form")
         kind = scalar_kind([*self.v, *self.p])
-        object.__setattr__(self, "v", tuple(as_scalar(x, kind) for x in self.v))
-        object.__setattr__(self, "p", tuple(as_scalar(x, kind) for x in self.p))
+        object.__setattr__(self, "v", as_scalars(self.v, kind))
+        object.__setattr__(self, "p", as_scalars(self.p, kind))
         if max(abs(x) for x in self.p) > 1:
             raise BiasOutOfRange("bias entries must lie in [-1, 1]")
         # every atom lies in [-l1(v), l1(v)]; beyond a double the float atoms
@@ -380,7 +380,7 @@ def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple
     dev = sigma * math.sqrt(float(v @ v))
     P = np.broadcast_to(p, (samples, v.size))
     count = 0
-    for part in row_slices(P):
+    for part in row_slices(*P.shape):
         x = batch_mu(P[part], gen).astype(np.float64)
         count += int(np.count_nonzero(np.abs(x @ v - mean) > dev))
     emp = count / samples

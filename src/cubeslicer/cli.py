@@ -2,7 +2,8 @@
 
 Results go to stdout (JSON, JSON-lines, or CSV).  A run manifest (flags,
 seed, code version, wall time, peak RSS, input hashes; for `estimate`, the
-bias rows drawn and accepted) accompanies every run: with
+bias rows drawn and accepted and the seconds spent building the
+configuration, the bias set-up and the estimate) accompanies every run: with
 --out DIR the result and manifest.json are written into DIR, otherwise the
 manifest is a single JSON line on stderr.  Result artifacts never contain
 wall-clock data, so fixed seeds give byte-identical outputs regardless of
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 domain error (or incomplete slicing for `verify`),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -262,10 +264,18 @@ def _bias_rows(rep, n: int) -> dict:
 
 
 def _cmd_estimate(args):
+    start = time.perf_counter()
     config = _estimate_config(args)
+    built = time.perf_counter()
+    with contextlib.suppress(SlicerError):
+        # cached for the estimator and timed apart; a set-up error is raised
+        # again by the estimator, after its own checks
+        bias_setup(config)
+    set_up = time.perf_counter()
     rng = _rng_from_args(args).child(1)
     per_plane, rep = run_estimator(args.what, config, args.samples, rng, args.threads, args.plane_index, args.t)
-    args._bias_rows = _bias_rows(rep, config.n)
+    timings = {"config_s": built - start, "bias_setup_s": set_up - built, "estimate_s": time.perf_counter() - set_up}
+    args._manifest_extra = {**_bias_rows(rep, config.n), "timings": timings}
     head = {"n": config.n, "m": config.m, "samples": args.samples}
     if per_plane:
         result = {"estimator": "evasion", **head, "per_plane": [_report_dict(r) for r in per_plane], "union": _report_dict(rep)}
@@ -463,7 +473,7 @@ def _manifest(args, argv, wall_time: float) -> dict:
         "wall_time_s": wall_time,
         "peak_rss_mb": _peak_rss_mb(),
         "input_hashes": getattr(args, "_input_hashes", {}),
-        **getattr(args, "_bias_rows", {}),
+        **getattr(args, "_manifest_extra", {}),
     }
 
 

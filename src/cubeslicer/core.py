@@ -132,9 +132,19 @@ def as_scalar(x, kind: str) -> Scalar:
     raise NonFiniteScalar(f"not a finite number: {x!r}")
 
 
+def as_scalars(xs: Sequence, kind: str) -> tuple:
+    """as_scalar over a sequence, as a tuple.  A list of plain finite floats
+    in float kind is already converted and comes back as its tuple (a NaN or
+    an infinity makes the sum non-finite); anything else goes entry by entry
+    through as_scalar, with its errors."""
+    if kind == FLOAT and type(xs) is list and set(map(type, xs)) <= {float} and math.isfinite(sum(xs)):
+        return tuple(xs)
+    return tuple(as_scalar(x, kind) for x in xs)
+
+
 def make_hyperplane(coeffs: Sequence, threshold, kind: str = EXACT) -> Hyperplane:
     """Validate and build a hyperplane in the requested arithmetic kind."""
-    cs = tuple(as_scalar(c, kind) for c in coeffs)
+    cs = as_scalars(coeffs, kind)
     if not cs:
         raise DimensionZero("hyperplane needs at least one coefficient")
     if not any(cs):

@@ -11,8 +11,35 @@ consume the same random stream.  The bias is damped by the paper's constant
 A batch is drawn in stream order from one generator: the multipliers of its
 rows, the redraws of its rejected rows, its vertices' uniforms, then its
 axes.  The estimators draw one batch per chunk of lab.CHUNK rows, each on
-its own substream, so memory is per chunk; batch_mu draws on row slices
-of its batch, so the uniforms hold one slice.
+its own substream, so memory is per chunk.  A batch holds its biases P
+(rows x n) and row slices of the rest: batch_mu draws the uniforms in row
+slices, and with n <= BLOCK_COLS batch_bias draws the multipliers in row
+slices too (at n = 1024, m = 100, at most 256 x 1213 of them, 2.5 MB,
+where the whole 1024 x 1213 matrix takes 10 MB).
+
+The dyadic terms are stored compactly, per plane and column the term row
+(int32) and its value, 12 m n bytes, and multiplied through dense K x b
+column blocks of b <= BLOCK_COLS columns.  When one block covers n, the
+set-up builds it once; with several, a batch keeps its multipliers (K <= n
+on the paper's diagonal from n = 8192, so no more than P) and builds each
+block once.  At n = 16384, m = 100 a dense K x n matrix would take 220 MB
+(the run peaks at 290 MB); a batch there spends about 10-20 % more in its
+products than one dense product does, plus about 2 ms per block to build
+and clear it.
+
+P is the one product of all multipliers with the dense matrix, bit for bit
+with OpenBLAS 0.3.31 (numpy 2.4, a 2-core AVX-512 Xeon) at every n that is
+a multiple of 8, but for batches of a few rows on several blocks: column
+blocks start at multiples of 64 and product slices hold multiples of 192
+rows, so every element keeps the kernel and the summation order it has in
+the one product.  A few-row batch differs
+in the last bit where a block's product falls under OpenBLAS's small-matrix
+size (10^6 multiply-adds) and the one product does not, as at n = 2048,
+K = 397, 2 rows.  At other n the last bit may differ in the last n mod 8
+columns, and for one row where OpenBLAS splits its gemv between threads; the
+one product's own bits there differ between one and two BLAS threads.  P
+enters the estimates only through comparisons with uniform draws, which a
+last-bit change flips with probability about 1e-16 each.
 """
 
 from __future__ import annotations
@@ -39,6 +66,18 @@ from .errors import (
 # (128 rows at n = 1024).  Slices of 2^16 cells ran slower at n = 1024, and
 # slices of 2^20 cells held more.
 SLICE_CELLS = 1 << 17
+# A slice of the bias product is a whole multiple of PRODUCT_ROWS rows and
+# at least PRODUCT_WORK multiply-adds.  On a 2-core AVX-512 Xeon a
+# (rows x K) @ (K x 1024) product ran 10-15 % slower at 128-256 rows than at
+# 1024, and 1.5-2.6x slower at the 12-77 rows of 2^17 cells at K = 1700 to
+# 10733.  OpenBLAS takes another kernel below 10^6 multiply-adds, and past
+# the last full column tile it groups rows by 24, so other slices round some
+# elements otherwise.
+PRODUCT_ROWS = 192
+PRODUCT_WORK = 1 << 24
+# Columns per dense block of dyadic terms, at most; one block covers
+# n <= BLOCK_COLS.
+BLOCK_COLS = 1024
 # The conditioned bias accepts a draw when max|P_i| <= P_MAX; it redraws a row
 # at most MAX_RETRIES times, a safety cap (acceptance is >= 1 - 2/n likely).
 P_MAX = 0.5
@@ -129,22 +168,55 @@ def _entry_scales(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return col, j, lo + np.flatnonzero(np.bincount(j - lo))
 
 
-def dyadic_terms(V: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Per-(plane, scale) rows 2^j * v_l^(j), ordered by plane then scale.
+def compact_terms(V: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The per-(plane, scale) rows 2^j * v_l^(j), ordered by plane then scale,
+    stored compactly: (keys, term_rows, term_vals), where term_rows[l, i]
+    (int32) is the term row that coordinate i of plane l lies in and
+    term_vals[l, i] its value there.  A zero coordinate lies in the plane's
+    first term row with value 0, so every plane writes one cell per column.
 
-    Scaling by 2^j puts every nonzero entry of a row into (1/2, 1].  Each
-    plane is split twice, once to size W and once to fill it, so no
-    temporary is larger than one plane.
+    Scaling by 2^j puts every nonzero entry of a row into (1/2, 1].  The
+    terms of different planes are different rows, so each term row and
+    column holds at most one value.
     """
-    scales = [_entry_scales(v)[2] for v in V]
-    keys = [(ell, int(j)) for ell, js in enumerate(scales) for j in js]
-    W = np.zeros((len(keys), V.shape[1]), dtype=np.float64)
-    first = 0
-    for v, js in zip(V, scales):
-        col, j, _ = _entry_scales(v)
-        W[first + np.searchsorted(js, j), col] = np.ldexp(v[col], j)
-        first += len(js)
-    return keys, W
+    term_rows = np.empty(V.shape, dtype=np.int32)
+    term_vals = np.zeros(V.shape, dtype=np.float64)
+    keys: list[tuple[int, int]] = []
+    for ell, v in enumerate(V):
+        col, j, js = _entry_scales(v)
+        term_rows[ell] = len(keys)
+        term_rows[ell, col] = len(keys) + np.searchsorted(js, j)
+        term_vals[ell, col] = np.ldexp(v[col], j)
+        keys.extend((ell, int(s)) for s in js)
+    return keys, term_rows, term_vals
+
+
+def _scatter(block: np.ndarray, term_rows: np.ndarray, cols: slice, values) -> None:
+    """Set the cells of block (K x width) that columns cols of the compact
+    terms occupy to values."""
+    block[term_rows[:, cols], np.arange(block.shape[1])] = values
+
+
+def _dense(term_rows: np.ndarray, term_vals: np.ndarray, K: int) -> np.ndarray:
+    W = np.zeros((K, term_rows.shape[1]), dtype=np.float64)
+    _scatter(W, term_rows, slice(None), term_vals)
+    return W
+
+
+def dyadic_terms(V: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The keys and the dense K x n term matrix W, so that a bias is
+    scale * alphas @ W: the reference the blocked product is checked against."""
+    keys, term_rows, term_vals = compact_terms(V)
+    return keys, _dense(term_rows, term_vals, len(keys))
+
+
+def column_blocks(n: int) -> list[slice]:
+    """range(n) in order, as the fewest slices of at most BLOCK_COLS columns,
+    of near-equal widths in whole multiples of 64 but the last."""
+    count = -(-n // BLOCK_COLS)
+    units = -(-n // 64)
+    ends = [64 * (i * units // count) for i in range(1, count)] + [n]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
 
 
 def _check_dims(c: Configuration) -> None:
@@ -168,7 +240,10 @@ def sample_bias(c: Configuration, rng) -> BiasVector:
     gen = as_generator(rng)
     setup = bias_setup(c)
     alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
-    p = setup.scale * (alphas @ setup.W)
+    p = np.empty(c.n)
+    for cols, W in term_blocks(setup):
+        np.matmul(alphas, W, out=p[cols])
+    p *= setup.scale
     return BiasVector(p, dict(zip(setup.keys, alphas.tolist())), conditioned=False)
 
 
@@ -226,13 +301,17 @@ def sample_evasive_edge(c: Configuration, rng) -> Edge:
 
 @dataclass(frozen=True, eq=False)
 class BiasSetup:
-    """Precomputed normalized planes and dyadic term matrix for batch work."""
+    """Normalized planes and their compact dyadic terms (see compact_terms)
+    for batch work; block is the dense K x n term matrix when one column
+    block covers n, else None."""
 
     V: np.ndarray
     t: np.ndarray
     keys: list
-    W: np.ndarray
+    term_rows: np.ndarray
+    term_vals: np.ndarray
     scale: float
+    block: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,9 +322,26 @@ def bias_setup(c: Configuration) -> BiasSetup:
     # otherwise keep every cell's setup alive.
     _check_dims(c)
     V, t = normalized_float_planes(c)
-    keys, W = dyadic_terms(V)
+    keys, term_rows, term_vals = compact_terms(V)
+    block = _dense(term_rows, term_vals, len(keys)) if c.n <= BLOCK_COLS else None
     scale = 1.0 / (10.0 * math.sqrt(c.m * math.log(c.n)))
-    return BiasSetup(V, t, keys, W, scale)
+    return BiasSetup(V, t, keys, term_rows, term_vals, scale, block)
+
+
+def term_blocks(setup: BiasSetup):
+    """(columns, dense K x width term block) pairs over column_blocks(n), in
+    order: the set-up's one block, or each block built in turn in one reused
+    buffer, which holds a block only until the next pair is asked for."""
+    if setup.block is not None:
+        yield slice(None), setup.block
+        return
+    blocks = column_blocks(setup.V.shape[1])
+    buf = np.zeros((len(setup.keys), max(cols.stop - cols.start for cols in blocks)), dtype=np.float64)
+    for cols in blocks:
+        block = buf[:, : cols.stop - cols.start]
+        _scatter(block, setup.term_rows, cols, setup.term_vals[:, cols])
+        yield cols, block
+        _scatter(block, setup.term_rows, cols, 0.0)
 
 
 def row_max_abs(P: np.ndarray) -> np.ndarray:
@@ -254,10 +350,34 @@ def row_max_abs(P: np.ndarray) -> np.ndarray:
     return np.maximum(P.max(axis=-1), -P.min(axis=-1))
 
 
+def product_slices(setup: BiasSetup, count: int) -> list[slice]:
+    """The row slices of a count-row bias product.  With one column block,
+    about SLICE_CELLS cells of multipliers, in whole multiples of
+    PRODUCT_ROWS rows and of PRODUCT_WORK multiply-adds; a short remainder
+    joins the last slice, so only a whole small batch is a small product.
+    With several blocks, one slice, so that each block is built once."""
+    if setup.block is None:
+        return [slice(0, count)]
+    K, n = setup.block.shape
+    quantum = PRODUCT_ROWS * max(1, -(-PRODUCT_WORK // (PRODUCT_ROWS * K * n)))
+    return row_slices(count, K, quantum)
+
+
 def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.ndarray:
-    """count unconditioned biases in one product; row r's multipliers are
-    words r*K to (r+1)*K of gen's stream (K terms)."""
-    P = gen.uniform(-1.0, 1.0, size=(count, len(setup.keys))) @ setup.W
+    """count unconditioned biases; row r's multipliers are words r*K to
+    (r+1)*K of gen's stream (K terms), drawn as uniform(-1, 1) draws them,
+    slice by slice of product_slices(setup, count), and multiplied through
+    each column block."""
+    parts = product_slices(setup, count)
+    A = np.empty((max(part.stop - part.start for part in parts), len(setup.keys)))
+    P = np.empty((count, setup.V.shape[1]))
+    for part in parts:
+        alphas = A[: part.stop - part.start]
+        gen.random(out=alphas)
+        alphas *= 2.0
+        alphas -= 1.0
+        for cols, W in term_blocks(setup):
+            np.matmul(alphas, W, out=P[part, cols])
     P *= setup.scale
     return P
 
@@ -289,9 +409,9 @@ def batch_bias_conditioned(setup: BiasSetup, gen: np.random.Generator, count: in
 def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """int8 rows of +-1 vertices drawn coordinate-wise with means P (one row
     per sample); row r's uniforms are words r*n to (r+1)*n of gen's stream.
-    The uniforms are drawn on row_slices(P), so they hold one slice."""
+    The uniforms are drawn on row_slices of P, so they hold one slice."""
     U = np.empty(P.shape, dtype=np.int8)
-    for part in row_slices(P):
+    for part in row_slices(*P.shape):
         thr = P[part] + 1.0
         thr *= 0.5
         U[part] = gen.random(thr.shape) < thr
@@ -300,10 +420,13 @@ def batch_mu(P: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return U
 
 
-def row_slices(P: np.ndarray) -> list[slice]:
-    """P's rows in order, as slices of about SLICE_CELLS cells each."""
-    step = max(1, SLICE_CELLS // P.shape[1])
-    return [slice(lo, lo + step) for lo in range(0, len(P), step)]
+def row_slices(rows: int, width: int, quantum: int = 1) -> list[slice]:
+    """range(rows) in order, as slices of about SLICE_CELLS cells of rows
+    `width` wide, in whole multiples of quantum rows; a short remainder
+    joins the last slice."""
+    step = quantum * max(1, SLICE_CELLS // (width * quantum))
+    ends = [*range(step, rows - step + 1, step), rows]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
 
 
 def batch_evasive_edges(

@@ -8,8 +8,9 @@ whole_array_levy_q are the float oracle's arithmetic written the plain way,
 for bitwise comparison; enumerated_float_atoms is the float law from all
 2^n sign vectors, a second reference whose values match bit for bit and
 whose masses are summed in another order.  The whole_chunk_* draws are the
-sampler's batch draws with every array of the batch in memory at once, for
-bitwise comparison with the blocked draws.
+sampler's batch draws with every array of the batch in memory at once and
+the dense dyadic term matrix (sampler.dyadic_terms), for bitwise comparison
+with the sliced and blocked draws.
 """
 
 import itertools
@@ -171,17 +172,19 @@ def whole_array_levy_q(values, probs, alpha):
 
 
 def whole_chunk_bias_conditioned(setup, gen, count):
-    """Conditioned biases of count rows in one product, rejected rows redrawn
-    round by round from gen; returns (P, rows redrawn in each round)."""
+    """Conditioned biases of count rows in one product with the dense term
+    matrix, rejected rows redrawn round by round from gen; returns (P, rows
+    redrawn in each round)."""
     K = len(setup.keys)
-    P = setup.scale * (gen.uniform(-1.0, 1.0, size=(count, K)) @ setup.W)
+    W = sampler_mod.dyadic_terms(setup.V)[1]
+    P = setup.scale * (gen.uniform(-1.0, 1.0, size=(count, K)) @ W)
     rounds = []
     for attempt in range(sampler_mod.MAX_RETRIES + 1):
         bad = np.flatnonzero(np.abs(P).max(axis=1) > sampler_mod.P_MAX)
         if bad.size == 0:
             return P, rounds
         if attempt < sampler_mod.MAX_RETRIES:
-            P[bad] = setup.scale * (gen.uniform(-1.0, 1.0, size=(bad.size, K)) @ setup.W)
+            P[bad] = setup.scale * (gen.uniform(-1.0, 1.0, size=(bad.size, K)) @ W)
             rounds.append(bad.size)
     raise AssertionError("no acceptance")
 

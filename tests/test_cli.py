@@ -229,7 +229,7 @@ class TestMemoryError:
         def raiser(V):
             raise _ArrayMemoryError("Unable to allocate 393. MiB for an array")
 
-        monkeypatch.setattr(sampler_mod, "dyadic_terms", raiser)
+        monkeypatch.setattr(sampler_mod, "compact_terms", raiser)
         sampler_mod.bias_setup.cache_clear()
         out_dir = tmp_path / "run"
         argv = ["estimate", "evasion", "--n", "16", "--m", "3", "--samples", "10", "--out", str(out_dir)]
@@ -703,6 +703,20 @@ class TestBiasRowsInManifest:
         on_disk = json.loads((out_dir / "manifest.json").read_text())
         assert on_disk["bias_rows_drawn"] == 20000
         assert "bias_rows" not in (out_dir / ("estimate." + report)).read_text()
+
+    @pytest.mark.parametrize("what", sorted(ARGV))
+    def test_phase_timings_in_manifest_only(self, capsys, tmp_path, what):
+        out_dir = tmp_path / "run"
+        argv = ["estimate", what, *self.ARGV[what], "--report", "json", "--out", str(out_dir)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[what, "json"]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert sorted(timings) == ["bias_setup_s", "config_s", "estimate_s"]
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        assert "timings" not in (out_dir / "estimate.json").read_text()
 
     def test_other_subcommands_carry_no_counts(self, capsys):
         _, _, err = run(capsys, ["construct", "axis", "--n", "3"])

@@ -338,7 +338,7 @@ def scalar_reference_edge(c, gen):
     setup = bias_setup(c)
     while True:
         alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
-        p = setup.scale * (alphas @ setup.W)
+        p = setup.scale * (alphas @ dyadic_terms(setup.V)[1])
         if np.max(np.abs(p)) <= 0.5:
             break
     ups = gen.random(c.n) < (1.0 + p) / 2.0
@@ -470,7 +470,7 @@ class TestBlockedDraws:
         # scale * sum_j |W_ji| > 1/2 allows a rejection, but none happens here
         c = random_unit_config(np.random.default_rng(2), 4, 200)
         setup = bias_setup(c)
-        assert setup.scale * np.abs(setup.W).sum(axis=0).max() > sampler_mod.P_MAX
+        assert setup.scale * np.abs(dyadic_terms(setup.V)[1]).sum(axis=0).max() > sampler_mod.P_MAX
         _, rounds = self._check_edges(c, 3000, RngSpec(3, 1).generator)
         assert not rounds
 
@@ -507,6 +507,128 @@ class TestDyadicTerms:
         assert W.shape == (len(keys), V.shape[1]) and W.dtype == np.float64
         assert np.array_equal(W, np.array(rows))
         assert W.flags.c_contiguous
+
+
+def scaled_config(n, seed):
+    """Four planes with zero coefficients: a Gaussian one with a third of its
+    entries zero, one whose entries span 2^0 to 2^-59 and a subnormal, an
+    axis plane, and one with entries above 1."""
+    gen = np.random.default_rng(seed)
+    rows = gen.standard_normal((4, n))
+    rows[0, ::3] = 0.0
+    rows[1] = np.ldexp(np.sign(rows[1]), -(np.arange(n) % 60))
+    rows[1, 1::5] = 0.0
+    rows[1, 2] = 5e-324
+    rows[2] = 0.0
+    rows[2, n // 2] = 1.0
+    rows[3] *= 2.0 ** gen.integers(0, 12, size=n)
+    return Configuration(n, tuple(make_hyperplane(r.tolist(), 0.0, "float") for r in rows))
+
+
+class TestBlockedProduct:
+    """batch_bias and sample_bias, which multiply the multipliers (in row
+    slices with one column block) through column blocks of the compact
+    terms, against one product of all multipliers with the dense term
+    matrix: the same P bit for bit and the same end state of the generator."""
+
+    # n = 1032 and 2056 have uneven column blocks (512 + 520, 704 + 704 + 648)
+    CASES = [(64, 8), (256, 40), (1024, 100), (1032, 10), (2056, 12)]
+
+    @staticmethod
+    def counts(setup):
+        # small batches, one row either side of one and of two slices (of an
+        # estimator chunk where a slice is longer), and a short last chunk
+        step = min(sampler_mod.product_slices(setup, 1 << 14)[0].stop, 1024)
+        around = [k * step + d for k in (1, 2) for d in (-1, 0, 1)]
+        return sorted({1, *range(2, 10), 63, 64, 65, *around, 1000, 1024})
+
+    @staticmethod
+    def one_product(setup, count, seed):
+        gen = RngSpec(seed).generator()
+        A = gen.uniform(-1.0, 1.0, size=(count, len(setup.keys)))
+        return setup.scale * (A @ dyadic_terms(setup.V)[1]), gen
+
+    def _compare(self, setup, count, seed=0):
+        gen = RngSpec(seed).generator()
+        P = batch_bias(setup, gen, count)
+        P_ref, ref = self.one_product(setup, count, seed)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        return P, P_ref
+
+    @pytest.mark.parametrize("n,m", CASES)
+    def test_batches_match_one_product(self, n, m):
+        setup = bias_setup(random_unit_config(np.random.default_rng(n + m), n, m))
+        for count in self.counts(setup):
+            P, P_ref = self._compare(setup, count, count)
+            assert np.array_equal(P, P_ref), count
+
+    @pytest.mark.parametrize("n", [256, 1032])
+    def test_zero_coefficients_and_many_scales(self, n):
+        setup = bias_setup(scaled_config(n, 1))
+        assert len(setup.keys) > 60
+        for count in self.counts(setup):
+            P, P_ref = self._compare(setup, count, count)
+            assert np.array_equal(P, P_ref), count
+
+    @pytest.mark.parametrize("n,m", [(1025, 10), (2049, 12)])
+    def test_ragged_widths(self, n, m):
+        # the last n mod 8 columns fall outside a full column tile of the
+        # BLAS kernel; their summation order follows how the kernel groups
+        # the rows, which differs between BLAS thread counts for the one
+        # product too, so they are compared up to rounding
+        setup = bias_setup(random_unit_config(np.random.default_rng(n + m), n, m))
+        tiled = n - n % 8
+        for count in self.counts(setup):
+            P, P_ref = self._compare(setup, count, count)
+            assert np.array_equal(P[:, :tiled], P_ref[:, :tiled]), count
+            np.testing.assert_allclose(P, P_ref, rtol=0.0, atol=1e-15 * setup.scale * len(setup.keys))
+
+    @pytest.mark.parametrize("n,m", [(64, 8), (1032, 10), (2056, 12)])
+    def test_sample_bias_matches_one_product(self, n, m):
+        c = random_unit_config(np.random.default_rng(n + m), n, m)
+        setup = bias_setup(c)
+        for seed in range(5):
+            gen, ref = RngSpec(seed).generator(), RngSpec(seed).generator()
+            p = sample_bias(c, gen).p
+            alphas = ref.uniform(-1.0, 1.0, size=len(setup.keys))
+            assert np.array_equal(p, setup.scale * (alphas @ dyadic_terms(setup.V)[1]))
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 64, 1024, 1025, 2049, 3000, 16384, 16385])
+    def test_column_blocks(self, n):
+        blocks = sampler_mod.column_blocks(n)
+        assert len(blocks) == -(-n // sampler_mod.BLOCK_COLS)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        widths = [b.stop - b.start for b in blocks]
+        assert max(widths) <= sampler_mod.BLOCK_COLS and max(widths) - min(widths) <= 128
+        assert all(b.start % 64 == 0 for b in blocks)
+
+    @pytest.mark.parametrize("n", [256, 1032, 2056])
+    def test_blocks_are_the_dense_columns(self, n):
+        setup = bias_setup(scaled_config(n, 2))
+        W = dyadic_terms(setup.V)[1]
+        assert (setup.block is None) == (n > sampler_mod.BLOCK_COLS)
+        assert setup.term_rows.dtype == np.int32 and setup.term_vals.dtype == np.float64
+        assert setup.term_rows.shape == setup.term_vals.shape == setup.V.shape
+        for _ in range(2):  # one buffer serves every block, cleared in between
+            blocks = [(cols, block.copy()) for cols, block in sampler_mod.term_blocks(setup)]
+            assert np.array_equal(np.hstack([block for _, block in blocks]), W)
+            expected = [slice(None)] if n <= sampler_mod.BLOCK_COLS else sampler_mod.column_blocks(n)
+            assert [cols for cols, _ in blocks] == expected
+
+    def test_product_slices(self):
+        setup = bias_setup(random_unit_config(np.random.default_rng(0), 1024, 100))
+        parts = sampler_mod.product_slices(setup, 1024)
+        sizes = [part.stop - part.start for part in parts]
+        assert sizes == [192, 192, 192, 192, 256]
+        assert sampler_mod.product_slices(setup, 383) == [slice(0, 383)]
+        # a small product is not sliced: 3000 rows of n = 4 take one slice
+        small = bias_setup(random_unit_config(np.random.default_rng(2), 4, 200))
+        assert sampler_mod.product_slices(small, 3000) == [slice(0, 3000)]
+        # with several column blocks the batch is one slice, built per block once
+        wide = bias_setup(random_unit_config(np.random.default_rng(3), 1032, 10))
+        assert sampler_mod.product_slices(wide, 1024) == [slice(0, 1024)]
 
 
 class TestBiasSetupCache:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cubeslicer import LinearFormSpec, config_from_json_dict, group_bound_r, make_hyperplane
 from cubeslicer import cli
-from cubeslicer.core import EXACT, FLOAT, as_scalar, scalar_kind
+from cubeslicer.core import EXACT, FLOAT, as_scalar, as_scalars, scalar_kind
 from cubeslicer.decomp import binary_decompose
 from cubeslicer.errors import MalformedInput, NonFiniteScalar, SlicerError
 
@@ -106,6 +106,33 @@ def test_entry_points_agree_on_kind_and_value(x):
         assert expected == "MalformedInput"
     else:
         assert expected[0] == (FLOAT if isinstance(x, float) else EXACT)
+
+
+def _converted(thunk):
+    """Each entry's (type, repr) with the tuple's hash, or the error raised."""
+    try:
+        out = thunk()
+    except (SlicerError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(out), [(type(x), repr(x)) for x in out], hash(out)
+
+
+FLOAT_LISTS = st.lists(st.floats(), max_size=8)
+MIXED_LISTS = st.lists(
+    st.one_of(st.floats(), SCALARS, st.booleans(), st.none(), st.floats().map(np.float64)), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.one_of(FLOAT_LISTS, MIXED_LISTS, MIXED_LISTS.map(tuple), st.just([1e308, 1e308])),
+    kind=st.sampled_from([FLOAT, EXACT, "decimal"]),
+)
+def test_sequence_form_matches_per_entry_conversion(xs, kind):
+    # the list-of-plain-floats shortcut must give the per-entry tuple, its
+    # hash and its first error, for every input
+    expected = _converted(lambda: tuple(as_scalar(x, kind) for x in xs))
+    assert _converted(lambda: as_scalars(xs, kind)) == expected
 
 
 class TestAsScalar:
