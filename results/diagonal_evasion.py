@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Monte Carlo evasion on the paper's diagonal m = round(n^(2/3)).
 
-    python3 results/diagonal_evasion.py [--n 4096,8192,16384,32768] [--samples 2048] [--seed 0]
+    python3 results/diagonal_evasion.py [--n 4096,8192,16384,32768] [--samples 2048] [--seed 0] [--out PATH]
 
 Each cell is one `cubeslicer estimate evasion --n N --m M` process on m
 random unit planes, so the peak RSS in its manifest is the cell's own.  For
@@ -9,7 +9,8 @@ each cell the results file records the union rate and the largest per-plane
 rate with their 95 % intervals, the paper's per-plane shape
 sqrt(m) log^2 n / n and the largest rate over it, the bias rows drawn, and
 the wall time, the per-phase timings and the peak RSS from the manifest.
-The file goes next to this script as diagonal_evasion.json.
+The file goes to PATH, by default next to this script as
+diagonal_evasion.json.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def main() -> None:
     parser.add_argument("--n", default="4096,8192,16384,32768")
     parser.add_argument("--samples", type=int, default=2048)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path, default=HERE / "diagonal_evasion.json")
     args = parser.parse_args()
     cells = []
     for n in map(int, args.n.split(",")):
@@ -93,7 +95,7 @@ def main() -> None:
         "machine": machine(),
         "cells": cells,
     }
-    (HERE / "diagonal_evasion.json").write_text(json.dumps(doc, indent=2) + "\n")
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":

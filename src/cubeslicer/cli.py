@@ -313,6 +313,8 @@ def _cmd_search(args):
 def _cmd_sweep(args):
     if args.m == "diag":
         cells = [SweepCell(n, round(n ** (2.0 / 3.0)), args.construction) for n in args.n]
+    elif args.construction != "random":
+        raise MalformedInput("--m lists plane counts of random planes; a construction has its own n planes")
     else:
         cells = [SweepCell(n, m, args.construction) for n in args.n for m in args.m]
     rows = sweep(cells, args.samples, _rng_from_args(args), args.threads, estimator=args.estimator)

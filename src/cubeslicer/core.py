@@ -1,4 +1,4 @@
-"""Cube domain types, crossing predicates, and the classical slicing constructions.
+"""Cube domain types, crossing predicates, slicing constructions, and the worker map.
 
 Vertices of the n-cube live in {-1,+1}^n and are stored as bit masks
 (bit i set <=> coordinate i equals +1).  Hyperplanes come in two arithmetic
@@ -13,9 +13,10 @@ exactly one endpoint).  Crossing is invariant under positive scaling of
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,6 +162,8 @@ class Configuration:
     mode: str = STRICT
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DimensionZero("configuration dimension must be >= 1")
         if self.mode not in (STRICT, RELAXED):
             raise ValueError(f"unknown crossing mode {self.mode!r}")
         for h in self.planes:
@@ -334,6 +337,15 @@ def iter_edges(n: int) -> Iterator[Edge]:
             yield Edge(Vertex(n, canonical_base(k, comp)), k)
 
 
+def ordered_map(fn: Callable[[int], object], count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)] on min(threads, count) threads; inline on one."""
+    workers = min(threads, count)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
+
+
 def _scalar_to_json(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
@@ -360,7 +372,9 @@ def config_from_json_dict(d: dict) -> Configuration:
     Scalars may be JSON numbers or strings "p/q"; each plane takes the
     scalar_kind of its coefficients and threshold.
     """
-    n = int(d["n"])
+    n = d["n"]
+    if type(n) is not int:
+        raise MalformedInput(f"n must be a JSON integer, got {n!r}")
     mode = d.get("mode", STRICT)
     planes = []
     for entry in d.get("planes", []):

@@ -14,7 +14,6 @@ run_estimator picks an estimator by name, for the CLI and for sweep.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     construction,
     crossing_bits,
     make_hyperplane,
+    ordered_map,
     side_bits,
     sign_pair_crossings,
     zero_tolerance,
@@ -99,13 +99,6 @@ def _mean_report(total: int, total_sq: int, samples: int, seed: int, target: flo
     return EstimateReport(mean, se, (mean - _Z95 * se, mean + _Z95 * se), samples, seed, target)
 
 
-def _run_ordered(fn: Callable[[int], object], count: int, threads: int) -> list:
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 def _require_spec(rng) -> RngSpec:
     if not isinstance(rng, RngSpec):
         raise TypeError("estimators need an RngSpec so chunk substreams are well-defined")
@@ -123,7 +116,7 @@ def _fold_chunks(
         raise ValueError("samples must be >= 1")
     full, rest = divmod(samples, CHUNK)
     sizes = [CHUNK] * full + ([rest] if rest else [])
-    parts = _run_ordered(lambda i: fold(spec.child(i).generator(), sizes[i]), len(sizes), threads)
+    parts = ordered_map(lambda i: fold(spec.child(i).generator(), sizes[i]), len(sizes), threads)
     return [sum(map(int, column)) for column in zip(*parts)]
 
 
@@ -439,7 +432,7 @@ def local_search_slicing(
         gen = spec.child(r).generator()
         return _search_replica(n, m, iters, gen, coeff_range)
 
-    results = _run_ordered(replica, replicas, threads)
+    results = ordered_map(replica, replicas, threads)
     # deterministic best-of: ties broken by replica index
     best_idx = min(range(len(results)), key=lambda i: (results[i][0], i))
     planes = tuple(

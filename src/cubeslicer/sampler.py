@@ -4,9 +4,9 @@ and the evasive-edge sampler.
 Every sampler is a deterministic function of an RngSpec: the same
 (seed, stream) reproduces the same draw sequence.  The batch helpers, which
 the Monte Carlo estimators call, are the one implementation of each law:
-sample_mu and sample_evasive_edge are batch-of-one draws through them and
-consume the same random stream.  The bias is damped by the paper's constant
-1/(10 sqrt(m ln n)).
+sample_bias, sample_mu and sample_evasive_edge are batch-of-one draws
+through them on the same random stream.  The bias is damped by the
+paper's constant 1/(10 sqrt(m ln n)).
 
 A batch is drawn in stream order from one generator: the multipliers of its
 rows, the redraws of its rejected rows, its vertices' uniforms, then its
@@ -14,8 +14,7 @@ axes.  The estimators draw one batch per chunk of lab.CHUNK rows, each on
 its own substream, so memory is per chunk.  A batch holds its biases P
 (rows x n) and row slices of the rest: batch_mu draws the uniforms in row
 slices, and with n <= BLOCK_COLS batch_bias draws the multipliers in row
-slices too (at n = 1024, m = 100, at most 256 x 1213 of them, 2.5 MB,
-where the whole 1024 x 1213 matrix takes 10 MB).
+slices too (at n = 1024, m = 100, at most 256 x 1213 of them, 2.5 MB).
 
 The dyadic terms are stored compactly, per plane and column the term row
 (int32) and its value, 12 m n bytes, and multiplied through dense K x b
@@ -136,11 +135,9 @@ def normalized_float_planes(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
     Crossing is invariant under positive scaling, so sampling against the
     normalized copy agrees with the stored planes.
     """
-    if c.m < 1:
-        raise DimensionTooSmall("sampling needs at least one plane")
     try:
-        V = np.array([[float(x) for x in h.coeffs] for h in c.planes], dtype=np.float64)
-        t = np.array([float(h.threshold) for h in c.planes], dtype=np.float64)
+        V = np.array([h.coeffs for h in c.planes], dtype=np.float64)
+        t = np.array([h.threshold for h in c.planes], dtype=np.float64)
     except OverflowError as exc:
         raise UnnormalizedPlane("plane does not fit float range") from exc
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(t))):
@@ -232,19 +229,11 @@ def sample_bias(c: Configuration, rng) -> BiasVector:
         P = (1 / (10 sqrt(m ln n))) * sum_l sum_j alpha_{lj} 2^j v_l^(j)
 
     with alpha_{lj} independent uniform on [-1,1] over the unit-norm float
-    copies of the planes.  The draw is recorded in BiasVector.draws.
+    copies of the planes: the batch draw of one row, kept in BiasVector.draws.
     """
-    # The one draw that keeps its multipliers.  The batch draws return only P:
-    # keeping alphas there would hold a (rows x K) float array per batch
-    # (1024 x 1210, ~10 MB, at n=1024, m=100) for every estimator chunk.
-    gen = as_generator(rng)
     setup = bias_setup(c)
-    alphas = gen.uniform(-1.0, 1.0, size=len(setup.keys))
-    p = np.empty(c.n)
-    for cols, W in term_blocks(setup):
-        np.matmul(alphas, W, out=p[cols])
-    p *= setup.scale
-    return BiasVector(p, dict(zip(setup.keys, alphas.tolist())), conditioned=False)
+    P, alphas = _draw_bias(setup, as_generator(rng), 1)
+    return BiasVector(P[0], dict(zip(setup.keys, alphas[0].tolist())), conditioned=False)
 
 
 def sample_bias_conditioned(c: Configuration, rng) -> BiasVector:
@@ -368,6 +357,11 @@ def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.nda
     (r+1)*K of gen's stream (K terms), drawn as uniform(-1, 1) draws them,
     slice by slice of product_slices(setup, count), and multiplied through
     each column block."""
+    return _draw_bias(setup, gen, count)[0]
+
+
+def _draw_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """batch_bias's draw, as (P, the multipliers of its last row slice)."""
     parts = product_slices(setup, count)
     A = np.empty((max(part.stop - part.start for part in parts), len(setup.keys)))
     P = np.empty((count, setup.V.shape[1]))
@@ -379,7 +373,7 @@ def batch_bias(setup: BiasSetup, gen: np.random.Generator, count: int) -> np.nda
         for cols, W in term_blocks(setup):
             np.matmul(alphas, W, out=P[part, cols])
     P *= setup.scale
-    return P
+    return P, alphas
 
 
 def batch_bias_conditioned(setup: BiasSetup, gen: np.random.Generator, count: int) -> tuple[np.ndarray, int]:

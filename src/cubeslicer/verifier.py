@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +69,7 @@ from .core import (
     Vertex,
     canonical_base,
     crossing_bits,
+    ordered_map,
     side_bits,
     total_edges,
     zero_tolerance,
@@ -324,11 +324,7 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     nsuper = 1 << (n - B)
     runs = max(1, min(threads, nsuper))
     cuts = [nsuper * r // runs for r in range(runs + 1)]
-    if runs > 1:
-        with ThreadPoolExecutor(max_workers=runs) as ex:
-            results = list(ex.map(sweep_run, cuts[:-1], cuts[1:]))
-    else:
-        results = [sweep_run(0, nsuper)]
+    results = ordered_map(lambda r: sweep_run(cuts[r], cuts[r + 1]), runs, threads)
 
     per_plane = tuple(int(x) for x in sum(counts for counts, _, _ in results))
     sample: list[Edge] = []

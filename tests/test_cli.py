@@ -189,6 +189,11 @@ MALFORMED_INPUTS = {
     "null_threshold": ('{"n": 2, "planes": [{"coeffs": [1, 0], "threshold": null}]}', ["verify"], "MalformedInput"),
     "junk_coefficient": ('{"n": 2, "planes": [{"coeffs": ["x", 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
     "unknown_mode": ('{"n": 2, "mode": "loose", "planes": []}', ["verify"], "MalformedInput"),
+    "zero_dimension": ('{"n": 0, "planes": []}', ["verify"], "DimensionZero"),
+    "negative_dimension": ('{"n": -3, "planes": []}', ["verify"], "DimensionZero"),
+    "fractional_dimension": ('{"n": 2.5, "planes": [{"coeffs": [1, 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
+    "boolean_dimension": ('{"n": true, "planes": [{"coeffs": [1], "threshold": 0}]}', ["verify"], "MalformedInput"),
+    "string_dimension": ('{"n": "2", "planes": [{"coeffs": [1, 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
     "qfunc_junk_entry": (None, ["qfunc", "--v", "1,x", "--alpha", "1"], "MalformedInput"),
     "qfunc_double_dash_value": (None, ["qfunc", "--v=--", "--alpha", "1"], "MalformedInput"),
     "decompose_double_dash_value": (None, ["decompose", "--v=--"], "MalformedInput"),
@@ -196,6 +201,13 @@ MALFORMED_INPUTS = {
     "qfunc_float_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e400", "--alpha", "1"], "NonFiniteScalar"),
     "decompose_float_overflow": (None, ["decompose", "--mode", "float", "--v", "1e400"], "NonFiniteScalar"),
     "qfunc_float_l1_overflow": (None, ["qfunc", "--mode", "float", "--v", "1e308,1e308", "--alpha", "1"], "NonFiniteScalar"),
+    # a construction has its own n planes, so a list of plane counts would
+    # run the same cell once per entry
+    "sweep_plane_counts_with_construction": (
+        None,
+        ["sweep", "--n", "8", "--m", "3,5", "--construction", "axis", "--samples", "10"],
+        "MalformedInput",
+    ),
     "verify_float_side_overflow": (
         '{"n": 4, "planes": [{"coeffs": [1e308, -1e308, 1e308, 1.0], "threshold": 0.0},'
         ' {"coeffs": [1, 1, 1, 1], "threshold": 0.5}]}',

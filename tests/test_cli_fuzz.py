@@ -28,6 +28,7 @@ FILES = {
     "{float_config}": json.dumps({"n": 3, "planes": [{"coeffs": [0.5, -0.25, 1e-13], "threshold": 0.0}]}),
     "{not_json}": "{n: 4,",
     "{no_planes}": json.dumps({"n": 4}),
+    "{zero_dimension}": json.dumps({"n": 0, "planes": []}),
 }
 
 
@@ -46,7 +47,7 @@ SCALARS = st.one_of(st.lists(SCALAR, min_size=1, max_size=5).map(",".join), pick
 BAD_SCALARS = pick("--", "x", "nan", "inf", "1/0", "1,,x")
 BAD_INT = pick("--", "x", "1.5", "nan", "")
 CONFIGS = pick("{config}", "{float_config}", "-")
-BAD_CONFIGS = pick("{not_json}", "{no_planes}", "{missing}")
+BAD_CONFIGS = pick("{not_json}", "{no_planes}", "{missing}", "{zero_dimension}")
 
 # A flag is (name, valid values, malformed values or None); valid values of
 # None make a switch.  A positional argument has the name None.  Every flag

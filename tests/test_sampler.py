@@ -589,9 +589,12 @@ class TestBlockedProduct:
         setup = bias_setup(c)
         for seed in range(5):
             gen, ref = RngSpec(seed).generator(), RngSpec(seed).generator()
-            p = sample_bias(c, gen).p
+            bv = sample_bias(c, gen)
             alphas = ref.uniform(-1.0, 1.0, size=len(setup.keys))
-            assert np.array_equal(p, setup.scale * (alphas @ dyadic_terms(setup.V)[1]))
+            assert np.array_equal(bv.p, setup.scale * (alphas @ dyadic_terms(setup.V)[1]))
+            # the recorded multipliers are the reference's, bit for bit
+            assert np.array_equal(np.array(list(bv.draws.values())), alphas)
+            assert list(bv.draws) == setup.keys
             assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [2, 64, 1024, 1025, 2049, 3000, 16384, 16385])

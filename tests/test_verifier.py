@@ -25,7 +25,7 @@ from cubeslicer import (
     verify_slicing,
 )
 from cubeslicer.core import crossing_bits, side_bits
-from cubeslicer import verifier
+from cubeslicer import core, verifier
 from cubeslicer.errors import DimensionTooLarge, NonFiniteScalar
 from helpers import naive_slicing, random_rational_config
 
@@ -372,7 +372,7 @@ class TestBlockedSweep:
                 seen.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingExecutor)
         c = construction("axis", 7)
         _set_bits(monkeypatch, 6, 6)
         verify_slicing(c, threads=64)  # 2 superblocks
