@@ -11,12 +11,11 @@ Python integers over two common denominators (lcm of v's denominators for
 the values, product of 2*den(p_i) for the probabilities), so no step does
 per-atom Fraction arithmetic.
 
-Float atoms are built already sorted: each coordinate doubles the sorted
-atoms into two shifted sorted runs and merges them, and a merge that makes
-exact ties sums each run of equal values into one atom, as the exact
-builder does.  The merge order is held as int32 indices, and near-equal
-neighbours are compared in blocks, so the fold's one full-length temporary
-is a boolean per atom.  The window scan searches each block of sorted
+Float atoms are built sorted and in place: each coordinate grows one pair
+of arrays to twice their size and merges the two shifted runs into them back
+to front, a co-ranked block at a time; runs of equal, then of near-equal,
+values are summed block by block, so at n = 22 the builder holds its 64 MB of
+atoms plus one block.  The window scan searches each block of sorted
 window ends in a short slice, and visits the blocks by decreasing upper
 bound on their window masses, stopping at the first block whose bound
 cannot beat the best mass found.
@@ -154,74 +153,74 @@ def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
 
 
 def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # Sorted doubling: after coordinate i the atoms are the stable merge of
-    # the sorted atoms shifted by -v_i (first) and by +v_i, which a stable
-    # argsort of the two concatenated sorted runs does as one linear merge.
-    # A merge that makes exact ties sums each run of equal values, so the
-    # values stay strictly increasing; equal values get the same arithmetic
-    # from then on, so the values are those of the 2^n sign vectors.
+    # Sorted doubling in place: coordinate i grows both arrays to twice their
+    # size (glibc reallocs by mremap) and fills them from the back, _FOLD_BLOCK
+    # at a time, with the stable merge of the atoms shifted by -v_i (first on
+    # ties) and by +v_i: a block's sources, found by co-rank, lie below its end,
+    # and one stable argsort of the two short runs orders it.  Summing equal
+    # values keeps the 2^n sign vectors' values: they get the same arithmetic.
     values = np.zeros(1)
     probs = np.ones(1)
     for vi, pi in zip(v, p):
         half = values.size
-        both = np.empty(2 * half)
-        np.subtract(values, vi, out=both[:half])
-        np.add(values, vi, out=both[half:])
-        # each del frees a temporary before the next one is made.  The order
-        # is kept as int32 (every index is below 2^ORACLE_MAX_DIM), half the
-        # size of argsort's intp result, and numpy gathers with it in buffered
-        # chunks, making no intp copy; at n = 22 the last step's float arrays
-        # are 32 MB and its order 16 MB
-        del values
-        order = np.argsort(both, kind="stable").astype(np.int32)
-        values = both[order]
-        del both
-        tied = np.any(values[1:] == values[:-1])
-        weights = np.empty(2 * half)
-        np.multiply(probs, (1.0 - pi) / 2.0, out=weights[:half])
-        np.multiply(probs, (1.0 + pi) / 2.0, out=weights[half:])
-        del probs
-        probs = weights[order]
-        del weights, order
+        values.resize(2 * half, refcheck=False)
+        probs.resize(2 * half, refcheck=False)
+        hi, a_hi, tied = 2 * half, half, False
+        both, weights = np.empty((2, min(2 * half, _FOLD_BLOCK)))
+        while hi > 0:
+            lo = max(hi - _FOLD_BLOCK, 0)
+            # -v_i atom j comes before +v_i atom lo - j - 1 iff it is not larger
+            a_lo = bisect_left(range(half), True, max(0, lo - half), min(lo, half),
+                               key=lambda j: values[j] - vi > values[lo - j - 1] + vi)
+            mid, size = a_hi - a_lo, hi - lo
+            np.subtract(values[a_lo:a_hi], vi, out=both[:mid])
+            np.add(values[lo - a_lo:hi - a_hi], vi, out=both[mid:size])
+            np.multiply(probs[a_lo:a_hi], (1.0 - pi) / 2.0, out=weights[:mid])
+            np.multiply(probs[lo - a_lo:hi - a_hi], (1.0 + pi) / 2.0, out=weights[mid:size])
+            order = np.argsort(both[:size], kind="stable")
+            np.take(both, order, out=values[lo:hi], mode="clip")
+            np.take(weights, order, out=probs[lo:hi], mode="clip")
+            run = values[lo:hi + 1]  # the block and the first atom after it
+            tied = tied or bool(np.any(run[1:] == run[:-1]))
+            hi, a_hi = lo, a_lo
         if tied:
-            # run starts by comparison: np.diff overflows near the double range
-            starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-            values = values[starts]
-            probs = np.add.reduceat(probs, starts)
+            _sum_runs(values, probs, 0.0)
     return values, probs
+
+
+def _sum_runs(values: np.ndarray, probs: np.ndarray, rtol: float, floor: float = 0.0) -> None:
+    # Sums each run of sorted atoms into its first value in place and shrinks
+    # both arrays to fit.  A run's neighbours a <= b lie within rtol *
+    # max(floor, |a|, |b|) = rtol * max(floor, -a, b); rtol = 0 gives the runs
+    # of equal values.  A block's last run opens the next block, which widens
+    # until it holds a whole run, so np.add.reduceat sums every run whole.
+    size_out = lo = 0
+    width = _FOLD_BLOCK
+    while lo < values.size:
+        hi = min(lo + width, values.size)
+        a, b = values[lo:hi - 1], values[lo + 1:hi]
+        heads = np.ones(hi - lo, dtype=bool)
+        with np.errstate(over="ignore"):  # atoms beyond +-9e307 may be an infinite gap apart
+            np.greater(b - a, np.maximum(np.maximum(-a, b), floor) * rtol, out=heads[1:])
+        starts = np.flatnonzero(heads)
+        end = starts[-1] if hi < values.size else hi - lo
+        starts = starts[starts < end]
+        width = _FOLD_BLOCK if end else 2 * width
+        top = size_out + starts.size
+        if top < lo + end:
+            values[size_out:top] = values[lo:lo + end][starts]
+            probs[size_out:top] = np.add.reduceat(probs[lo:lo + end], starts)
+        size_out, lo = top, lo + end
+    values.resize(size_out, refcheck=False)
+    probs.resize(size_out, refcheck=False)
 
 
 def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
     values, probs = _sorted_atoms(v, p)
-    keep = probs > 0.0
-    if not keep.all():
-        values = values[keep]
-        probs = probs[keep]
-    del keep
-    # fold runs of sorted neighbours a <= b with b - a within
-    # MERGE_RTOL * max(floor, |a|, |b|), where max(|a|, |b|) = max(-a, b);
-    # the floor min(1, l1(v)) keeps the fold scale-invariant below l1(v) = 1.
-    # Neighbours are compared _FOLD_BLOCK at a time, so the gap and tolerance
-    # temporaries stay small.
-    if values.size > 1:
-        floor = min(1.0, math.fsum(map(abs, v)))
-        heads = np.empty(values.size, dtype=bool)
-        heads[0] = True
-        for lo in range(0, values.size - 1, _FOLD_BLOCK):
-            hi = min(lo + _FOLD_BLOCK, values.size - 1)
-            a, b = values[lo:hi], values[lo + 1:hi + 1]
-            # atoms beyond +-9e307 may be an infinite gap apart, never folded
-            with np.errstate(over="ignore"):
-                gap = b - a
-            tol = np.negative(a)
-            np.maximum(tol, b, out=tol)
-            np.maximum(tol, floor, out=tol)
-            tol *= MERGE_RTOL
-            np.greater(gap, tol, out=heads[lo + 1:hi + 1])
-        if not heads.all():
-            starts = np.flatnonzero(heads)
-            values = values[starts]
-            probs = np.add.reduceat(probs, starts)
+    if not probs.all():  # a bias of +-1 leaves zero-probability atoms
+        values, probs = values[probs > 0.0], probs[probs > 0.0]
+    # fold near-equal neighbours; the floor min(1, l1(v)) keeps it scale-invariant
+    _sum_runs(values, probs, MERGE_RTOL, min(1.0, math.fsum(map(abs, v))))
     mass = float(probs.sum())
     if not abs(mass - 1.0) <= 1e-12:
         raise BoundViolation(f"float atom masses sum to {mass!r}, not 1")

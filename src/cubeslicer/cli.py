@@ -6,8 +6,9 @@ bias rows drawn and accepted and the seconds spent building the
 configuration, the bias set-up and the estimate) accompanies every run: with
 --out DIR the result and manifest.json are written into DIR, otherwise the
 manifest is a single JSON line on stderr.  Result artifacts never contain
-wall-clock data, so fixed seeds give byte-identical outputs regardless of
---threads.
+wall-clock data, so fixed seeds give byte-identical outputs at any
+--threads, with one exception outside the program: `sample --emit bias` at
+an n that is not a multiple of 8 can change with OPENBLAS_NUM_THREADS.
 
 Exit codes: 0 success, 1 domain error (or incomplete slicing for `verify`),
 2 usage error.

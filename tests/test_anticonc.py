@@ -188,6 +188,68 @@ class TestFloatAtomsBitwise:
         self.assert_bitwise_equal([1e-13, -2e-13, 5e-14], [0.1, -0.3, 0.0])
 
 
+@pytest.mark.parametrize("block", (2, 3, 8))
+class TestFloatAtomsAcrossBlockEdges:
+    """TestFloatAtomsBitwise's checks with merge and fold blocks of 2, 3 and 8
+    atoms, so co-ranks, exact-tie runs and fold runs meet block edges and
+    runs longer than a block widen it."""
+
+    @staticmethod
+    def assert_bitwise_equal(block, v, p):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anticonc, "_FOLD_BLOCK", block)
+            TestFloatAtomsBitwise.assert_bitwise_equal(v, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tie_heavy(self, block, data):
+        n = data.draw(st.integers(1, 9))
+        v = data.draw(st.lists(st.sampled_from(TIE_POOL + tuple(-x for x in TIE_POOL)), min_size=n, max_size=n))
+        p = data.draw(st.lists(BIASES, min_size=n, max_size=n))
+        self.assert_bitwise_equal(block, v, p)
+
+    def test_tie_free(self, block):
+        gen = np.random.default_rng(73)
+        for n in (1, 2, 5, 10):
+            self.assert_bitwise_equal(block, gen.standard_normal(n).tolist(), gen.uniform(-0.5, 0.5, n).tolist())
+
+    def test_fold_across_blocks(self, block):
+        gen = np.random.default_rng(1106)
+        v = [x for c in gen.standard_normal(5).tolist() for x in (c, c + 1e-14)]
+        p = gen.uniform(-0.5, 0.5, 10).tolist()
+        assert len(linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))) == 3**5
+        self.assert_bitwise_equal(block, v, p)
+
+    def test_rounding_tie(self, block):
+        self.assert_bitwise_equal(block, [0.1] * 5, [-1.0, -1.0, 0.1, 0.0, 0.0])
+
+    def test_tie_run_across_block_edge(self, block):
+        # runs of three or more equal values, made of -v_i and +v_i atoms,
+        # cross block edges: a co-rank that put the +v_i atom of a tie first
+        # would sum such a run's masses in another order
+        self.assert_bitwise_equal(block, [0.2, 0.1, -0.5, -0.1, -0.2, -0.2, -0.2],
+                                  [-0.7, 0.0, 0.0, 0.1, -0.5, -0.7, 0.5])
+
+    def test_runs_longer_than_a_block(self, block):
+        # 11 equal coefficients: each merge pairs every atom with an equal
+        # one; then 1 with tiny steps: two fold runs of 2^8 atoms each
+        gen = np.random.default_rng(1109)
+        self.assert_bitwise_equal(block, [1.0] * 11, gen.uniform(-0.5, 0.5, 11).tolist())
+        self.assert_bitwise_equal(block, [1.0] + [1e-15 * 2**i for i in range(8)], [0.25] * 9)
+
+    def test_zero_probabilities(self, block):
+        gen = np.random.default_rng(1110)
+        p = [1.0, -1.0, 0.3, 1.0, 0.0, -0.2, -1.0, 0.5]
+        self.assert_bitwise_equal(block, gen.standard_normal(8).tolist(), p)
+
+    @pytest.mark.parametrize("order", (1, -1))
+    def test_powers_of_two(self, block, order):
+        # forwards every +v_i atom comes after every -v_i atom; reversed the
+        # two shifted runs interleave atom by atom
+        gen = np.random.default_rng(1111)
+        self.assert_bitwise_equal(block, [2.0**i for i in range(10)][::order], gen.uniform(-0.5, 0.5, 10).tolist())
+
+
 @st.composite
 def form_and_alpha(draw, entries, biases):
     """(v, p, alpha) with alpha 0, a gap between two atoms, half such a gap
@@ -332,10 +394,37 @@ class TestLevyQBlockScan:
 
 
 class TestOracleMemory:
+    @pytest.mark.parametrize("case", ("normal", "powers_of_two", "exact_tie", "fold"))
+    def test_float_builder_peak(self, case):
+        # the doubling grows one pair of arrays and merges into them block by
+        # block, and the tie merge and the fold compact them in place, so at
+        # n = 20 the builder holds its two result arrays plus one block (at
+        # most 2.4 arrays of 2^n doubles, where a builder with full-size
+        # merge and fold temporaries held 3.51, 3.51, 2.63 and 4.50)
+        gen = np.random.default_rng(1112)
+        n = 20
+        v = gen.standard_normal(n)
+        if case == "powers_of_two":
+            v = 2.0 ** np.arange(n)
+        elif case == "exact_tie":
+            v[1] = v[0]
+        elif case == "fold":
+            v[1] = v[0] + 1e-14
+        spec = LinearFormSpec(tuple(v.tolist()), tuple(gen.uniform(-0.5, 0.5, n)))
+        tracemalloc.start()
+        try:
+            d = linear_form_atoms(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d) == (1 << n if case in ("normal", "powers_of_two") else 3 << (n - 2))
+        assert peak <= 2.4 * 8 * (1 << n)
+
     def test_float_oracle_peak(self):
-        # the merge order is int32 and the fold works in blocks, so at n = 20
-        # atoms plus scan stay below 3.6 arrays of 2^n doubles (4.13 with an
-        # intp order and full-length fold temporaries)
+        # the builder works in place and the window scan in blocks, so at
+        # n = 20 atoms plus scan hold 3.02 arrays of 2^n doubles: the two
+        # atom arrays and the scan's cumulative sums (3.51 with full-size
+        # merge and fold temporaries)
         gen = np.random.default_rng(1105)
         n = 20
         spec = LinearFormSpec(tuple(gen.standard_normal(n)), tuple(gen.uniform(-0.5, 0.5, n)))
@@ -347,7 +436,7 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert len(d) == 1 << n
-        assert peak <= 3.6 * 8 * (1 << n)
+        assert peak <= 3.05 * 8 * (1 << n)
 
     def test_middle_layer_peak(self):
         # ties are merged as the doubling makes them, so the middle-layer law
