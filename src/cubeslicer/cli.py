@@ -313,7 +313,9 @@ def _cmd_search(args):
 
 def _cmd_sweep(args):
     if args.m == "diag":
-        cells = [SweepCell(n, round(n ** (2.0 / 3.0)), args.construction) for n in args.n]
+        # a construction cell (m = None) runs the construction's own planes
+        cells = [SweepCell(n, round(n ** (2.0 / 3.0)) if args.construction == "random" else None, args.construction)
+                 for n in args.n]
     elif args.construction != "random":
         raise MalformedInput("--m lists plane counts of random planes; a construction has its own n planes")
     else:

@@ -33,7 +33,7 @@ from .core import (
     zero_tolerance,
 )
 from . import sampler
-from .errors import DimensionTooLarge, DimensionTooSmall, SlicerError
+from .errors import DimensionTooLarge, DimensionTooSmall, MalformedInput, SlicerError
 from .sampler import (
     RngSpec,
     as_generator,
@@ -259,10 +259,12 @@ def random_unit_configuration(n: int, m: int, rng) -> Configuration:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One grid cell: dimension, plane count, and how to build the planes."""
+    """One grid cell: dimension, plane count, and how to build the planes.
+    A construction has its own plane count: m = None takes it, and an m
+    that differs from it is a MalformedInput in the cell's row."""
 
     n: int
-    m: int
+    m: int | None
     construction: str = "random"
 
 
@@ -290,9 +292,14 @@ def sweep(
         }
         try:
             if cell.construction == "random":
+                if cell.m is None:
+                    raise MalformedInput("a random cell needs its plane count m")
                 config = random_unit_configuration(cell.n, cell.m, spec.child(idx, 0))
             else:
                 config = construction(cell.construction, cell.n, kind="float")
+                if cell.m not in (None, config.m):
+                    raise MalformedInput(
+                        f"construction {cell.construction!r} has {config.m} planes at n = {cell.n}, not m = {cell.m}")
                 row["m"] = config.m
             per_plane, rep = run_estimator(estimator, config, samples, spec.child(idx, 1), threads)
             row.update(zip(REPORT_COLUMNS, rep.cells()))

@@ -298,29 +298,114 @@ class TestLevyQProperties:
             assert q >= d.probs.max()
 
 
+def dyadic_law(n, block):
+    # dyadic entries keep every atom and difference of atoms exact, so
+    # alpha = (value_j - value_i) / 2 puts anchor i's window end exactly on
+    # atom j; j is chosen at block edges and inside blocks
+    gen = np.random.default_rng(1000 + n)
+    v = (gen.integers(1, 1 << 20, size=n) * gen.choice([-1, 1], size=n) / (1 << 20)).tolist()
+    p = gen.uniform(-0.5, 0.5, size=n).tolist()
+    d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
+    vals = d.points
+    assert len(d) > 2 * block
+    alphas = [0.0, 0.5, 3.0]
+    for i in (0, 1, block - 1, block, block + 7):
+        for j in (block, 2 * block, block + 1, 2 * block - 1, i + 1, len(d) - 1):
+            if i < j < len(d):
+                alphas.append((vals[j] - vals[i]) / 2)
+    return d, alphas
+
+
+def bimodal_law(block):
+    # one coordinate 2^10 against the rest below 1: two clusters of atoms,
+    # each with light blocks at its edges and a heavy middle, the heavier
+    # cluster on top; windows within a cluster and spanning the gap
+    gen = np.random.default_rng(1101)
+    n = 16
+    v = [1024.0] + (gen.integers(1, 1 << 12, size=n - 1) / (1 << 16)).tolist()
+    p = [0.25] + gen.uniform(-0.5, 0.5, size=n - 1).tolist()
+    d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
+    return d, [1e-3, 0.01, 0.1, 0.5, 1023.0, 1024.0, 1025.0]
+
+
+def flat_law(block):
+    # v_i = 2^-i with p = 0: evenly spaced atoms of mass exactly 2^-n, so
+    # every full block has the same bound and every window of one width the
+    # same mass; alpha = block * step / 2 ends each block's windows on the
+    # next block's first atom
+    n = 15
+    d = linear_form_atoms(LinearFormSpec(tuple(2.0 ** -i for i in range(n)), (0.0,) * n))
+    assert np.all(d.probs == 2.0 ** -n)
+    step = d.points[1] - d.points[0]
+    return d, [step / 2, 3 * step, block * step / 2, block * step, (block + 1) * step]
+
+
+def skewed_law(block):
+    # the same atoms with every p_i = 0.9: atom masses grow steeply to the
+    # right, so the last atom within a block's bound can outweigh all the
+    # block's anchors, and a bound that left it out would prune the winner
+    n = 15
+    d = linear_form_atoms(LinearFormSpec(tuple(2.0 ** -i for i in range(n)), (0.9,) * n))
+    span = d.points[-1] - d.points[0]
+    return d, [span / 2 ** k for k in range(1, 13)]
+
+
+def normal_law(seed):
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(14)
+    return linear_form_atoms(LinearFormSpec(tuple(v), tuple(gen.uniform(-0.5, 0.5, 14)))), v
+
+
+def zero_alpha_law(block):
+    return normal_law(1102)[0], [0.0]
+
+
+def beyond_l1_law(block):
+    d, v = normal_law(1103)
+    l1 = float(np.abs(v).sum())
+    return d, [l1, 2 * l1]
+
+
+def long_span_law(n):
+    # v_0 = 100 with p_0 = -0.9 against n - 1 normal entries: a heavy and a
+    # light copy of one cluster, 200 apart.  A window 200 + s wide anchored
+    # in the heavy copy's sparse lower tail ends in the light copy's dense
+    # middle, so a block of anchors there has its window ends spread over
+    # far more atoms than it holds; at n = 20 and s = 3 it holds the best
+    # window
+    gen = np.random.default_rng(1113)
+    rest = gen.standard_normal(n - 1)
+    p = [-0.9] + gen.uniform(-0.5, 0.5, n - 1).tolist()
+    d = linear_form_atoms(LinearFormSpec((100.0, *rest.tolist()), tuple(p)))
+    sd = float(np.sqrt(rest @ rest))
+    return d, [100.0 + s * sd / 2 for s in (1.0, 2.0, 3.0, 4.0)]
+
+
+def visit_spans(monkeypatch):
+    """The window-end offsets that each visit's prefix sums reach, recorded
+    from anticonc._prefix_sums; its first call, the checkpoint pass, is
+    left out."""
+    spans = []
+    whole = anticonc._prefix_sums
+
+    def recorded(probs, start, prefix, at, buf):
+        spans.append(int(at[-1]))
+        return whole(probs, start, prefix, at, buf)
+
+    monkeypatch.setattr(anticonc, "_prefix_sums", recorded)
+    return spans
+
+
 class TestLevyQBlockScan:
-    """The float window scan searches each block's window ends in a slice;
-    it must give the bits of one searchsorted over every window."""
+    """The float window scan searches each block's window ends in a slice
+    and sums prefixes from checkpoints in chunks; it must give the bits of
+    one searchsorted over every window with one cumulative sum."""
 
     @pytest.mark.parametrize("n", [14, 15, 16])
     def test_matches_whole_array_scan(self, n):
-        # dyadic entries keep every atom and difference of atoms exact, so
-        # alpha = (value_j - value_i) / 2 puts anchor i's window end exactly
-        # on atom j; j is chosen at block edges and inside blocks
-        gen = np.random.default_rng(1000 + n)
-        v = (gen.integers(1, 1 << 20, size=n) * gen.choice([-1, 1], size=n) / (1 << 20)).tolist()
-        p = gen.uniform(-0.5, 0.5, size=n).tolist()
-        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
-        vals = d.points
-        block = anticonc._SCAN_BLOCK
-        assert len(d) > 2 * block
-        alphas = [0.0, 0.5, 3.0]
-        for i in (0, 1, block - 1, block, block + 7):
-            for j in (block, 2 * block, block + 1, 2 * block - 1, i + 1, len(d) - 1):
-                if i < j < len(d):
-                    alphas.append((vals[j] - vals[i]) / 2)
+        d, alphas = dyadic_law(n, anticonc._SCAN_BLOCK)
         for alpha in alphas:
-            assert levy_q(d, alpha) == whole_array_levy_q(vals, d.probs, alpha)
+            assert levy_q(d, alpha) == whole_array_levy_q(d.points, d.probs, alpha)
 
     # The scan visits blocks by decreasing bound on their window masses and
     # stops at the first bound that cannot beat the best mass; these laws
@@ -335,50 +420,23 @@ class TestLevyQBlockScan:
             assert type(q) is float and q == expected, alpha
 
     def test_bimodal_law(self):
-        # one coordinate 2^10 against the rest below 1: two clusters of atoms,
-        # each with light blocks at its edges and a heavy middle, the heavier
-        # cluster on top; windows within a cluster and spanning the gap
-        gen = np.random.default_rng(1101)
-        n = 16
-        v = [1024.0] + (gen.integers(1, 1 << 12, size=n - 1) / (1 << 16)).tolist()
-        p = [0.25] + gen.uniform(-0.5, 0.5, size=n - 1).tolist()
-        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(p)))
-        self.assert_matches(d, [1e-3, 0.01, 0.1, 0.5, 1023.0, 1024.0, 1025.0])
+        self.assert_matches(*bimodal_law(anticonc._SCAN_BLOCK))
 
     def test_flat_law_shares_block_bounds(self):
-        # v_i = 2^-i with p = 0: evenly spaced atoms of mass exactly 2^-n, so
-        # every full block has the same bound and every window of one width
-        # the same mass; alpha = block * step / 2 ends each block's windows
-        # on the next block's first atom
-        n = 15
-        d = linear_form_atoms(LinearFormSpec(tuple(2.0 ** -i for i in range(n)), (0.0,) * n))
-        assert np.all(d.probs == 2.0 ** -n)
-        step = d.points[1] - d.points[0]
-        block = anticonc._SCAN_BLOCK
-        self.assert_matches(d, [step / 2, 3 * step, block * step / 2, block * step, (block + 1) * step])
+        self.assert_matches(*flat_law(anticonc._SCAN_BLOCK))
 
     def test_evenly_spaced_skewed_law(self):
-        # the same atoms with every p_i = 0.9: atom masses grow steeply to the
-        # right, so the last atom within a block's bound can outweigh all the
-        # block's anchors, and a bound that left it out would prune the winner
-        n = 15
-        d = linear_form_atoms(LinearFormSpec(tuple(2.0 ** -i for i in range(n)), (0.9,) * n))
-        span = d.points[-1] - d.points[0]
-        self.assert_matches(d, [span / 2 ** k for k in range(1, 13)])
+        self.assert_matches(*skewed_law(anticonc._SCAN_BLOCK))
 
     def test_zero_alpha(self):
-        gen = np.random.default_rng(1102)
-        d = linear_form_atoms(LinearFormSpec(tuple(gen.standard_normal(14)), tuple(gen.uniform(-0.5, 0.5, 14))))
-        self.assert_matches(d, [0.0])
+        d, alphas = zero_alpha_law(anticonc._SCAN_BLOCK)
+        self.assert_matches(d, alphas)
         assert levy_q(d, 0.0) == 0.0
 
     def test_alpha_beyond_l1_holds_every_atom(self):
-        gen = np.random.default_rng(1103)
-        v = gen.standard_normal(14)
-        d = linear_form_atoms(LinearFormSpec(tuple(v), tuple(gen.uniform(-0.5, 0.5, 14))))
-        l1 = float(np.abs(v).sum())
-        self.assert_matches(d, [l1, 2 * l1])
-        assert levy_q(d, 2 * l1) == float(np.cumsum(d.probs)[-1])
+        d, alphas = beyond_l1_law(anticonc._SCAN_BLOCK)
+        self.assert_matches(d, alphas)
+        assert levy_q(d, alphas[1]) == float(np.cumsum(d.probs)[-1])
 
     def test_window_ends_on_block_edges(self):
         # dyadic atoms: alpha = (value_j - value_i) / 2 ends anchor i's window
@@ -391,6 +449,30 @@ class TestLevyQBlockScan:
         edges = [k * block + e for k in range(1, len(d) // block) for e in (-1, 0)]
         alphas = [(vals[j] - vals[i]) / 2 for i in (0, block, 3 * block - 1) for j in edges if j > i]
         self.assert_matches(d, alphas)
+
+    # The same laws with blocks of 4 or 8 anchors and chunks of 16 or 64
+    # sums, so marks, bounds and chunk edges fall everywhere in the scan.
+    LAWS = {
+        "dyadic": lambda block: dyadic_law(14, block),
+        "bimodal": bimodal_law,
+        "flat": flat_law,
+        "skewed": skewed_law,
+        "zero_alpha": zero_alpha_law,
+        "beyond_l1": beyond_l1_law,
+        "long_span": lambda block: long_span_law(12),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("scan_block,fold_block", [(4, 16), (8, 64)])
+    def test_small_blocks_and_chunks(self, monkeypatch, scan_block, fold_block, law):
+        d, alphas = self.LAWS[law](scan_block)
+        monkeypatch.setattr(anticonc, "_SCAN_BLOCK", scan_block)
+        monkeypatch.setattr(anticonc, "_FOLD_BLOCK", fold_block)
+        spans = visit_spans(monkeypatch)
+        self.assert_matches(d, alphas)
+        if law == "long_span":
+            # some visited block sums its window ends over several chunks
+            assert max(spans) > fold_block
 
 
 class TestOracleMemory:
@@ -421,22 +503,44 @@ class TestOracleMemory:
         assert peak <= 2.4 * 8 * (1 << n)
 
     def test_float_oracle_peak(self):
-        # the builder works in place and the window scan in blocks, so at
-        # n = 20 atoms plus scan hold 3.02 arrays of 2^n doubles: the two
-        # atom arrays and the scan's cumulative sums (3.51 with full-size
-        # merge and fold temporaries)
+        # the builder works in place and the window scan keeps prefix sums
+        # only at checkpoints and in one chunk of _FOLD_BLOCK + 1, so at
+        # n = 20 the builder sets the peak, 2.31 arrays of 2^n doubles (3.02
+        # when the scan held every cumulative sum, 3.51 with full-size merge
+        # and fold temporaries); the scan adds 0.08 arrays to the atoms
+        # (1.02 with every cumulative sum)
         gen = np.random.default_rng(1105)
         n = 20
         spec = LinearFormSpec(tuple(gen.standard_normal(n)), tuple(gen.uniform(-0.5, 0.5, n)))
         tracemalloc.start()
         try:
             d = linear_form_atoms(spec)
+            held, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             levy_q(d, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
+            _, scan_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(d) == 1 << n
-        assert peak <= 3.05 * 8 * (1 << n)
+        assert max(build_peak, scan_peak) <= 2.35 * 8 * (1 << n)
+        assert scan_peak - held <= 0.15 * 8 * (1 << n)
+
+    def test_long_span_scan_peak(self, monkeypatch):
+        # the best window's block sums its window ends over about 290k atoms,
+        # several chunks of _FOLD_BLOCK; at n = 20 the scan still adds at
+        # most 0.15 arrays of 2^n doubles to the atoms (0.08 measured)
+        n = 20
+        d, alphas = long_span_law(n)
+        spans = visit_spans(monkeypatch)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            levy_q(d, alphas[2])
+            _, scan_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(spans) > 2 * anticonc._FOLD_BLOCK
+        assert scan_peak - held <= 0.15 * 8 * (1 << n)
 
     def test_middle_layer_peak(self):
         # ties are merged as the doubling makes them, so the middle-layer law

@@ -265,9 +265,25 @@ class TestSweep:
             assert rows[0]["estimator"] == estimator
 
     def test_middle_layers_cells(self):
-        rows = sweep([SweepCell(8, 0, "middle_layers")], 2000, RngSpec(23))
+        rows = sweep([SweepCell(8, None, "middle_layers")], 2000, RngSpec(23))
         assert rows[0]["error"] is None
         assert rows[0]["m"] == 8
+
+    def test_construction_cell_keeps_its_plane_count(self):
+        # the axis planes at n = 8 are 8: cells asking for 3 or 5 of them are
+        # errors in their rows, where both once ran the same 8 planes
+        cells = [SweepCell(8, 3, "axis"), SweepCell(8, 5, "axis"), SweepCell(8, 8, "axis"), SweepCell(8, None, "axis")]
+        rows = sweep(cells, 200, RngSpec(0))
+        assert [row["m"] for row in rows] == [3, 5, 8, 8]
+        assert rows[0]["error"] == "MalformedInput: construction 'axis' has 8 planes at n = 8, not m = 3"
+        assert "MalformedInput" in rows[1]["error"]
+        assert rows[2]["error"] is None and rows[3]["error"] is None
+        assert "point_estimate" not in rows[0] and rows[2]["point_estimate"] == 1.0
+
+    def test_random_cell_needs_a_plane_count(self):
+        rows = sweep([SweepCell(8, None), SweepCell(8, 2)], 200, RngSpec(0))
+        assert rows[0]["error"] == "MalformedInput: a random cell needs its plane count m"
+        assert rows[1]["error"] is None
 
 
 class TestRunEstimator:
