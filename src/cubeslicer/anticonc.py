@@ -11,17 +11,20 @@ Python integers over two common denominators (lcm of v's denominators for
 the values, product of 2*den(p_i) for the probabilities), so no step does
 per-atom Fraction arithmetic.
 
-Float atoms are built sorted and in place: each coordinate grows one pair
-of arrays to twice their size and merges the two shifted runs into them back
-to front, a co-ranked block at a time; runs of equal, then of near-equal,
-values are summed block by block, so at n = 22 the builder holds its 64 MB of
-atoms plus one block.  The window scan searches each block of sorted
-window ends in a short slice, and visits the blocks by decreasing upper
-bound on their window masses, stopping at the first block whose bound
-cannot beat the best mass found.  It never holds the 2^n cumulative sums:
-one chunked pass keeps them at each block's first atom and at each bound,
-and a visited block sums its own from there, so at n = 22 the scan adds
-under 1 MB to the atoms and the builder sets the peak.
+Float atoms are built sorted and in place: each coordinate doubles the atoms
+in one pair of arrays, merging the two shifted runs into them back to front,
+a co-ranked block at a time.  The arrays grow by resize while the atoms fit
+in one block; past it they are one np.empty reservation for every coordinate
+left, resident only where the merge writes.  Runs of equal, then of
+near-equal, values are summed block by block, and a block holding no run is
+only moved, so at n = 22 the builder holds its 64 MB of atoms plus one
+block.  The window scan searches each block of sorted window ends in a
+short slice, and visits the blocks by decreasing upper bound on their
+window masses, stopping at the first block whose bound cannot beat the best
+mass found.  It never holds the 2^n cumulative sums: one chunked pass keeps
+them at each block's first atom and at each bound, and a visited block sums
+its own from there, so at n = 22 the scan adds about 1 MiB to the atoms and
+the builder sets the peak.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .sampler import as_generator, batch_mu, row_slices
 
 ORACLE_MAX_DIM = 22
 MERGE_RTOL = 1e-12
-_SCAN_BLOCK = 1 << 12
+_SCAN_BLOCK = 1 << 9
 _FOLD_BLOCK = 1 << 16
 
 Number = Union[Fraction, float, int]
@@ -96,11 +99,13 @@ class AtomDistribution:
     kept in the form its kind's arithmetic uses.
 
     Float kind: `points` and `weights` are the float64 arrays of values and
-    probabilities themselves.  Exact kind: `points` are Python ints V_i and
-    `weights` Python ints W_i with value_i = V_i / scale and prob_i =
-    W_i / denom, where scale is the lcm of v's denominators and denom the
-    product of 2*den(p_i); `values` and `probs` rebuild the Fractions when
-    read."""
+    probabilities themselves.  They may be prefix views of a larger
+    reservation that is resident only where written: tracemalloc counts the
+    whole reservation, resident memory only the atoms.  Exact kind: `points`
+    are Python ints V_i and `weights` Python ints W_i with value_i = V_i /
+    scale and prob_i = W_i / denom, where scale is the lcm of v's
+    denominators and denom the product of 2*den(p_i); `values` and `probs`
+    rebuild the Fractions when read."""
 
     points: Sequence
     weights: Sequence
@@ -156,55 +161,79 @@ def _atoms_exact(v: tuple, p: tuple) -> AtomDistribution:
 
 
 def _sorted_atoms(v: tuple, p: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # Sorted doubling in place: coordinate i grows both arrays to twice their
-    # size (glibc reallocs by mremap) and fills them from the back, _FOLD_BLOCK
-    # at a time, with the stable merge of the atoms shifted by -v_i (first on
-    # ties) and by +v_i: a block's sources, found by co-rank, lie below its end,
-    # and one stable argsort of the two short runs orders it.  Summing equal
-    # values keeps the 2^n sign vectors' values: they get the same arithmetic.
+    # Sorted doubling in place: coordinate i doubles the atoms and fills the
+    # arrays from the back, _FOLD_BLOCK at a time, with the stable merge of the
+    # atoms shifted by -v_i (first on ties) and by +v_i: a block's sources,
+    # found by co-rank, lie below its end, and one stable argsort of the two
+    # short runs orders it.  Summing equal values keeps the 2^n sign vectors'
+    # values: they get the same arithmetic.  While the atoms fit in one block
+    # both arrays grow by resize.  The first doubling past a block reserves
+    # room for every coordinate left, half << (n - i) atoms, with np.empty,
+    # which the kernel backs only where it is written: no level pays a
+    # resize's zero fill, and each works on a prefix of the reservation.
     values = np.zeros(1)
     probs = np.ones(1)
-    for vi, pi in zip(v, p):
-        half = values.size
-        values.resize(2 * half, refcheck=False)
-        probs.resize(2 * half, refcheck=False)
-        hi, a_hi, tied = 2 * half, half, False
-        both, weights = np.empty((2, min(2 * half, _FOLD_BLOCK)))
+    size = 1
+    for i, (vi, pi) in enumerate(zip(v, p)):
+        half, size = size, 2 * size
+        if values.size < size <= _FOLD_BLOCK:
+            values.resize(size, refcheck=False)
+            probs.resize(size, refcheck=False)
+        elif values.size < size:
+            room = half << (len(v) - i)
+            reserved = np.empty(room), np.empty(room)
+            reserved[0][:half], reserved[1][:half] = values[:half], probs[:half]
+            values, probs = reserved
+        hi, a_hi, tied = size, half, False
+        both, weights = np.empty((2, min(size, _FOLD_BLOCK)))
         while hi > 0:
             lo = max(hi - _FOLD_BLOCK, 0)
             # -v_i atom j comes before +v_i atom lo - j - 1 iff it is not larger
             a_lo = bisect_left(range(half), True, max(0, lo - half), min(lo, half),
                                key=lambda j: values[j] - vi > values[lo - j - 1] + vi)
-            mid, size = a_hi - a_lo, hi - lo
+            mid, width = a_hi - a_lo, hi - lo
             np.subtract(values[a_lo:a_hi], vi, out=both[:mid])
-            np.add(values[lo - a_lo:hi - a_hi], vi, out=both[mid:size])
+            np.add(values[lo - a_lo:hi - a_hi], vi, out=both[mid:width])
             np.multiply(probs[a_lo:a_hi], (1.0 - pi) / 2.0, out=weights[:mid])
-            np.multiply(probs[lo - a_lo:hi - a_hi], (1.0 + pi) / 2.0, out=weights[mid:size])
-            order = np.argsort(both[:size], kind="stable")
+            np.multiply(probs[lo - a_lo:hi - a_hi], (1.0 + pi) / 2.0, out=weights[mid:width])
+            order = np.argsort(both[:width], kind="stable")
             np.take(both, order, out=values[lo:hi], mode="clip")
             np.take(weights, order, out=probs[lo:hi], mode="clip")
-            run = values[lo:hi + 1]  # the block and the first atom after it
+            run = values[lo:min(hi + 1, size)]  # the block and the first atom after it
             tied = tied or bool(np.any(run[1:] == run[:-1]))
             hi, a_hi = lo, a_lo
+        del both, weights, order  # before the next level allocates its own
         if tied:
-            _sum_runs(values, probs, 0.0)
-    return values, probs
+            size = _sum_runs(values[:size], probs[:size], 0.0)
+    return values[:size], probs[:size]
 
 
-def _sum_runs(values: np.ndarray, probs: np.ndarray, rtol: float, floor: float = 0.0) -> None:
-    # Sums each run of sorted atoms into its first value in place and shrinks
-    # both arrays to fit.  A run's neighbours a <= b lie within rtol *
-    # max(floor, |a|, |b|) = rtol * max(floor, -a, b); rtol = 0 gives the runs
-    # of equal values.  A block's last run opens the next block, which widens
-    # until it holds a whole run, so np.add.reduceat sums every run whole.
+def _sum_runs(values: np.ndarray, probs: np.ndarray, rtol: float, floor: float = 0.0) -> int:
+    # Sums each run of sorted atoms into its first value in place and returns
+    # the number of atoms left, at the front of both arrays.  A run's
+    # neighbours a <= b lie within rtol * max(floor, |a|, |b|) = rtol *
+    # max(floor, -a, b); rtol = 0 gives the runs of equal values.  No pair of
+    # a block and the atom after it has a wider tolerance than rtol *
+    # max(floor, -values[lo], values[hi]), so a block whose gaps all exceed
+    # that holds no run and is only moved down.  Otherwise a block's last run
+    # opens the next block, which widens until it holds a whole run, so
+    # np.add.reduceat sums every run whole.
     size_out = lo = 0
     width = _FOLD_BLOCK
     while lo < values.size:
         hi = min(lo + width, values.size)
-        a, b = values[lo:hi - 1], values[lo + 1:hi]
-        heads = np.ones(hi - lo, dtype=bool)
+        span = values[lo:hi + 1]
         with np.errstate(over="ignore"):  # atoms beyond +-9e307 may be an infinite gap apart
-            np.greater(b - a, np.maximum(np.maximum(-a, b), floor) * rtol, out=heads[1:])
+            gaps = span[1:] - span[:-1]
+            if gaps.min(initial=math.inf) > max(floor, -span[0], span[-1]) * rtol:
+                if size_out < lo:
+                    values[size_out:size_out + hi - lo] = values[lo:hi]
+                    probs[size_out:size_out + hi - lo] = probs[lo:hi]
+                size_out, lo = size_out + hi - lo, hi
+                continue
+            heads = np.ones(hi - lo, dtype=bool)
+            a, b = span[:hi - lo - 1], span[1:hi - lo]
+            np.greater(gaps[:hi - lo - 1], np.maximum(np.maximum(-a, b), floor) * rtol, out=heads[1:])
         starts = np.flatnonzero(heads)
         end = starts[-1] if hi < values.size else hi - lo
         starts = starts[starts < end]
@@ -214,8 +243,7 @@ def _sum_runs(values: np.ndarray, probs: np.ndarray, rtol: float, floor: float =
             values[size_out:top] = values[lo:lo + end][starts]
             probs[size_out:top] = np.add.reduceat(probs[lo:lo + end], starts)
         size_out, lo = top, lo + end
-    values.resize(size_out, refcheck=False)
-    probs.resize(size_out, refcheck=False)
+    return size_out
 
 
 def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
@@ -223,7 +251,8 @@ def _atoms_float(v: tuple, p: tuple) -> AtomDistribution:
     if not probs.all():  # a bias of +-1 leaves zero-probability atoms
         values, probs = values[probs > 0.0], probs[probs > 0.0]
     # fold near-equal neighbours; the floor min(1, l1(v)) keeps it scale-invariant
-    _sum_runs(values, probs, MERGE_RTOL, min(1.0, math.fsum(map(abs, v))))
+    size = _sum_runs(values, probs, MERGE_RTOL, min(1.0, math.fsum(map(abs, v))))
+    values, probs = values[:size], probs[:size]
     mass = float(probs.sum())
     if not abs(mass - 1.0) <= 1e-12:
         raise BoundViolation(f"float atom masses sum to {mass!r}, not 1")
@@ -287,13 +316,11 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     marks = sums[np.searchsorted(checkpoints, firsts)]
     ends_at = sums[np.searchsorted(checkpoints, bounds)]
     ub = ends_at[1:] - marks
-    visit = np.argsort(ub)[::-1].tolist()
-    ub, firsts, bounds = ub.tolist(), firsts.tolist(), bounds.tolist()
     best = 0.0
-    for k in visit:
+    for k in np.argsort(ub)[::-1]:  # only the visited blocks' entries are read
         if ub[k] <= best:
             break
-        lo, first, last = firsts[k], bounds[k], bounds[k + 1]
+        lo, first, last = int(firsts[k]), int(bounds[k]), int(bounds[k + 1])
         hi = min(lo + _SCAN_BLOCK, vals.size)
         ends = np.searchsorted(vals[first:last], vals[lo:hi] + width, side="left")
         masses = _prefix_sums(probs, first, ends_at[k], ends, buf)[0]

@@ -7,7 +7,9 @@ masses with a plain double loop.  reference_float_atoms and
 whole_array_levy_q are the float oracle's arithmetic written the plain way,
 for bitwise comparison; enumerated_float_atoms is the float law from all
 2^n sign vectors, a second reference whose values match bit for bit and
-whose masses are summed in another order.  The whole_chunk_* draws are the
+whose masses are summed in another order.  blockwise_sum_runs is the
+oracle's in-place run sum with a heads array and np.add.reduceat for every
+block, the reference for the one that skips blocks holding no run.  The whole_chunk_* draws are the
 sampler's batch draws with every array of the batch in memory at once and
 the dense dyadic term matrix (sampler.dyadic_terms), for bitwise comparison
 with the sliced and blocked draws.
@@ -161,6 +163,33 @@ def _drop_and_fold(values, probs, v, rtol):
     tol = rtol * np.maximum(floor, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
     starts = np.concatenate([[0], np.flatnonzero(gap > tol) + 1])
     return values[starts], np.add.reduceat(probs, starts)
+
+
+def blockwise_sum_runs(values, probs, rtol, floor, block):
+    """Copies of sorted atoms with each run summed into its first value, as
+    anticonc._sum_runs sums them, but with a heads array and np.add.reduceat
+    for every block of `block` atoms.  A run's neighbours a <= b lie within
+    rtol * max(floor, -a, b); a block's last run opens the next block, which
+    widens until it holds a whole run."""
+    values, probs = values.copy(), probs.copy()
+    size_out = lo = 0
+    width = block
+    while lo < values.size:
+        hi = min(lo + width, values.size)
+        a, b = values[lo:hi - 1], values[lo + 1:hi]
+        heads = np.ones(hi - lo, dtype=bool)
+        with np.errstate(over="ignore"):
+            np.greater(b - a, np.maximum(np.maximum(-a, b), floor) * rtol, out=heads[1:])
+        starts = np.flatnonzero(heads)
+        end = starts[-1] if hi < values.size else hi - lo
+        starts = starts[starts < end]
+        width = block if end else 2 * width
+        top = size_out + starts.size
+        if top < lo + end:
+            values[size_out:top] = values[lo:lo + end][starts]
+            probs[size_out:top] = np.add.reduceat(probs[lo:lo + end], starts)
+        size_out, lo = top, lo + end
+    return values[:size_out], probs[:size_out]
 
 
 def whole_array_levy_q(values, probs, alpha):

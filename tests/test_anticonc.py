@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from cubeslicer.errors import (
     NonFiniteScalar,
 )
 from helpers import (
+    blockwise_sum_runs,
     direct_window_concentration,
     enumerate_atoms_exact,
     enumerated_float_atoms,
@@ -248,6 +250,103 @@ class TestFloatAtomsAcrossBlockEdges:
         # two shifted runs interleave atom by atom
         gen = np.random.default_rng(1111)
         self.assert_bitwise_equal(block, [2.0**i for i in range(10)][::order], gen.uniform(-0.5, 0.5, 10).tolist())
+
+    @pytest.mark.parametrize("law", ("normal", "powers_of_two", "exact_tie", "fold", "ties_after_the_switch"))
+    def test_reservation(self, block, law):
+        # more atoms than one block: the first doubling past it reserves
+        # room for every coordinate left and the later levels work on a
+        # prefix of it; 2^0..2^6 and then four 1s: each 1 doubles the
+        # 128 + j atoms and the ties shrink them to 129 + j
+        gen = np.random.default_rng(1113)
+        n = 11
+        v = gen.standard_normal(n)
+        if law == "powers_of_two":
+            v = 2.0 ** np.arange(n)
+        elif law == "exact_tie":
+            v[1] = v[0]
+        elif law == "fold":
+            v[1] = v[0] + 1e-14
+        elif law == "ties_after_the_switch":
+            v = np.array([2.0**i for i in range(7)] + [1.0] * 4)
+        p = gen.uniform(-0.5, 0.5, n).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anticonc, "_FOLD_BLOCK", block)
+            values, _ = anticonc._sorted_atoms(tuple(v.tolist()), tuple(p))
+        assert values.size == (132 if law == "ties_after_the_switch" else 3 << (n - 2) if law == "exact_tie" else 1 << n)
+        assert values.base.size >= values.size > block
+        self.assert_bitwise_equal(block, v.tolist(), p)
+
+
+def spaced_atoms(gaps, start=-10.0):
+    """Sorted atoms from their gaps, with masses that tell the summation
+    orders of a run apart."""
+    values = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    return values, np.random.default_rng(1114).uniform(0.1, 1.0, values.size)
+
+
+@pytest.mark.parametrize("block", (2, 3, 8))
+class TestSumRunsSkipsClearBlocks:
+    """anticonc._sum_runs only moves a block whose gaps, and the gap to the
+    next atom, all exceed the widest tolerance in it; the sums must be the
+    bits of helpers.blockwise_sum_runs, which builds every block's heads."""
+
+    @staticmethod
+    def assert_matches(block, values, probs, rtol, floor):
+        expected_values, expected_probs = blockwise_sum_runs(values, probs, rtol, floor, block)
+        values, probs = values.copy(), probs.copy()
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(anticonc, "_FOLD_BLOCK", block)
+            size = anticonc._sum_runs(values, probs, rtol, floor)
+        assert values[:size].tobytes() == expected_values.tobytes()
+        assert probs[:size].tobytes() == expected_probs.tobytes()
+        return size
+
+    @staticmethod
+    def run_at(gaps, index, tie):
+        # atoms index and index + 1 an exact tie or a near-equal pair
+        gaps = np.array(gaps, dtype=float)
+        gaps[index] = 0.0 if tie else 1e-14
+        return gaps
+
+    @pytest.mark.parametrize("tie", (True, False))
+    def test_pair_straddling_a_block_edge(self, block, tie):
+        values, probs = spaced_atoms(self.run_at([1.0] * (8 * block), block - 1, tie))
+        for rtol, floor in ((0.0, 0.0), (anticonc.MERGE_RTOL, 1.0)):
+            size = self.assert_matches(block, values, probs, rtol, floor)
+            assert size == values.size - (tie or rtol > 0)
+
+    @pytest.mark.parametrize("tie", (True, False))
+    def test_one_run_inside_a_clear_block(self, block, tie):
+        gaps = self.run_at([1.0] * (8 * block), 4 * block, tie)
+        gaps[4 * block + 1] = 0.0 if tie else 1e-14  # a run of three atoms
+        values, probs = spaced_atoms(gaps)
+        for rtol, floor in ((0.0, 0.0), (anticonc.MERGE_RTOL, 1.0)):
+            size = self.assert_matches(block, values, probs, rtol, floor)
+            assert size == values.size - 2 * (tie or rtol > 0)
+
+    def test_clear_blocks_after_compaction(self, block):
+        # a tie in the first block, then clear blocks that must move down
+        values, probs = spaced_atoms(self.run_at([0.5] * (10 * block), 0, True))
+        for rtol, floor in ((0.0, 0.0), (anticonc.MERGE_RTOL, 1.0)):
+            assert self.assert_matches(block, values, probs, rtol, floor) == values.size - 1
+
+    def test_atoms_beyond_half_the_double_range(self, block):
+        # the gap from -9e307 to 9e307 overflows to inf, inside a block or
+        # across a block edge depending on the block size; nothing may warn
+        big = 9e307 * (1.0 + 0.1 * np.arange(8))
+        values = np.concatenate((-big[::-1], big))
+        values[1], values[-2] = values[0], values[-1] * (1 - 1e-14)
+        probs = np.random.default_rng(1115).uniform(0.1, 1.0, values.size)
+        for rtol, floor in ((0.0, 0.0), (anticonc.MERGE_RTOL, 1.0)):
+            self.assert_matches(block, values, probs, rtol, floor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gaps=st.lists(st.sampled_from((0.0, 1e-14, 1e-3, 1.0, 2.0**-40)), min_size=0, max_size=60))
+    def test_random_runs(self, block, gaps):
+        values, probs = spaced_atoms(gaps, start=-0.5)
+        for rtol, floor in ((0.0, 0.0), (anticonc.MERGE_RTOL, 1.0), (anticonc.MERGE_RTOL, 1e-3)):
+            self.assert_matches(block, values, probs, rtol, floor)
 
 
 @st.composite
@@ -478,11 +577,13 @@ class TestLevyQBlockScan:
 class TestOracleMemory:
     @pytest.mark.parametrize("case", ("normal", "powers_of_two", "exact_tie", "fold"))
     def test_float_builder_peak(self, case):
-        # the doubling grows one pair of arrays and merges into them block by
-        # block, and the tie merge and the fold compact them in place, so at
-        # n = 20 the builder holds its two result arrays plus one block (at
-        # most 2.4 arrays of 2^n doubles, where a builder with full-size
-        # merge and fold temporaries held 3.51, 3.51, 2.63 and 4.50)
+        # the doubling reserves one pair of arrays and merges into them block
+        # by block, and the tie merge and the fold compact them in place, so
+        # at n = 20 the builder holds its two result arrays plus one block:
+        # 2.25, 2.25, 1.75 and 2.25 arrays of 2^n doubles (2.31 when resize
+        # grew the arrays to the last level, 3.51, 3.51, 2.63 and 4.50 with
+        # full-size merge and fold temporaries); tracemalloc counts the
+        # whole reservation, 2^n atoms for the fold case's 3 * 2^(n-2)
         gen = np.random.default_rng(1112)
         n = 20
         v = gen.standard_normal(n)
@@ -500,12 +601,12 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert len(d) == (1 << n if case in ("normal", "powers_of_two") else 3 << (n - 2))
-        assert peak <= 2.4 * 8 * (1 << n)
+        assert peak <= 2.3 * 8 * (1 << n)
 
     def test_float_oracle_peak(self):
         # the builder works in place and the window scan keeps prefix sums
         # only at checkpoints and in one chunk of _FOLD_BLOCK + 1, so at
-        # n = 20 the builder sets the peak, 2.31 arrays of 2^n doubles (3.02
+        # n = 20 the builder sets the peak, 2.25 arrays of 2^n doubles (3.02
         # when the scan held every cumulative sum, 3.51 with full-size merge
         # and fold temporaries); the scan adds 0.08 arrays to the atoms
         # (1.02 with every cumulative sum)
@@ -522,7 +623,7 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert len(d) == 1 << n
-        assert max(build_peak, scan_peak) <= 2.35 * 8 * (1 << n)
+        assert max(build_peak, scan_peak) <= 2.3 * 8 * (1 << n)
         assert scan_peak - held <= 0.15 * 8 * (1 << n)
 
     def test_long_span_scan_peak(self, monkeypatch):
