@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import subprocess
@@ -59,7 +58,7 @@ def run_cell(n: int, samples: int, seed: int) -> dict:
     result, manifest = json.loads(done.stdout), json.loads(done.stderr)
     planes = result["per_plane"]
     top = max(range(m), key=lambda ell: planes[ell]["point_estimate"])
-    shape = math.sqrt(m) * math.log(n) ** 2 / n
+    shape = planes[top]["target_bound"]  # the per-plane shape sqrt(m) log^2 n / n
     return {
         "n": n,
         "m": m,

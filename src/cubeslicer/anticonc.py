@@ -300,8 +300,9 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     # The prefix sums cum[i] = probs[0] + ... + probs[i - 1] are never held
     # whole: one pass keeps them at each block's first anchor (marks) and at
     # each bound and finds the largest atom mass, and a visit sums its
-    # anchors' from its mark and its window ends' from its first bound,
-    # _FOLD_BLOCK at a time, so no buffer grows with the windows' reach.  cum
+    # anchors' from its mark and its window ends' from its first bound, both
+    # by _prefix_sums, _FOLD_BLOCK at a time, so no buffer grows with the
+    # windows' reach or the block's length, and any pair of blocks works.  cum
     # is non-decreasing and a rounded difference is monotone in both
     # arguments, so no window mass of block k exceeds its computed
     # ub[k] = cum[bounds[k + 1]] - cum[lo].  Blocks are visited by decreasing
@@ -324,11 +325,7 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
         hi = min(lo + _SCAN_BLOCK, vals.size)
         ends = np.searchsorted(vals[first:last], vals[lo:hi] + width, side="left")
         masses = _prefix_sums(probs, first, ends_at[k], ends, buf)[0]
-        run = buf[:hi - lo]  # the anchors' prefix sums, from the block's mark
-        run[0] = marks[k]
-        run[1:] = probs[lo:hi - 1]
-        np.cumsum(run, out=run)
-        masses -= run
+        masses -= _prefix_sums(probs, lo, marks[k], np.arange(hi - lo), buf)[0]
         best = max(best, float(masses.max()))
     return max(best, top)
 

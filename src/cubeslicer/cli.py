@@ -130,14 +130,17 @@ def _parse_scalars(text: str, kind: str) -> list:
     return [as_scalar(token, kind) for token in text.split(",") if token.strip()]
 
 
-def _load_config(path: str) -> tuple[Configuration, dict]:
-    name = "<stdin>" if path == "-" else path
+def _load_config(args) -> Configuration:
+    """The configuration at args.config (- for stdin); its sha256 goes on
+    args for the manifest's input_hashes."""
+    name = "<stdin>" if args.config == "-" else args.config
     try:
-        data = sys.stdin.read() if path == "-" else Path(path).read_text()
+        data = sys.stdin.read() if args.config == "-" else Path(args.config).read_text()
         config = config_from_json_dict(json.loads(data))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise MalformedInput(f"configuration {name}: {type(exc).__name__}: {exc}") from exc
-    return config, {name: hashlib.sha256(data.encode()).hexdigest()}
+    args._input_hashes = {name: hashlib.sha256(data.encode()).hexdigest()}
+    return config
 
 
 def _rng_from_args(args) -> RngSpec:
@@ -195,8 +198,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify(args):
-    config, hashes = _load_config(args.config)
-    args._input_hashes = hashes
+    config = _load_config(args)
     if args.mode:
         config = Configuration(config.n, config.planes, args.mode)
     report = verify_slicing(config, threads=args.threads)
@@ -214,8 +216,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    config, hashes = _load_config(args.config)
-    args._input_hashes = hashes
+    config = _load_config(args)
     gen = _rng_from_args(args).generator()
     dyadic = args.variant == "dyadic"
     setup = bias_setup(config)
@@ -246,9 +247,7 @@ def _cmd_qfunc(args):
 
 def _estimate_config(args):
     if args.config:
-        config, hashes = _load_config(args.config)
-        args._input_hashes = hashes
-        return config
+        return _load_config(args)
     if args.n is None or args.m is None:
         raise SlicerError("estimate needs --config or both --n and --m")
     return random_unit_configuration(args.n, args.m, _rng_from_args(args).child(0))
@@ -490,6 +489,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
+    error = None
     try:
         # argparse before Python 3.12 passes [] for `--flag=--`, without
         # calling the flag's type; no flag takes an empty list
@@ -500,23 +500,21 @@ def dispatch(argv=None) -> int:
     except (SlicerError, MemoryError) as exc:
         # numpy's allocation failures are private MemoryError subclasses
         kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
-        err = {"error": kind.__name__, "message": str(exc)}
-        print(to_json_text(err), file=sys.stderr)
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            manifest = _manifest(args, argv, time.perf_counter() - start)
-            manifest["error"] = err
-            (out / "manifest.json").write_text(to_json_text(manifest, indent=2) + "\n")
-        return 1
-    sys.stdout.write(text)
+        error = {"error": kind.__name__, "message": str(exc)}
+        code = 1
+        print(to_json_text(error), file=sys.stderr)
+    else:
+        sys.stdout.write(text)
     manifest = _manifest(args, argv, time.perf_counter() - start)
+    if error:
+        manifest["error"] = error
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / artifact_name).write_text(text)
+        if not error:
+            (out / artifact_name).write_text(text)
         (out / "manifest.json").write_text(to_json_text(manifest, indent=2) + "\n")
-    else:
+    elif not error:
         # a manifest accompanies every run; without --out it goes to stderr
         # as one line, keeping stdout clean for piping
         print(to_json_text(manifest), file=sys.stderr)

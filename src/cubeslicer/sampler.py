@@ -133,7 +133,12 @@ def normalized_float_planes(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm float copies of the planes: (m x n coefficient matrix, thresholds).
 
     Crossing is invariant under positive scaling, so sampling against the
-    normalized copy agrees with the stored planes.
+    normalized copy agrees with the stored planes.  Before the norm is taken,
+    each row is scaled by the power of two that puts its largest |coefficient|
+    in [1/2, 1), so the squares neither overflow nor underflow at any scale;
+    the scaling is exact and leaves the quotients' bits as they are.  Only a
+    plane whose unit-norm copy does not fit a double, such as tiny
+    coefficients with a large threshold, is refused.
     """
     try:
         V = np.array([h.coeffs for h in c.planes], dtype=np.float64)
@@ -142,11 +147,16 @@ def normalized_float_planes(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
         raise UnnormalizedPlane("plane does not fit float range") from exc
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(t))):
         raise UnnormalizedPlane("plane does not fit float range")
+    shift = np.frexp(np.abs(V).max(axis=1))[1]
+    V = np.ldexp(V, -shift[:, None])
     norms = np.sqrt(np.einsum("ij,ij->i", V, V))
     if not np.all(norms > 0.0):
         raise UnnormalizedPlane("plane with zero float norm")
     V /= norms[:, None]
-    t /= norms
+    with np.errstate(over="ignore"):
+        t = np.ldexp(t / norms, -shift)
+    if not np.all(np.isfinite(t)):
+        raise UnnormalizedPlane("threshold of the unit-norm plane does not fit float range")
     renorm = np.sqrt(np.einsum("ij,ij->i", V, V))
     if np.max(np.abs(renorm - 1.0)) > 1e-12:
         raise UnnormalizedPlane("normalization failed to reach unit length")

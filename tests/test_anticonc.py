@@ -466,7 +466,7 @@ def beyond_l1_law(block):
 
 
 def long_span_law(n):
-    # v_0 = 100 with p_0 = -0.9 against n - 1 normal entries: a heavy and a
+    # v_0 = 100 with p_0 = -0.99 against n - 1 normal entries: a heavy and a
     # light copy of one cluster, 200 apart.  A window 200 + s wide anchored
     # in the heavy copy's sparse lower tail ends in the light copy's dense
     # middle, so a block of anchors there has its window ends spread over
@@ -474,21 +474,35 @@ def long_span_law(n):
     # window
     gen = np.random.default_rng(1113)
     rest = gen.standard_normal(n - 1)
-    p = [-0.9] + gen.uniform(-0.5, 0.5, n - 1).tolist()
+    p = [-0.99] + gen.uniform(-0.5, 0.5, n - 1).tolist()
     d = linear_form_atoms(LinearFormSpec((100.0, *rest.tolist()), tuple(p)))
     sd = float(np.sqrt(rest @ rest))
     return d, [100.0 + s * sd / 2 for s in (1.0, 2.0, 3.0, 4.0)]
 
 
+def one_atom_tail_law(block):
+    # v = (1, 2, ..., 2^9, 1): the 1025 even values from -1024 to 1024, so
+    # blocks of 4, 8, 64 or 512 anchors leave the top atom alone in the last
+    # block; with every p_i = 0.9 that atom is the heaviest, and narrow
+    # windows win there
+    n = 11
+    d = linear_form_atoms(LinearFormSpec((*(2.0 ** i for i in range(n - 1)), 1.0), (0.9,) * n))
+    assert len(d) == 1025 and len(d) % block == 1
+    return d, [0.5, 1.0, 1.5, 3.0, 1023.0, 1024.0, 1025.0]
+
+
 def visit_spans(monkeypatch):
     """The window-end offsets that each visit's prefix sums reach, recorded
-    from anticonc._prefix_sums; its first call, the checkpoint pass, is
-    left out."""
+    from anticonc._prefix_sums.  Its first call is the checkpoint pass, and
+    each visit then calls it for its window ends and for its anchors; only
+    the window ends are recorded."""
     spans = []
+    calls = itertools.count()
     whole = anticonc._prefix_sums
 
     def recorded(probs, start, prefix, at, buf):
-        spans.append(int(at[-1]))
+        if next(calls) % 2:
+            spans.append(int(at[-1]))
         return whole(probs, start, prefix, at, buf)
 
     monkeypatch.setattr(anticonc, "_prefix_sums", recorded)
@@ -537,6 +551,11 @@ class TestLevyQBlockScan:
         self.assert_matches(d, alphas)
         assert levy_q(d, alphas[1]) == float(np.cumsum(d.probs)[-1])
 
+    def test_one_atom_last_block(self):
+        d, alphas = one_atom_tail_law(anticonc._SCAN_BLOCK)
+        self.assert_matches(d, alphas)
+        assert levy_q(d, 0.5) == d.probs[-1] == d.probs.max()
+
     def test_window_ends_on_block_edges(self):
         # dyadic atoms: alpha = (value_j - value_i) / 2 ends anchor i's window
         # exactly on atom j, here the first or last atom of a block
@@ -549,8 +568,9 @@ class TestLevyQBlockScan:
         alphas = [(vals[j] - vals[i]) / 2 for i in (0, block, 3 * block - 1) for j in edges if j > i]
         self.assert_matches(d, alphas)
 
-    # The same laws with blocks of 4 or 8 anchors and chunks of 16 or 64
-    # sums, so marks, bounds and chunk edges fall everywhere in the scan.
+    # The same laws with blocks of 4, 8 or 64 anchors and chunks of 16 or 64
+    # sums, so marks, bounds and chunk edges fall everywhere in the scan; a
+    # block of 64 anchors sums their prefixes over several chunks of 16.
     LAWS = {
         "dyadic": lambda block: dyadic_law(14, block),
         "bimodal": bimodal_law,
@@ -559,10 +579,11 @@ class TestLevyQBlockScan:
         "zero_alpha": zero_alpha_law,
         "beyond_l1": beyond_l1_law,
         "long_span": lambda block: long_span_law(12),
+        "one_atom_tail": one_atom_tail_law,
     }
 
     @pytest.mark.parametrize("law", sorted(LAWS))
-    @pytest.mark.parametrize("scan_block,fold_block", [(4, 16), (8, 64)])
+    @pytest.mark.parametrize("scan_block,fold_block", [(4, 16), (8, 64), (64, 16)])
     def test_small_blocks_and_chunks(self, monkeypatch, scan_block, fold_block, law):
         d, alphas = self.LAWS[law](scan_block)
         monkeypatch.setattr(anticonc, "_SCAN_BLOCK", scan_block)
@@ -580,10 +601,8 @@ class TestOracleMemory:
         # the doubling reserves one pair of arrays and merges into them block
         # by block, and the tie merge and the fold compact them in place, so
         # at n = 20 the builder holds its two result arrays plus one block:
-        # 2.25, 2.25, 1.75 and 2.25 arrays of 2^n doubles (2.31 when resize
-        # grew the arrays to the last level, 3.51, 3.51, 2.63 and 4.50 with
-        # full-size merge and fold temporaries); tracemalloc counts the
-        # whole reservation, 2^n atoms for the fold case's 3 * 2^(n-2)
+        # 2.25, 2.25, 1.75 and 2.25 arrays of 2^n doubles; tracemalloc counts
+        # the whole reservation, 2^n atoms for the fold case's 3 * 2^(n-2)
         gen = np.random.default_rng(1112)
         n = 20
         v = gen.standard_normal(n)
@@ -606,10 +625,8 @@ class TestOracleMemory:
     def test_float_oracle_peak(self):
         # the builder works in place and the window scan keeps prefix sums
         # only at checkpoints and in one chunk of _FOLD_BLOCK + 1, so at
-        # n = 20 the builder sets the peak, 2.25 arrays of 2^n doubles (3.02
-        # when the scan held every cumulative sum, 3.51 with full-size merge
-        # and fold temporaries); the scan adds 0.08 arrays to the atoms
-        # (1.02 with every cumulative sum)
+        # n = 20 the builder sets the peak, 2.25 arrays of 2^n doubles, and
+        # the scan adds 0.08 arrays to the atoms
         gen = np.random.default_rng(1105)
         n = 20
         spec = LinearFormSpec(tuple(gen.standard_normal(n)), tuple(gen.uniform(-0.5, 0.5, n)))
@@ -627,9 +644,9 @@ class TestOracleMemory:
         assert scan_peak - held <= 0.15 * 8 * (1 << n)
 
     def test_long_span_scan_peak(self, monkeypatch):
-        # the best window's block sums its window ends over about 290k atoms,
-        # several chunks of _FOLD_BLOCK; at n = 20 the scan still adds at
-        # most 0.15 arrays of 2^n doubles to the atoms (0.08 measured)
+        # the best window's block sums its window ends over about 180k atoms,
+        # several chunks of _FOLD_BLOCK; at n = 20 the scan still adds at most
+        # 0.15 arrays of 2^n doubles to the atoms
         n = 20
         d, alphas = long_span_law(n)
         spans = visit_spans(monkeypatch)
@@ -645,8 +662,7 @@ class TestOracleMemory:
 
     def test_middle_layer_peak(self):
         # ties are merged as the doubling makes them, so the middle-layer law
-        # never holds more than n + 1 atoms (an enumeration of the 2^20 sign
-        # vectors held 28 MB)
+        # never holds more than n + 1 atoms
         gen = np.random.default_rng(1108)
         n = 20
         spec = LinearFormSpec((1.0,) * n, tuple(gen.uniform(-0.5, 0.5, n)))

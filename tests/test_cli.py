@@ -180,6 +180,12 @@ class TestUsageAndErrors:
         payload = json.loads(err)
         assert payload["error"] == "AllZeroCoefficients"
 
+    def test_domain_error_without_out_is_one_stderr_line(self, capsys):
+        # without --out an error prints no manifest: the error line is all
+        code, out, err = run(capsys, ["qfunc", "--v", "1,x", "--alpha", "1"])
+        assert (code, out) == (1, "")
+        assert err == '{"error": "MalformedInput", "message": "not a rational number: \'x\'"}\n'
+
 
 # (stdin document or None, argv, expected error); "{tmp}" is the test's tmp_path
 MALFORMED_INPUTS = {
@@ -228,6 +234,7 @@ class TestMalformedInput:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == error
         assert json.loads((out_dir / "manifest.json").read_text())["error"]["error"] == error
+        assert [path.name for path in out_dir.iterdir()] == ["manifest.json"]
 
 
 class TestMemoryError:
@@ -589,6 +596,45 @@ class TestSample:
         assert json.loads(err.splitlines()[0]) == {
             "error": "RetriesExhausted", "message": "no acceptance within 0 retries"
         }
+
+
+class TestPlaneScale:
+    """Crossing does not depend on a plane's positive scale, and the sampler
+    takes its unit-norm copy after an exact power-of-two scaling, so copies
+    of a configuration scaled by 2^600 and 2^-600 print the same bytes, and
+    copies whose squared coefficients overflow or underflow a double run."""
+
+    COMMANDS = {
+        "sample_bias": ["sample", "--count", "20", "--emit", "bias", "--seed", "1"],
+        "evasion": ["estimate", "evasion", "--samples", "3000", "--seed", "2"],
+        "glue": ["estimate", "glue", "--samples", "3000", "--seed", "3"],
+    }
+
+    @staticmethod
+    def scaled_config(tmp_path, factor):
+        gen = np.random.default_rng(2701)
+        coeffs, thresholds = gen.standard_normal((3, 8)), 0.3 * gen.standard_normal(3)
+        planes = [{"coeffs": (factor * c).tolist(), "threshold": float(factor * t)}
+                  for c, t in zip(coeffs, thresholds)]
+        path = tmp_path / f"scaled-{factor!r}.json"
+        path.write_text(json.dumps({"n": 8, "mode": "strict", "planes": planes}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_power_of_two_copies_print_the_same_bytes(self, capsys, tmp_path, command):
+        outputs = []
+        for factor in (1.0, 2.0 ** 600, 2.0 ** -600):
+            code, out, _ = run(capsys, [*self.COMMANDS[command], "--config", self.scaled_config(tmp_path, factor)])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[1] == outputs[0] == outputs[2]
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200, 1e-160])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_extreme_scales_run(self, capsys, tmp_path, command, factor):
+        code, out, err = run(capsys, [*self.COMMANDS[command], "--config", self.scaled_config(tmp_path, factor)])
+        assert code == 0, err
+        assert out
 
 
 class TestSearchPinned:
