@@ -19,7 +19,7 @@ for plane in config_to_json_dict(config)["planes"]:
 # exists).  The annealer gets close but rarely all the way; reported only.
 best = None
 for seed in range(4):
-    config, rep = local_search_slicing(6, 5, 30000, RngSpec(seed, 6), replicas=2, threads=2)
+    config, rep = local_search_slicing(6, 5, 30000, RngSpec(seed, 6), replicas=2)
     if best is None or rep.unsliced_count < best[0]:
         best = (rep.unsliced_count, config)
 print(f"\nn=6, m=5 stretch target: best objective {best[0]} of 192 edges")

@@ -9,6 +9,8 @@ manifest is a single JSON line on stderr.  Result artifacts never contain
 wall-clock data, so fixed seeds give byte-identical outputs at any
 --threads, with one exception outside the program: `sample --emit bias` at
 an n that is not a multiple of 8 can change with OPENBLAS_NUM_THREADS.
+--threads sets the worker count of `verify`; every other subcommand accepts
+it and runs on one thread.
 
 Exit codes: 0 success, 1 domain error (or incomplete slicing for `verify`),
 2 usage error.
@@ -273,7 +275,7 @@ def _cmd_estimate(args):
         bias_setup(config)
     set_up = time.perf_counter()
     rng = _rng_from_args(args).child(1)
-    per_plane, rep = run_estimator(args.what, config, args.samples, rng, args.threads, args.plane_index, args.t)
+    per_plane, rep = run_estimator(args.what, config, args.samples, rng, args.plane_index, args.t)
     timings = {"config_s": built - start, "bias_setup_s": set_up - built, "estimate_s": time.perf_counter() - set_up}
     args._manifest_extra = {**_bias_rows(rep, config.n), "timings": timings}
     head = {"n": config.n, "m": config.m, "samples": args.samples}
@@ -300,7 +302,6 @@ def _cmd_search(args):
         _rng_from_args(args),
         coeff_range=args.coeff_range,
         replicas=args.replicas,
-        threads=args.threads,
     )
     result = {
         "objective": report.unsliced_count,
@@ -319,7 +320,7 @@ def _cmd_sweep(args):
         raise MalformedInput("--m lists plane counts of random planes; a construction has its own n planes")
     else:
         cells = [SweepCell(n, m, args.construction) for n in args.n for m in args.m]
-    rows = sweep(cells, args.samples, _rng_from_args(args), args.threads, estimator=args.estimator)
+    rows = sweep(cells, args.samples, _rng_from_args(args), estimator=args.estimator)
     if args.report == "json":
         return 0, to_json_text(rows, indent=2) + "\n", "sweep.json"
     header = ["n", "m", "construction", "estimator", "samples", *REPORT_COLUMNS, "max_plane_estimate", "error"]
@@ -381,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
     common.add_argument("--stream", type=_nonnegative_int, default=0, help="substream index")
-    common.add_argument("--threads", type=_positive_int, default=1, help="worker count")
+    common.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker count of verify; the other subcommands run on one thread")
     common.add_argument("--out", type=str, default=None, help="directory for result + run manifest")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -1,4 +1,4 @@
-"""Cube domain types, crossing predicates, slicing constructions, and the worker map.
+"""Cube domain types, crossing predicates and slicing constructions.
 
 Vertices of the n-cube live in {-1,+1}^n and are stored as bit masks
 (bit i set <=> coordinate i equals +1).  Hyperplanes come in two arithmetic
@@ -13,10 +13,9 @@ exactly one endpoint).  Crossing is invariant under positive scaling of
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -335,15 +334,6 @@ def iter_edges(n: int) -> Iterator[Edge]:
     for k in range(n):
         for comp in range(1 << (n - 1)):
             yield Edge(Vertex(n, canonical_base(k, comp)), k)
-
-
-def ordered_map(fn: Callable[[int], object], count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)] on min(threads, count) threads; inline on one."""
-    workers = min(threads, count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
 
 
 def _scalar_to_json(x):

@@ -3,12 +3,16 @@ search for small slicing configurations.
 
 Estimators split the sample budget into fixed-size chunks, give every chunk
 its own substream (child of the caller's RngSpec), and fold integer partial
-counts in chunk order - so reports are byte-identical for any thread count.
+counts in chunk order, so a report depends only on the seed.  The chunks
+run in order on the calling thread: OpenBLAS already runs the bias product
+on every core, and a second Python worker only slowed the estimators.
 _fold_chunks does this for every estimator, which supplies only the counts
 of one chunk.  A chunk is one sampler batch of at most CHUNK rows, so memory
 is per chunk; its int8 vertices are tested in row slices
 (sampler.row_slices), so their float copies and side values hold one slice.
-run_estimator picks an estimator by name, for the CLI and for sweep.
+run_estimator picks an estimator by name, for the CLI and for sweep.  The
+search's replicas also run in order: its numpy calls are short and would
+take turns on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .core import (
     construction,
     crossing_bits,
     make_hyperplane,
-    ordered_map,
     side_bits,
     sign_pair_crossings,
     zero_tolerance,
@@ -105,9 +108,7 @@ def _require_spec(rng) -> RngSpec:
     return rng
 
 
-def _fold_chunks(
-    rng, samples: int, threads: int, fold: Callable[[np.random.Generator, int], list]
-) -> list[int]:
+def _fold_chunks(rng, samples: int, fold: Callable[[np.random.Generator, int], list]) -> list[int]:
     """Run fold(gen, rows) on chunks of CHUNK rows, each with its own
     substream, and sum the chunks' lists of counts column by column in
     chunk order."""
@@ -116,16 +117,11 @@ def _fold_chunks(
         raise ValueError("samples must be >= 1")
     full, rest = divmod(samples, CHUNK)
     sizes = [CHUNK] * full + ([rest] if rest else [])
-    parts = ordered_map(lambda i: fold(spec.child(i).generator(), sizes[i]), len(sizes), threads)
+    parts = [fold(spec.child(i).generator(), rows) for i, rows in enumerate(sizes)]
     return [sum(map(int, column)) for column in zip(*parts)]
 
 
-def estimate_evasion(
-    c: Configuration,
-    samples: int,
-    rng,
-    threads: int = 1,
-) -> tuple[list[EstimateReport], EstimateReport]:
+def estimate_evasion(c: Configuration, samples: int, rng) -> tuple[list[EstimateReport], EstimateReport]:
     """Frequency with which the evasive random edge crosses each plane, plus
     the union frequency Pr[some plane is crossed].  Crossing is evaluated on
     the unit-norm float copies under c.mode."""
@@ -152,7 +148,7 @@ def estimate_evasion(
             union += int(cross.any(axis=1).sum())
         return [*per_plane, union, drawn]
 
-    *per_plane, union, drawn = _fold_chunks(rng, samples, threads, fold)
+    *per_plane, union, drawn = _fold_chunks(rng, samples, fold)
     rows = {"bias_rows_drawn": drawn, "bias_rows_accepted": samples}
     shape = math.sqrt(c.m) * math.log(c.n) ** 2 / c.n
     reports = [
@@ -162,12 +158,7 @@ def estimate_evasion(
     return reports, replace(union_report, **rows)
 
 
-def estimate_linf_tail(
-    c: Configuration,
-    samples: int,
-    rng,
-    threads: int = 1,
-) -> EstimateReport:
+def estimate_linf_tail(c: Configuration, samples: int, rng) -> EstimateReport:
     """Frequency of max|P_i| > sampler.P_MAX = 1/2 under the unconditioned
     dyadic bias; the target bound is 2/n."""
     setup = bias_setup(c)
@@ -175,18 +166,11 @@ def estimate_linf_tail(
     def fold(gen: np.random.Generator, rows: int) -> list:
         return [np.count_nonzero(row_max_abs(batch_bias(setup, gen, rows)) > sampler.P_MAX)]
 
-    (count,) = _fold_chunks(rng, samples, threads, fold)
+    (count,) = _fold_chunks(rng, samples, fold)
     return replace(_bernoulli_report(count, samples, rng.seed, 2.0 / c.n), bias_rows_drawn=samples)
 
 
-def estimate_glue_sum(
-    c: Configuration,
-    plane_index: int,
-    t: float | None,
-    samples: int,
-    rng,
-    threads: int = 1,
-) -> EstimateReport:
+def estimate_glue_sum(c: Configuration, plane_index: int, t: float | None, samples: int, rng) -> EstimateReport:
     """Monte Carlo estimate of sum_k Pr[|<v,x> - t| < 2|v_k|] for one plane's
     unit-norm copy v, with x drawn from the conditioned-bias product
     distribution.  Each sample contributes the count of qualifying axes k
@@ -211,7 +195,7 @@ def estimate_glue_sum(
             total_sq += int((cnt * cnt).sum())
         return [total, total_sq, drawn]
 
-    total, total_sq, drawn = _fold_chunks(rng, samples, threads, fold)
+    total, total_sq, drawn = _fold_chunks(rng, samples, fold)
     target = math.sqrt(c.m) * math.log(c.n) ** 2
     report = _mean_report(total, total_sq, samples, rng.seed, target)
     return replace(report, bias_rows_drawn=drawn, bias_rows_accepted=samples)
@@ -222,7 +206,6 @@ def run_estimator(
     config: Configuration,
     samples: int,
     rng,
-    threads: int = 1,
     plane_index: int = 0,
     t: float | None = None,
 ) -> tuple[list[EstimateReport], EstimateReport]:
@@ -231,11 +214,11 @@ def run_estimator(
     per-plane reports; plane_index and t are glue's."""
     key = name.replace("_", "-")
     if key == "evasion":
-        return estimate_evasion(config, samples, rng, threads)
+        return estimate_evasion(config, samples, rng)
     if key == "linf-tail":
-        return [], estimate_linf_tail(config, samples, rng, threads)
+        return [], estimate_linf_tail(config, samples, rng)
     if key == "glue":
-        return [], estimate_glue_sum(config, plane_index, t, samples, rng, threads)
+        return [], estimate_glue_sum(config, plane_index, t, samples, rng)
     raise SlicerError(f"unknown estimator {name!r}")
 
 
@@ -268,13 +251,7 @@ class SweepCell:
     construction: str = "random"
 
 
-def sweep(
-    cells: Sequence[SweepCell],
-    samples: int,
-    rng,
-    threads: int = 1,
-    estimator: str = "evasion",
-) -> list[dict]:
+def sweep(cells: Sequence[SweepCell], samples: int, rng, estimator: str = "evasion") -> list[dict]:
     """Run one estimator over a grid of configurations.
 
     Per-cell failures are recorded in the row's `error` field and the sweep
@@ -301,7 +278,7 @@ def sweep(
                     raise MalformedInput(
                         f"construction {cell.construction!r} has {config.m} planes at n = {cell.n}, not m = {cell.m}")
                 row["m"] = config.m
-            per_plane, rep = run_estimator(estimator, config, samples, spec.child(idx, 1), threads)
+            per_plane, rep = run_estimator(estimator, config, samples, spec.child(idx, 1))
             row.update(zip(REPORT_COLUMNS, rep.cells()))
             if per_plane:
                 row["max_plane_estimate"] = max(r.point_estimate for r in per_plane)
@@ -420,7 +397,6 @@ def local_search_slicing(
     *,
     coeff_range: int = 8,
     replicas: int = 1,
-    threads: int = 1,
 ) -> tuple[Configuration, SlicingReport]:
     """Anneal integer-coefficient planes toward a complete slicing of the
     n-cube, minimizing the unsliced-edge count.  The returned report comes
@@ -434,12 +410,7 @@ def local_search_slicing(
     if n > SEARCH_MAX_DIM:
         raise DimensionTooLarge(f"search objective is exhaustive; capped at n <= {SEARCH_MAX_DIM}")
     spec = _require_spec(rng)
-
-    def replica(r: int):
-        gen = spec.child(r).generator()
-        return _search_replica(n, m, iters, gen, coeff_range)
-
-    results = ordered_map(replica, replicas, threads)
+    results = [_search_replica(n, m, iters, spec.child(r).generator(), coeff_range) for r in range(replicas)]
     # deterministic best-of: ties broken by replica index
     best_idx = min(range(len(results)), key=lambda i: (results[i][0], i))
     planes = tuple(

@@ -32,17 +32,18 @@ The cuts of a superblock's blocks, for its base sides and each high axis
 whose bit is clear, are searched together, so a worker holds at most
 2 * m * (n - B + 1) * 2^(B-b) cuts at a time.  Per-plane counts are
 popcounts, the union is an OR over planes, and the unsliced bits are
-unpacked to edge indices only while the sample has room.  Since
-_BLOCK_BITS >= 6, a block fills whole words unless it is the whole
-superblock (b = B = n < 6), which then fills one word in part.
+unpacked to edge indices only while the sample has room, and only up to
+the word that holds the last one it keeps.  Since _BLOCK_BITS >= 6, a
+block fills whole words unless it is the whole superblock (b = B = n < 6),
+which then fills one word in part.
 
-Thread runs split the superblocks.  Each worker allocates its buffers once
-and every pass writes into them: a block's two boolean classes (2 * m * 2^b
-bytes) and four word arrays of m * 2^(B-6) words (the superblock's two
-classes and two for the partners of a pass), about m * (2 * 2^b + 2^(B-1))
-bytes per worker (1.7 MB at m = 21, b = 13, B = 17).  All workers share the
-sorted low-part tables (m * 2^b scalars), the ranks (m * 2^b int16) and the
-m * 2^(n-b) offsets.
+Thread runs split the superblocks.  Each run's buffers are allocated once,
+on the calling thread, and every pass writes into them: a block's two
+boolean classes (2 * m * 2^b bytes) and four word arrays of m * 2^(B-6)
+words (the superblock's two classes and two for the partners of a pass),
+about m * (2 * 2^b + 2^(B-1)) bytes per run (1.7 MB at m = 21, b = 13,
+B = 17).  All workers share the sorted low-part tables (m * 2^b scalars),
+the ranks (m * 2^b int16) and the m * 2^(n-b) offsets.
 
 Each edge is visited once in canonical form: the base vertex has coordinate
 -1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +71,6 @@ from .core import (
     Vertex,
     canonical_base,
     crossing_bits,
-    ordered_map,
     side_bits,
     total_edges,
     zero_tolerance,
@@ -143,10 +144,13 @@ def _plane_stack(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray |
 
 def _subset_sums(cs: np.ndarray) -> np.ndarray:
     """(m, d) coefficients -> (m, 2^d): each row's sum over the set bits of
-    every mask, by the doubling recursion."""
-    s = np.zeros((cs.shape[0], 1), dtype=cs.dtype)
-    for i in range(cs.shape[1]):
-        s = np.concatenate([s, s + cs[:, i : i + 1]], axis=1)
+    every mask, by the doubling recursion: mask 2^i + j sums to mask j's sum
+    plus cs[:, i], written into the one result array."""
+    m, d = cs.shape
+    s = np.empty((m, 1 << d), dtype=cs.dtype)
+    s[:, 0] = 0
+    for i in range(d):
+        np.add(s[:, : 1 << i], cs[:, i : i + 1], out=s[:, 1 << i : 2 << i])
     return s
 
 
@@ -160,15 +164,25 @@ def _side_tables(coeffs, thresholds, b: int):
     below 2^b <= 2^13), off, and the shifts: column 0 adds nothing (the
     base side) and column k + 1 adds 2 * v_k (the partner across axis k).
     """
-    # off first: its doubling transients are the largest at n > 2b, and the
-    # sort's would add to them
-    off = 2 * _subset_sums(coeffs[:, b:])
-    low = 2 * _subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
+    # off first: it is the largest table at n > 2b, and the sort's index
+    # array would add to it
+    off = _subset_sums(coeffs[:, b:])
+    off *= 2
+    # in place, in the order 2*S_low - sum(v) - t, so float sides keep their bits
+    low = _subset_sums(coeffs[:, :b])
+    low *= 2
+    low -= coeffs.sum(axis=1)[:, None]
+    low -= thresholds[:, None]
     order = np.argsort(low, axis=1, kind="stable")
     rank = np.empty(low.shape, dtype=np.int16)
     np.put_along_axis(rank, order, np.arange(low.shape[1], dtype=np.int16)[None, :], axis=1)
+    # sort low in place, row by row through one row buffer
+    row = np.empty(low.shape[1], dtype=low.dtype)
+    for sides, idx in zip(low, order):
+        np.take(sides, idx, out=row)
+        sides[:] = row
     shifts = np.concatenate([np.zeros_like(coeffs[:, :1]), 2 * coeffs], axis=1)
-    return np.take_along_axis(low, order, axis=1), rank, off, shifts
+    return low, rank, off, shifts
 
 
 def _cuts(ordered, offsets, shifts, tol):
@@ -244,19 +258,14 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     bases = [np.uint64(_clear_bit_mask(k) & valid) for k in range(min(B, 6))]
     valid = np.uint64(valid)
 
-    def sweep_run(first: int, stop: int):
+    def sweep_run(first: int, stop: int, buffers):
         # per-plane crossings, unsliced count and, per axis, the first
-        # _SAMPLE_CAP unsliced compressed indices of superblocks first..stop-1
+        # _SAMPLE_CAP unsliced compressed indices of superblocks first..stop-1;
+        # the passes write in place into the run's buffers
         counts = np.zeros(m, dtype=np.int64)
         unsliced = 0
         samples: list[list[int]] = [[] for _ in range(n)]
-        # every buffer is allocated once per run; the passes write in place
-        # (the word arrays start at zero: pack fills part of a word if B < 6)
-        classes = np.empty((2, m, 1 << b), dtype=bool)
-        # the superblock's classes, and its partners' in a pass
-        pos, nz, partner_pos, partner_nz = np.zeros((4, m, words), dtype=np.uint64)
-        ones = np.empty(m * words, dtype=np.uint8)
-        miss = np.empty(words, dtype=np.uint64)
+        classes, (pos, nz, partner_pos, partner_nz), ones, miss = buffers
 
         def pack(cut, pw, nw):
             # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
@@ -274,12 +283,15 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
             lost = np.bitwise_or.reduce(cross, axis=0, out=miss[:size])
             np.invert(lost, out=lost)
             lost &= todo
-            missing = int(np.bitwise_count(lost).sum())
+            bits = np.bitwise_count(lost)
+            missing = int(bits.sum())
             if missing:
                 unsliced += missing
                 room = _SAMPLE_CAP - len(samples[k])
                 if room > 0:
-                    at = np.flatnonzero(np.unpackbits(lost.view(np.uint8), bitorder="little"))[:room]
+                    # unpack the words up to the one that holds the room-th lost bit
+                    end = int(np.searchsorted(np.cumsum(bits), room)) + 1
+                    at = np.flatnonzero(np.unpackbits(lost[:end].view(np.uint8), bitorder="little"))[:room]
                     if k < min(B, 6):
                         # word position -> index among the axis-k edges
                         at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
@@ -324,7 +336,17 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     nsuper = 1 << (n - B)
     runs = max(1, min(threads, nsuper))
     cuts = [nsuper * r // runs for r in range(runs + 1)]
-    results = ordered_map(lambda r: sweep_run(cuts[r], cuts[r + 1]), runs, threads)
+    # each run's buffers, allocated on this thread so that no worker keeps a
+    # malloc arena of its own for them: a block's classes, the superblock's
+    # classes and its partners' in a pass (zeroed: pack fills part of a word
+    # if B < 6), the popcounts and the lost words
+    buffers = [(np.empty((2, m, 1 << b), dtype=bool), np.zeros((4, m, words), dtype=np.uint64),
+                np.empty(m * words, dtype=np.uint8), np.empty(words, dtype=np.uint64)) for _ in range(runs)]
+    if runs == 1:
+        results = [sweep_run(0, nsuper, buffers[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=runs) as ex:
+            results = list(ex.map(sweep_run, cuts[:-1], cuts[1:], buffers))
 
     per_plane = tuple(int(x) for x in sum(counts for counts, _, _ in results))
     sample: list[Edge] = []

@@ -675,11 +675,11 @@ class TestThreadInvariance:
     )
     def test_outputs_byte_identical(self, capsys, argv):
         outputs = []
-        for t in ("1", "4", "8"):
+        for t in ("1", "2"):
             code, out, _ = run(capsys, argv + ["--threads", t])
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
 
 class TestArtifacts:

@@ -2,8 +2,6 @@
 
 import itertools
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +22,7 @@ from cubeslicer import (
     total_edges,
     verify_slicing,
 )
-from cubeslicer import core
-from cubeslicer.core import canonical_base, crossing_bits, ordered_map, side_bits, sign_pair_crossings, zero_tolerance
+from cubeslicer.core import canonical_base, crossing_bits, side_bits, sign_pair_crossings, zero_tolerance
 from cubeslicer.errors import (
     AllZeroCoefficients,
     DimensionMismatch,
@@ -393,29 +390,3 @@ class TestConfigurationJson:
         with pytest.raises(DimensionMismatch):
             Configuration(3, (make_hyperplane([1, 0], 0),))
 
-
-class TestOrderedMap:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        seen = []
-
-        class RecordingExecutor(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingExecutor)
-        return seen
-
-    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-    @pytest.mark.parametrize("count", range(6))
-    def test_index_order_and_pool_size(self, pools, count, threads):
-        def fn(i):
-            # later indices finish first when they run in parallel
-            time.sleep(0.002 * (count - i))
-            return (i, i * i)
-
-        assert ordered_map(fn, count, threads) == [(i, i * i) for i in range(count)]
-        workers = min(threads, count)
-        # never more workers than items, and no pool for one worker
-        assert pools == ([workers] if workers > 1 else [])

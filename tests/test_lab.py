@@ -47,14 +47,6 @@ class TestEstimateEvasion:
         assert per[0].point_estimate == 0.0
         assert per[0].std_error == 0.0
 
-    def test_reproducible_and_thread_invariant(self):
-        c = random_unit_configuration(16, 4, RngSpec(3, 1))
-        runs = [estimate_evasion(c, 50000, RngSpec(4), threads=t) for t in (1, 4, 8)]
-        base_per, base_union = runs[0]
-        for per, union in runs[1:]:
-            assert [r.point_estimate for r in per] == [r.point_estimate for r in base_per]
-            assert union.point_estimate == base_union.point_estimate
-
     def test_union_at_most_sum_of_planes(self):
         c = random_unit_configuration(12, 5, RngSpec(5, 1))
         per, union = estimate_evasion(c, 40000, RngSpec(6))
@@ -211,11 +203,6 @@ class TestEstimateLinfTail:
         se_cap = math.sqrt(rep.target_bound * (1 - rep.target_bound) / rep.samples)
         assert rep.point_estimate <= rep.target_bound + 4 * se_cap
 
-    def test_thread_invariance(self):
-        c = random_unit_configuration(32, 8, RngSpec(13, 1))
-        runs = [estimate_linf_tail(c, 30000, RngSpec(14), threads=t) for t in (1, 4)]
-        assert runs[0] == runs[1]
-
 
 class TestEstimateGlueSum:
     def test_single_plane_exact_one(self):
@@ -332,12 +319,6 @@ class TestLocalSearch:
         again = verify_slicing(config)
         assert rep.unsliced_count == again.unsliced_count
         assert rep.per_plane_crossings == again.per_plane_crossings
-
-    def test_replicas_deterministic_across_threads(self):
-        a_cfg, a_rep = local_search_slicing(3, 2, 3000, RngSpec(26), replicas=4, threads=1)
-        b_cfg, b_rep = local_search_slicing(3, 2, 3000, RngSpec(26), replicas=4, threads=4)
-        assert a_cfg == b_cfg
-        assert a_rep.unsliced_count == b_rep.unsliced_count
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):

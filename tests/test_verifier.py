@@ -25,7 +25,7 @@ from cubeslicer import (
     verify_slicing,
 )
 from cubeslicer.core import crossing_bits, side_bits
-from cubeslicer import core, verifier
+from cubeslicer import verifier
 from cubeslicer.errors import DimensionTooLarge, NonFiniteScalar
 from helpers import naive_slicing, random_rational_config
 
@@ -372,7 +372,7 @@ class TestBlockedSweep:
                 seen.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingExecutor)
         c = construction("axis", 7)
         _set_bits(monkeypatch, 6, 6)
         verify_slicing(c, threads=64)  # 2 superblocks
@@ -438,6 +438,39 @@ def _check_rank_classes(coeffs, thresholds, tol, pairs):
                     got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, i], out)]
                     for w, g in zip(want, got):
                         assert np.array_equal(w, g), ((block, pack), sb, i, k)
+
+
+class TestSubsetSums:
+    """The doubling recursion against a sum over each mask's set bits, in
+    increasing bit order, as the recursion adds them."""
+
+    @staticmethod
+    def _brute(cs):
+        m, d = cs.shape
+        out = np.empty((m, 1 << d), dtype=cs.dtype)
+        for mask in range(1 << d):
+            total = np.zeros(m, dtype=cs.dtype)
+            for i in range(d):
+                if (mask >> i) & 1:
+                    total = total + cs[:, i]
+            out[:, mask] = total
+        return out
+
+    @pytest.mark.parametrize("d", range(7))
+    @pytest.mark.parametrize("kind", ["int64", "float", "object"])
+    def test_against_sum_over_masks(self, kind, d):
+        gen = np.random.default_rng(300 + d)
+        if kind == "int64":
+            cs = gen.integers(-(1 << 40), 1 << 40, size=(3, d))
+        elif kind == "float":
+            cs = gen.standard_normal((3, d)) * 2.0 ** gen.integers(-60, 60, size=(3, d))
+        else:
+            # beyond int64, as the object stack holds after clearing denominators
+            cs = np.array([[int(x) * 10**30 + 7 for x in row] for row in gen.integers(-99, 100, size=(3, d))],
+                          dtype=object).reshape(3, d)
+        got = verifier._subset_sums(cs)
+        assert got.dtype == cs.dtype and got.shape == (3, 1 << d)
+        assert np.array_equal(got, self._brute(cs))
 
 
 class TestRankClasses:
