@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,13 @@ def single_axis_config(n=8, t=0.0):
     return Configuration(n, (make_hyperplane(coeffs, t, "float"),))
 
 
+def on_main_and_worker_threads(call, workers):
+    """call() once on the calling thread, then on `workers` threads at once;
+    a fixed-seed result may depend on neither the thread nor its neighbours."""
+    with ThreadPoolExecutor(workers) as pool:
+        return [call()] + list(pool.map(lambda _: call(), range(workers)))
+
+
 class TestEstimateEvasion:
     def test_single_plane_matches_exact_eighth(self):
         per, union = estimate_evasion(single_axis_config(), 200000, RngSpec(1))
@@ -46,6 +54,14 @@ class TestEstimateEvasion:
         per, _ = estimate_evasion(single_axis_config(t=2.0), 20000, RngSpec(2))
         assert per[0].point_estimate == 0.0
         assert per[0].std_error == 0.0
+
+    def test_reproducible_and_thread_invariant(self):
+        c = random_unit_configuration(16, 4, RngSpec(3, 1))
+        runs = on_main_and_worker_threads(lambda: estimate_evasion(c, 50000, RngSpec(4)), 2)
+        base_per, base_union = runs[0]
+        for per, union in runs[1:]:
+            assert [r.point_estimate for r in per] == [r.point_estimate for r in base_per]
+            assert union.point_estimate == base_union.point_estimate
 
     def test_union_at_most_sum_of_planes(self):
         c = random_unit_configuration(12, 5, RngSpec(5, 1))
@@ -203,6 +219,11 @@ class TestEstimateLinfTail:
         se_cap = math.sqrt(rep.target_bound * (1 - rep.target_bound) / rep.samples)
         assert rep.point_estimate <= rep.target_bound + 4 * se_cap
 
+    def test_thread_invariance(self):
+        c = random_unit_configuration(32, 8, RngSpec(13, 1))
+        runs = on_main_and_worker_threads(lambda: estimate_linf_tail(c, 30000, RngSpec(14)), 2)
+        assert runs[0] == runs[1] == runs[2]
+
 
 class TestEstimateGlueSum:
     def test_single_plane_exact_one(self):
@@ -319,6 +340,15 @@ class TestLocalSearch:
         again = verify_slicing(config)
         assert rep.unsliced_count == again.unsliced_count
         assert rep.per_plane_crossings == again.per_plane_crossings
+
+    def test_replicas_deterministic_across_threads(self):
+        runs = on_main_and_worker_threads(
+            lambda: local_search_slicing(3, 2, 3000, RngSpec(26), replicas=4), 2
+        )
+        a_cfg, a_rep = runs[0]
+        for b_cfg, b_rep in runs[1:]:
+            assert a_cfg == b_cfg
+            assert a_rep.unsliced_count == b_rep.unsliced_count
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
