@@ -268,6 +268,14 @@ def linear_form_atoms(s: LinearFormSpec) -> AtomDistribution:
     return _atoms_float(s.v, s.p)
 
 
+def _check_alpha(alpha) -> None:
+    # ints and Fractions are finite; a NaN passes every comparison's guard
+    if not isinstance(alpha, (int, Fraction)) and not math.isfinite(alpha):
+        raise NonFiniteScalar(f"alpha must be finite, got {alpha}")
+    if alpha < 0:
+        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+
+
 def levy_q(d: AtomDistribution, alpha) -> Number:
     """Concentration Q(alpha, X) = sup_t Pr[|X - t| < alpha].
 
@@ -282,8 +290,7 @@ def levy_q(d: AtomDistribution, alpha) -> Number:
     largest atom's mass, even where value_i + 2*alpha rounds to value_i or
     a difference of cumulative sums rounds below that mass.
     """
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     if alpha == 0:
         return Fraction(0) if d.exact else 0.0
     if d.exact:
@@ -383,8 +390,7 @@ def small_ball(s: LinearFormSpec, alpha) -> tuple[int, Number, float, Fraction |
     """The small-ball numbers of X = <v, x>: a = #{i : |v_i| >= alpha},
     q = Q(alpha, X), ratio = q*sqrt(a) and the Sperner bound
     C(a, floor(a/2)) / 2^a (None when a = 0)."""
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     q = levy_q(linear_form_atoms(s), alpha)
     a = sum(1 for vi in s.v if abs(vi) >= alpha)
     return a, q, float(q) * math.sqrt(a), sperner_bound(a) if a >= 1 else None
@@ -432,7 +438,7 @@ def hoeffding_check(s: LinearFormSpec, sigma: float, samples: int, rng) -> tuple
     """Empirical two-sided tail Pr[|X - <v,p>| > sigma*||v||_2] against the
     Hoeffding bound 2*exp(-sigma^2/2); raises BoundViolation unless the
     empirical frequency stays within four standard errors of the bound."""
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -9,8 +9,8 @@ manifest is a single JSON line on stderr.  Result artifacts never contain
 wall-clock data, so fixed seeds give byte-identical outputs at any
 --threads, with one exception outside the program: `sample --emit bias` at
 an n that is not a multiple of 8 can change with OPENBLAS_NUM_THREADS.
---threads sets the worker count of `verify`; every other subcommand accepts
-it and runs on one thread.
+Every subcommand accepts --threads and runs on one thread; the flag is
+validated and recorded in the manifest but selects nothing.
 
 Exit codes: 0 success, 1 domain error (or incomplete slicing for `verify`),
 2 usage error.
@@ -203,7 +203,7 @@ def _cmd_verify(args):
     config = _load_config(args)
     if args.mode:
         config = Configuration(config.n, config.planes, args.mode)
-    report = verify_slicing(config, threads=args.threads)
+    report = verify_slicing(config)
     code = 0 if report.complete else 1
     if args.report == "csv":
         rows = [
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
     common.add_argument("--stream", type=_nonnegative_int, default=0, help="substream index")
     common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker count of verify; the other subcommands run on one thread")
+                        help="accepted and recorded in the manifest; every subcommand runs on one thread")
     common.add_argument("--out", type=str, default=None, help="directory for result + run manifest")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -280,7 +280,7 @@ def sample_mu(p, rng) -> Vertex:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise BiasOutOfRange("bias must be a nonempty vector")
-    if np.max(np.abs(arr)) > 1.0:
+    if not np.all(np.abs(arr) <= 1.0):  # NaN fails the test too
         raise BiasOutOfRange("bias entries must lie in [-1, 1]")
     return Vertex.from_signs(batch_mu(arr[None, :], as_generator(rng))[0].tolist())
 

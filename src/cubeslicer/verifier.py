@@ -9,7 +9,7 @@ offset; both tables come from the doubling recursion over coordinates (one
 flip adds or removes 2*v_k).
 
 Sides are classified by rank, never vertex by vertex.  Each plane's low-part
-table is sorted once per run, and every low vertex keeps its int16 rank in
+table is sorted once per sweep, and every low vertex keeps its int16 rank in
 that order.  Within a block the side is low + off for one offset off, and
 the classes of core.side_bits (positive, nonzero: the one zero rule) are
 monotone in low, floats included, since rounding is monotone.  So a block's
@@ -29,7 +29,7 @@ crossing rule (core.crossing_bits) then runs in three kinds of pass:
   whole superblock are packed into the partner words, idle until the
   word-internal passes; no partner superblock is built.
 The cuts of a superblock's blocks, for its base sides and each high axis
-whose bit is clear, are searched together, so a worker holds at most
+whose bit is clear, are searched together, so the sweep holds at most
 2 * m * (n - B + 1) * 2^(B-b) cuts at a time.  Per-plane counts are
 popcounts, the union is an OR over planes, and the unsliced bits are
 unpacked to edge indices only while the sample has room, and only up to
@@ -37,13 +37,13 @@ the word that holds the last one it keeps.  Since _BLOCK_BITS >= 6, a
 block fills whole words unless it is the whole superblock (b = B = n < 6),
 which then fills one word in part.
 
-Thread runs split the superblocks.  Each run's buffers are allocated once,
-on the calling thread, and every pass writes into them: a block's two
+The superblocks are swept in order on the calling thread.  The sweep's
+buffers are allocated once and every pass writes into them: a block's two
 boolean classes (2 * m * 2^b bytes) and four word arrays of m * 2^(B-6)
 words (the superblock's two classes and two for the partners of a pass),
-about m * (2 * 2^b + 2^(B-1)) bytes per run (1.7 MB at m = 21, b = 13,
-B = 17).  All workers share the sorted low-part tables (m * 2^b scalars),
-the ranks (m * 2^b int16) and the m * 2^(n-b) offsets.
+about m * (2 * 2^b + 2^(B-1)) bytes (1.7 MB at m = 21, b = 13, B = 17),
+next to the sorted low-part tables (m * 2^b scalars), the ranks
+(m * 2^b int16) and the m * 2^(n-b) offsets.
 
 Each edge is visited once in canonical form: the base vertex has coordinate
 -1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,12 +232,10 @@ def _clear_bit_mask(k: int) -> int:
     return sum(1 << p for p in range(64) if not (p >> k) & 1)
 
 
-def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
+def verify_slicing(c: Configuration) -> SlicingReport:
     """Test every edge of the n-cube against every plane under c.mode.
 
-    Deterministic and independent of the thread count: the superblocks are
-    split into contiguous runs, per-run counts are integers, and the merge
-    folds the runs in superblock order.
+    Deterministic: the superblocks are swept in order on the calling thread.
     """
     n, m = c.n, c.m
     if n > VERIFY_MAX_DIM:
@@ -257,121 +254,106 @@ def verify_slicing(c: Configuration, threads: int = 1) -> SlicingReport:
     valid = (1 << (1 << B)) - 1 if B < 6 else (1 << 64) - 1
     bases = [np.uint64(_clear_bit_mask(k) & valid) for k in range(min(B, 6))]
     valid = np.uint64(valid)
+    # per-plane crossings, unsliced count and, per axis, the first
+    # _SAMPLE_CAP unsliced compressed indices
+    counts = np.zeros(m, dtype=np.int64)
+    unsliced = 0
+    samples: list[list[int]] = [[] for _ in range(n)]
+    # the buffers every pass writes into: a block's classes, the
+    # superblock's classes and its partners' in a pass (zeroed: pack fills
+    # part of a word if B < 6), the popcounts and the lost words
+    classes = np.empty((2, m, 1 << b), dtype=bool)
+    pos, nz, partner_pos, partner_nz = np.zeros((4, m, words), dtype=np.uint64)
+    ones = np.empty(m * words, dtype=np.uint8)
+    miss = np.empty(words, dtype=np.uint64)
 
-    def sweep_run(first: int, stop: int, buffers):
-        # per-plane crossings, unsliced count and, per axis, the first
-        # _SAMPLE_CAP unsliced compressed indices of superblocks first..stop-1;
-        # the passes write in place into the run's buffers
-        counts = np.zeros(m, dtype=np.int64)
-        unsliced = 0
-        samples: list[list[int]] = [[] for _ in range(n)]
-        classes, (pos, nz, partner_pos, partner_nz), ones, miss = buffers
+    def pack(cut, pw, nw):
+        # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
+        # one block at a time, into the words of pw, nw
+        for i in range(1 << (B - b)):
+            at = i * block_bytes
+            for x, dst in zip(_classify(rank, cut[..., i], classes), (pw, nw)):
+                dst.view(np.uint8)[:, at : at + block_bytes] = np.packbits(x, axis=-1, bitorder="little")
 
-        def pack(cut, pw, nw):
-            # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
-            # one block at a time, into the words of pw, nw
-            for i in range(1 << (B - b)):
-                at = i * block_bytes
-                for x, dst in zip(_classify(rank, cut[..., i], classes), (pw, nw)):
-                    dst.view(np.uint8)[:, at : at + block_bytes] = np.packbits(x, axis=-1, bitorder="little")
+    def tally(k, cross, todo, first_edge):
+        nonlocal counts, unsliced
+        size = cross.shape[-1]
+        popcounts = np.bitwise_count(cross, out=ones[: m * size].reshape(m, size))
+        counts += popcounts.sum(axis=-1, dtype=np.int64)
+        lost = np.bitwise_or.reduce(cross, axis=0, out=miss[:size])
+        np.invert(lost, out=lost)
+        lost &= todo
+        bits = np.bitwise_count(lost)
+        missing = int(bits.sum())
+        if missing:
+            unsliced += missing
+            room = _SAMPLE_CAP - len(samples[k])
+            if room > 0:
+                # unpack the words up to the one that holds the room-th lost bit
+                end = int(np.searchsorted(np.cumsum(bits), room)) + 1
+                at = np.flatnonzero(np.unpackbits(lost[:end].view(np.uint8), bitorder="little"))[:room]
+                if k < min(B, 6):
+                    # word position -> index among the axis-k edges
+                    at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
+                samples[k].extend((at + first_edge).tolist())
 
-        def tally(k, cross, todo, first_edge):
-            nonlocal counts, unsliced
-            size = cross.shape[-1]
-            popcounts = np.bitwise_count(cross, out=ones[: m * size].reshape(m, size))
-            counts += popcounts.sum(axis=-1, dtype=np.int64)
-            lost = np.bitwise_or.reduce(cross, axis=0, out=miss[:size])
-            np.invert(lost, out=lost)
-            lost &= todo
-            bits = np.bitwise_count(lost)
-            missing = int(bits.sum())
-            if missing:
-                unsliced += missing
-                room = _SAMPLE_CAP - len(samples[k])
-                if room > 0:
-                    # unpack the words up to the one that holds the room-th lost bit
-                    end = int(np.searchsorted(np.cumsum(bits), room)) + 1
-                    at = np.flatnonzero(np.unpackbits(lost[:end].view(np.uint8), bitorder="little"))[:room]
-                    if k < min(B, 6):
-                        # word position -> index among the axis-k edges
-                        at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
-                    samples[k].extend((at + first_edge).tolist())
+    for sb in range(1 << (n - B)):
+        # the cuts of the superblock's blocks: column 0 for the base sides,
+        # then one per high axis k >= B whose bit k - B is clear (only
+        # those superblocks hold base vertices of axis k, and the other
+        # endpoint's side is the base side plus 2*v_k, the endpoint identity)
+        axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
+        h = sb << (B - b)
+        cuts = _cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
+        pack(cuts[:, :, 0], pos, nz)
+        for a, k in enumerate(axes, 1):
+            # the partner words are idle until the word-internal passes
+            pack(cuts[:, :, a], partner_pos, partner_nz)
+            cross = crossing_bits(pos, nz, partner_pos, partner_nz, relaxed, out=partner_pos)
+            j = k - B
+            # sb with bit j removed, times 2^B
+            tally(k, cross, valid, (((sb >> (j + 1)) << j) | (sb & ((1 << j) - 1))) << B)
+        for k in range(B):
+            if k < 6:
+                # the partner of position p is p + 2^k in the same word
+                pw = np.right_shift(pos, 1 << k, out=partner_pos)
+                nw = np.right_shift(nz, 1 << k, out=partner_nz)
+                cross = crossing_bits(pos, nz, pw, nw, relaxed, out=pw)
+                cross &= bases[k]
+                tally(k, cross, bases[k], sb << (B - 1))
+            else:
+                # words[:, high, bit k, low]: the axis-k edges of word
+                # high * 2^(k-6) + low, in compressed order, join
+                # [..., 0, low] and [..., 1, low]
+                pairs = (m, 1 << (B - 1 - k), 2, 1 << (k - 6))
+                p, z = pos.reshape(pairs), nz.reshape(pairs)
+                # the half-size cross words: a contiguous prefix of partner_pos
+                out = partner_pos.reshape(-1)[: m * words // 2].reshape(m, pairs[1], pairs[3])
+                crossing_bits(p[:, :, 0], z[:, :, 0], p[:, :, 1], z[:, :, 1], relaxed, out=out)
+                tally(k, out.reshape(m, words // 2), valid, sb << (B - 1))
 
-        for sb in range(first, stop):
-            # the cuts of the superblock's blocks: column 0 for the base sides,
-            # then one per high axis k >= B whose bit k - B is clear (only
-            # those superblocks hold base vertices of axis k, and the other
-            # endpoint's side is the base side plus 2*v_k, the endpoint identity)
-            axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
-            h = sb << (B - b)
-            cuts = _cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
-            pack(cuts[:, :, 0], pos, nz)
-            for a, k in enumerate(axes, 1):
-                # the partner words are idle until the word-internal passes
-                pack(cuts[:, :, a], partner_pos, partner_nz)
-                cross = crossing_bits(pos, nz, partner_pos, partner_nz, relaxed, out=partner_pos)
-                j = k - B
-                # sb with bit j removed, times 2^B
-                tally(k, cross, valid, (((sb >> (j + 1)) << j) | (sb & ((1 << j) - 1))) << B)
-            for k in range(B):
-                if k < 6:
-                    # the partner of position p is p + 2^k in the same word
-                    pw = np.right_shift(pos, 1 << k, out=partner_pos)
-                    nw = np.right_shift(nz, 1 << k, out=partner_nz)
-                    cross = crossing_bits(pos, nz, pw, nw, relaxed, out=pw)
-                    cross &= bases[k]
-                    tally(k, cross, bases[k], sb << (B - 1))
-                else:
-                    # words[:, high, bit k, low]: the axis-k edges of word
-                    # high * 2^(k-6) + low, in compressed order, join
-                    # [..., 0, low] and [..., 1, low]
-                    pairs = (m, 1 << (B - 1 - k), 2, 1 << (k - 6))
-                    p, z = pos.reshape(pairs), nz.reshape(pairs)
-                    # the half-size cross words: a contiguous prefix of partner_pos
-                    out = partner_pos.reshape(-1)[: m * words // 2].reshape(m, pairs[1], pairs[3])
-                    crossing_bits(p[:, :, 0], z[:, :, 0], p[:, :, 1], z[:, :, 1], relaxed, out=out)
-                    tally(k, out.reshape(m, words // 2), valid, sb << (B - 1))
-        return counts, unsliced, samples
-
-    nsuper = 1 << (n - B)
-    runs = max(1, min(threads, nsuper))
-    cuts = [nsuper * r // runs for r in range(runs + 1)]
-    # each run's buffers, allocated on this thread so that no worker keeps a
-    # malloc arena of its own for them: a block's classes, the superblock's
-    # classes and its partners' in a pass (zeroed: pack fills part of a word
-    # if B < 6), the popcounts and the lost words
-    buffers = [(np.empty((2, m, 1 << b), dtype=bool), np.zeros((4, m, words), dtype=np.uint64),
-                np.empty(m * words, dtype=np.uint8), np.empty(words, dtype=np.uint64)) for _ in range(runs)]
-    if runs == 1:
-        results = [sweep_run(0, nsuper, buffers[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=runs) as ex:
-            results = list(ex.map(sweep_run, cuts[:-1], cuts[1:], buffers))
-
-    per_plane = tuple(int(x) for x in sum(counts for counts, _, _ in results))
     sample: list[Edge] = []
     for k in range(n):
-        comps = [comp for _, _, samples in results for comp in samples[k]]
-        sample += [Edge(Vertex(n, canonical_base(k, comp)), k) for comp in comps[: _SAMPLE_CAP - len(sample)]]
+        sample += [Edge(Vertex(n, canonical_base(k, comp)), k) for comp in samples[k][: _SAMPLE_CAP - len(sample)]]
 
     elapsed = (time.perf_counter() - start) * 1000.0
     return SlicingReport(
         n=n,
         m=m,
         total_edges=total_edges(n),
-        unsliced_count=sum(unsliced for _, unsliced, _ in results),
+        unsliced_count=unsliced,
         unsliced_sample=tuple(sample),
-        per_plane_crossings=per_plane,
+        per_plane_crossings=tuple(int(x) for x in counts),
         elapsed_ms=elapsed,
     )
 
 
-def crossing_counts(c: Configuration, threads: int = 1) -> tuple[int, ...]:
+def crossing_counts(c: Configuration) -> tuple[int, ...]:
     """Edges crossed per plane.  In strict mode every count is checked
     against the counting bound (BoundViolation otherwise); relaxed mode can
     exceed it (a plane through a weight level touches every incident edge),
     so no check there."""
-    report = verify_slicing(c, threads=threads)
+    report = verify_slicing(c)
     if c.mode == STRICT:
         bound = max_crossings_bound(c.n)
         if any(cnt > bound for cnt in report.per_plane_crossings):

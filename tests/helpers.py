@@ -12,11 +12,14 @@ oracle's in-place run sum with a heads array and np.add.reduceat for every
 block, the reference for the one that skips blocks holding no run.  The whole_chunk_* draws are the
 sampler's batch draws with every array of the batch in memory at once and
 the dense dyadic term matrix (sampler.dyadic_terms), for bitwise comparison
-with the sliced and blocked draws.
+with the sliced and blocked draws.  on_main_and_worker_threads runs one
+call on the calling thread and on concurrent worker threads, so that a
+fixed-seed result can be checked independent of the thread it runs on.
 """
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -227,3 +230,10 @@ def whole_chunk_evasive_edges(setup, gen, count):
     P, rounds = whole_chunk_bias_conditioned(setup, gen, count)
     U = whole_chunk_mu(P, gen)
     return P, U, gen.integers(setup.V.shape[1], size=count), rounds
+
+
+def on_main_and_worker_threads(call, workers):
+    """call() once on the calling thread, then on `workers` threads at once;
+    a fixed-seed result may depend on neither the thread nor its neighbours."""
+    with ThreadPoolExecutor(workers) as pool:
+        return [call()] + list(pool.map(lambda _: call(), range(workers)))

@@ -696,6 +696,21 @@ class TestLevyQ:
         with pytest.raises(NegativeAlpha):
             levy_q(d, -1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_non_finite_alpha(self, monkeypatch, kind, alpha):
+        cast = int if kind == "exact" else float
+        s = LinearFormSpec(tuple(cast(x) for x in (1, 2, 3)), tuple(cast(0) for _ in range(3)))
+        with pytest.raises(NonFiniteScalar):
+            levy_q(linear_form_atoms(s), alpha)
+
+        def no_atoms(_):
+            raise AssertionError("atoms built for a non-finite alpha")
+
+        monkeypatch.setattr(anticonc, "linear_form_atoms", no_atoms)
+        with pytest.raises(NonFiniteScalar):
+            anticonc.small_ball(s, alpha)
+
     def test_monotone_and_saturates(self):
         gen = np.random.default_rng(37)
         for _ in range(20):
@@ -901,6 +916,11 @@ class TestHoeffding:
             for sigma in (1.0, 2.0, 3.0):
                 emp, bound = hoeffding_check(LinearFormSpec(v, p), sigma, 20000, RngSpec(trial, 7))
                 assert emp <= bound + 4 * math.sqrt(max(emp * (1 - emp), 1e-9) / 20000)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            hoeffding_check(LinearFormSpec((1.0, 1.0), (0.0, 0.0)), sigma, 100, RngSpec(1))
 
     def test_fixed_seed_is_pinned(self):
         # captured when the vertices were drawn 16384 rows at a time; several

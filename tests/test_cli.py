@@ -681,6 +681,21 @@ class TestThreadInvariance:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_verify_incomplete_bytes_identical(self, capsys, tmp_path):
+        # two superblocks at n = 18, and more unsliced edges than the sample keeps
+        _, out, _ = run(capsys, ["construct", "middle-layers", "--n", "18"])
+        cfg = json.loads(out)
+        cfg["planes"] = cfg["planes"][2:-2]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(cfg))
+        outputs = []
+        for t in ("1", "2"):
+            code, out, _ = run(capsys, ["verify", "--config", str(path), "--threads", t])
+            assert code == 1
+            outputs.append(out)
+        assert json.loads(outputs[0])["unsliced_count"] > 100
+        assert outputs[0] == outputs[1]
+
 
 class TestArtifacts:
     def test_out_dir_and_manifest(self, capsys, tmp_path):

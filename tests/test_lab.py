@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +27,13 @@ from cubeslicer import (
 )
 from cubeslicer.errors import DimensionTooLarge, DimensionTooSmall, SlicerError
 from cubeslicer.lab import _bernoulli_report, _search_replica, run_estimator
-from helpers import naive_slicing
+from helpers import naive_slicing, on_main_and_worker_threads
 
 
 def single_axis_config(n=8, t=0.0):
     coeffs = [0.0] * n
     coeffs[0] = 1.0
     return Configuration(n, (make_hyperplane(coeffs, t, "float"),))
-
-
-def on_main_and_worker_threads(call, workers):
-    """call() once on the calling thread, then on `workers` threads at once;
-    a fixed-seed result may depend on neither the thread nor its neighbours."""
-    with ThreadPoolExecutor(workers) as pool:
-        return [call()] + list(pool.map(lambda _: call(), range(workers)))
 
 
 class TestEstimateEvasion:

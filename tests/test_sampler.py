@@ -288,6 +288,12 @@ class TestSampleMu:
         with pytest.raises(BiasOutOfRange):
             sample_mu([1.1], RngSpec(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf])
+    def test_non_finite_bias_out_of_range(self, bad):
+        # NaN compares False with 1.0, so a max-based check let it through
+        with pytest.raises(BiasOutOfRange):
+            sample_mu([bad, 0.0], RngSpec(1))
+
 
 class TestSampleEvasiveEdge:
     def test_axis_marginal_uniform(self):

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from cubeslicer import (
 from cubeslicer.core import crossing_bits, side_bits
 from cubeslicer import verifier
 from cubeslicer.errors import DimensionTooLarge, NonFiniteScalar
-from helpers import naive_slicing, random_rational_config
+from helpers import naive_slicing, on_main_and_worker_threads, random_rational_config
 
 F = Fraction
 
@@ -161,10 +160,19 @@ class TestVerifySlicing:
         assert relaxed.per_plane_crossings == (16,)
 
     def test_thread_count_does_not_change_report(self):
-        gen = np.random.default_rng(97)
-        for _ in range(5):
-            c = random_rational_config(gen, 6, 3)
-            reports = [verify_slicing(c, threads=t) for t in (1, 4, 8)]
+        # one call on the calling thread and two at once on worker threads,
+        # on exact, float and relaxed configs at n = 18 (two superblocks);
+        # the relaxed one leaves over 100 edges unsliced, so the capped
+        # samples are compared too
+        float_planes = construction("middle_layers", 18, kind="float").planes
+        configs = [
+            construction("middle_layers", 18),
+            Configuration(18, float_planes),
+            Configuration(18, float_planes[2:-2], "relaxed"),
+        ]
+        for c, sample_size in zip(configs, (0, 0, 100)):
+            reports = on_main_and_worker_threads(lambda: verify_slicing(c), 2)
+            assert len(reports[0].unsliced_sample) == sample_size
             for rep in reports[1:]:
                 assert rep.unsliced_count == reports[0].unsliced_count
                 assert rep.per_plane_crossings == reports[0].per_plane_crossings
@@ -255,24 +263,23 @@ def _set_bits(monkeypatch, block, pack):
     monkeypatch.setattr(verifier, "_PACK_BITS", pack)
 
 
-def _check_bits(monkeypatch, c, pairs, threads):
-    """Every (block, pack) bit pair and thread count against the per-edge reference."""
+def _check_bits(monkeypatch, c, pairs):
+    """Every (block, pack) bit pair against the per-edge reference."""
     unsliced, counts = naive_slicing(c)
     first = _first_unsliced(c)
     for bits in pairs:
         _set_bits(monkeypatch, *bits)
-        for t in threads:
-            rep = verify_slicing(c, threads=t)
-            assert rep.unsliced_count == unsliced, (bits, t)
-            assert list(rep.per_plane_crossings) == counts, (bits, t)
-            assert list(rep.unsliced_sample) == first, (bits, t)
+        rep = verify_slicing(c)
+        assert rep.unsliced_count == unsliced, bits
+        assert list(rep.per_plane_crossings) == counts, bits
+        assert list(rep.unsliced_sample) == first, bits
 
 
 class TestBlockedSweep:
     """Small blocks and superblocks put n = 3..8 over many of each, so the
     high-axis endpoint identity, the packing of several blocks into one
-    superblock's words, the per-superblock edge offsets and the run merge
-    all run against the per-edge reference."""
+    superblock's words and the per-superblock edge offsets all run against
+    the per-edge reference."""
 
     # (block bits b, pack bits B), with b >= 6 or b = B as the packing needs:
     # B = b (one block per superblock, under a word at b < 6), two blocks per
@@ -280,22 +287,22 @@ class TestBlockedSweep:
     # B = 9 >= n (one superblock)
     PAIRS = ((1, 1), (3, 3), (5, 5), (6, 7), (6, 8), (6, 9))
 
-    def _check(self, monkeypatch, c, threads=(1,)):
-        _check_bits(monkeypatch, c, self.PAIRS, threads)
+    def _check(self, monkeypatch, c):
+        _check_bits(monkeypatch, c, self.PAIRS)
 
     def test_random_exact_configs(self, monkeypatch):
         gen = np.random.default_rng(101)
         for n in range(3, 9):
             for mode in ("strict", "relaxed"):
                 m = int(gen.integers(1, 4))
-                self._check(monkeypatch, random_rational_config(gen, n, m, mode=mode), threads=(1, 2, 3))
+                self._check(monkeypatch, random_rational_config(gen, n, m, mode=mode))
 
     def test_random_float_configs(self, monkeypatch):
         gen = np.random.default_rng(103)
         for n in range(3, 9):
             rows = gen.standard_normal((2, n))
             planes = tuple(make_hyperplane(r.tolist(), float(gen.uniform(-1, 1)), "float") for r in rows)
-            self._check(monkeypatch, Configuration(n, planes), threads=(1, 2, 3))
+            self._check(monkeypatch, Configuration(n, planes))
 
     def test_relaxed_configs_with_zero_sides(self, monkeypatch):
         # small integer planes put vertices on planes, in both arithmetic kinds
@@ -319,9 +326,9 @@ class TestBlockedSweep:
         self._check(monkeypatch, Configuration(5, (plane,)))
 
     def test_empty_configuration_and_n1(self, monkeypatch):
-        self._check(monkeypatch, Configuration(6, ()), threads=(1, 2, 3))
-        self._check(monkeypatch, Configuration(1, ()), threads=(1, 2))
-        self._check(monkeypatch, construction("axis", 1), threads=(1, 2))
+        self._check(monkeypatch, Configuration(6, ()))
+        self._check(monkeypatch, Configuration(1, ()))
+        self._check(monkeypatch, construction("axis", 1))
 
     @pytest.mark.parametrize(
         "n, unsliced_axes",
@@ -341,7 +348,7 @@ class TestBlockedSweep:
         c = Configuration(n, tuple(planes))
         unsliced, _ = naive_slicing(c)
         assert unsliced > 100
-        self._check(monkeypatch, c, threads=(1, 2, 3))
+        self._check(monkeypatch, c)
 
     def test_one_pass_per_axis_and_superblock(self, monkeypatch):
         # (b, B) = (6, 8) at n = 10: four superblocks of four word-sized
@@ -363,26 +370,6 @@ class TestBlockedSweep:
         assert len(calls) == (B << (n - B)) + ((n - B) << (n - B - 1)) == 36
         assert rep.unsliced_count == unsliced and list(rep.per_plane_crossings) == counts
         assert list(rep.unsliced_sample) == _first_unsliced(c)
-
-    def test_worker_count_capped_by_threads_and_blocks(self, monkeypatch):
-        seen = []
-
-        class RecordingExecutor(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingExecutor)
-        c = construction("axis", 7)
-        _set_bits(monkeypatch, 6, 6)
-        verify_slicing(c, threads=64)  # 2 superblocks
-        _set_bits(monkeypatch, 2, 2)
-        verify_slicing(c, threads=3)  # 32 superblocks of one block
-        _set_bits(monkeypatch, 4, 4)
-        verify_slicing(c, threads=16)  # 8 superblocks
-        _set_bits(monkeypatch, 6, 7)
-        verify_slicing(c, threads=4)  # 1 superblock of 2 blocks: no pool
-        assert seen == [2, 3, 8]
 
 
 class TestWordBoundaryBlocks:
@@ -409,7 +396,7 @@ class TestWordBoundaryBlocks:
                 planes.append(make_hyperplane([cast(x) for x in row], cast(gen.integers(-2, 3)), kind))
             configs += [Configuration(n, tuple(planes), mode) for mode in ("strict", "relaxed")]
         for c in configs:
-            _check_bits(monkeypatch, c, self.PAIRS, (1, 2))
+            _check_bits(monkeypatch, c, self.PAIRS)
 
 
 def _check_rank_classes(coeffs, thresholds, tol, pairs):
@@ -532,18 +519,17 @@ class TestRankClasses:
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
-@pytest.mark.parametrize("threads", [1, 2])
-def test_peak_memory_stays_bounded_at_n20(threads):
+def test_peak_memory_stays_bounded_at_n20():
     # A child process runs the verification in a grandchild and reports its
     # RUSAGE_CHILDREN peak, which covers only that grandchild.  (A process's
     # own peak starts at the RSS of the process it was forked from, here the
     # whole test session.)  Exact middle layers at n = 20: their 20 full side
-    # arrays alone would take 168 MB.  Each thread holds its own buffers.
+    # arrays alone would take 168 MB.
     src = str(Path(cubeslicer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     verify = (
         "import sys; from cubeslicer import construction, verify_slicing; "
-        f"sys.exit(0 if verify_slicing(construction('middle_layers', 20), threads={threads}).complete else 3)"
+        "sys.exit(0 if verify_slicing(construction('middle_layers', 20)).complete else 3)"
     )
     child = (
         "import resource, subprocess, sys\n"
