@@ -519,17 +519,20 @@ class TestRankClasses:
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
-def test_peak_memory_stays_bounded_at_n20():
+@pytest.mark.parametrize("calls", [1, 2])
+def test_peak_memory_stays_bounded_at_n20(calls):
     # A child process runs the verification in a grandchild and reports its
     # RUSAGE_CHILDREN peak, which covers only that grandchild.  (A process's
     # own peak starts at the RSS of the process it was forked from, here the
     # whole test session.)  Exact middle layers at n = 20: their 20 full side
-    # arrays alone would take 168 MB.
+    # arrays alone would take 168 MB.  Two calls in a row keep the same bound,
+    # so nothing a sweep allocates outlives it.
     src = str(Path(cubeslicer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     verify = (
         "import sys; from cubeslicer import construction, verify_slicing; "
-        "sys.exit(0 if verify_slicing(construction('middle_layers', 20)).complete else 3)"
+        "c = construction('middle_layers', 20); "
+        f"sys.exit(0 if all([verify_slicing(c).complete for _ in range({calls})]) else 3)"
     )
     child = (
         "import resource, subprocess, sys\n"
