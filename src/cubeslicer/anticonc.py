@@ -416,6 +416,7 @@ def littlewood_check(s: LinearFormSpec, alpha) -> tuple[int, Number, float]:
 def group_bound_r(v: Sequence, alpha, n: int) -> int:
     """Largest integer r >= 0 such that at least 2*r*ln(n) dyadic scales j of v
     satisfy 2^(-j-1) >= alpha."""
+    _check_alpha(alpha)
     if n < 2:
         raise DimensionTooSmall("scale count bound needs n >= 2")
     d = decomp.binary_decompose(list(v))

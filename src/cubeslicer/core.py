@@ -110,10 +110,13 @@ def as_scalar(x, kind: str) -> Scalar:
     """The one conversion of an input scalar: a Fraction in exact kind, a
     finite float in float kind.  Strings parse as rationals ("-2/7", "1.5",
     "1e-3").  NaN, infinities and float overflow raise NonFiniteScalar;
-    any other string or type raises MalformedInput."""
+    any other string or type, bool included (JSON true is no number),
+    raises MalformedInput."""
     if kind not in (EXACT, FLOAT):
         raise ValueError(f"unknown arithmetic kind {kind!r}")
     r = x
+    if isinstance(x, bool):
+        raise MalformedInput(f"not a number: {x!r}")
     if isinstance(x, str):
         try:
             r = Fraction(x)

@@ -16,34 +16,45 @@ monotone in low, floats included, since rounding is monotone.  So a block's
 positive sides are a suffix of the sorted order and its negative sides a
 prefix, and two cuts per plane and block, found by a binary search that
 evaluates side_bits on the sorted table, classify all of its vertices by
-int16 compares of the ranks.  The classes are bit-packed into the
-superblock's 64-bit words, vertex lo at bit lo % 64 of word lo // 64.  The
-crossing rule (core.crossing_bits) then runs in three kinds of pass:
+int16 compares of the ranks.  cut[0] counts a plane's non-positive sides
+and cut[1] its negative ones, so where they agree on every plane no side
+of the block is zero: only its positive class is computed, and its
+nonzero words are the packed all-ones block (2^b one bits, the bits past
+them clear when b < 3, as in any packed block).  The classes are
+bit-packed into the superblock's 64-bit words, vertex lo at bit lo % 64 of
+word lo // 64.  The crossing rule (core.crossing_bits) then runs in four
+kinds of pass:
 - a word-internal axis k < 6 pairs each word with itself shifted right by
   2^k, under the mask of the positions whose bit k is clear;
 - a packed axis 6 <= k < B pairs the superblock's words 2^(k-6) apart;
-- on a high axis k >= B, only superblocks whose bit k - B is clear hold
-  base vertices, and the other endpoint's side is the base side plus 2*v_k
-  (the endpoint identity).  (low + off) + 2*v_k is monotone in low as
-  well, so its cuts come from the same search, and its classes for the
+- axis B pairs superblocks 2t and 2t + 1, which differ in bit B alone:
+  the two pack their classes into different pairs of word arrays, so the
+  even one's classes are still there as the odd one's partners;
+- on a high axis k > B, only superblocks whose bit k - B is clear hold
+  base vertices, and the other endpoint's side is the base side plus
+  2*v_k (the endpoint identity).  (low + off) + 2*v_k is monotone in low
+  as well, so its cuts come from the same search, and its classes for the
   whole superblock are packed into the partner words, idle until the
-  word-internal passes; no partner superblock is built.
+  word-internal passes.
 The cuts of a superblock's blocks, for its base sides and each high axis
-whose bit is clear, are searched together, so the sweep holds at most
-2 * m * (n - B + 1) * 2^(B-b) cuts at a time.  Per-plane counts are
+k > B whose bit is clear, are searched together, so the sweep holds at
+most 2 * m * max(1, n - B) * 2^(B-b) cuts at a time.  Per-plane counts are
 popcounts, the union is an OR over planes, and the unsliced bits are
 unpacked to edge indices only while the sample has room, and only up to
-the word that holds the last one it keeps.  Since _BLOCK_BITS >= 6, a
-block fills whole words unless it is the whole superblock (b = B = n < 6),
-which then fills one word in part.
+the word that holds the last one it keeps.  Every axis tallies its edges
+in increasing order.  Since _BLOCK_BITS >= 6, a block fills whole words
+unless it is the whole superblock (b = B = n < 6), which then fills one
+word in part.
 
 The superblocks are swept in order on the calling thread.  The sweep's
 buffers are allocated once and every pass writes into them: a block's two
-boolean classes (2 * m * 2^b bytes) and four word arrays of m * 2^(B-6)
-words (the superblock's two classes and two for the partners of a pass),
-about m * (2 * 2^b + 2^(B-1)) bytes (1.7 MB at m = 21, b = 13, B = 17),
-next to the sorted low-part tables (m * 2^b scalars), the ranks
-(m * 2^b int16) and the m * 2^(n-b) offsets.
+boolean classes (2 * m * 2^b bytes) and two pairs of word arrays of
+m * 2^(B-6) words each, about m * (2 * 2^b + 2^(B-1)) bytes (1.7 MB at
+m = 21, b = 13, B = 17).  A superblock packs its two classes into the pair
+of its parity and uses the other for the partners of its passes, so an
+even superblock's classes outlive its own passes, into its odd
+neighbour's axis-B pass.  They sit next to the sorted low-part tables
+(m * 2^b scalars), the ranks (m * 2^b int16) and the m * 2^(n-b) offsets.
 
 Each edge is visited once in canonical form: the base vertex has coordinate
 -1 on the edge axis.  Exact-kind planes are scaled to integers by clearing
@@ -259,21 +270,35 @@ def verify_slicing(c: Configuration) -> SlicingReport:
     counts = np.zeros(m, dtype=np.int64)
     unsliced = 0
     samples: list[list[int]] = [[] for _ in range(n)]
-    # the buffers every pass writes into: a block's classes, the
-    # superblock's classes and its partners' in a pass (zeroed: pack fills
-    # part of a word if B < 6), the popcounts and the lost words
+    # the buffers every pass writes into: a block's classes, two pairs of
+    # superblock words, the popcounts and the lost words.  Superblock sb
+    # packs its classes into pair sb % 2 and uses the other pair for its
+    # partners.  The words start zeroed and no pass sets a bit past the
+    # superblock's 2^B (pack fills part of a word if B < 6).
     classes = np.empty((2, m, 1 << b), dtype=bool)
-    pos, nz, partner_pos, partner_nz = np.zeros((4, m, words), dtype=np.uint64)
+    packed = np.zeros((2, 2, m, words), dtype=np.uint64)
+    # the packed nonzero class of a block without zero sides: 2^b one bits,
+    # the bits past them (b < 3) clear as in any packed block
+    all_nonzero = np.packbits(np.ones(1 << b, dtype=bool), bitorder="little")
     ones = np.empty(m * words, dtype=np.uint8)
     miss = np.empty(words, dtype=np.uint64)
 
     def pack(cut, pw, nw):
         # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
         # one block at a time, into the words of pw, nw
+        pw, nw = pw.view(np.uint8), nw.view(np.uint8)
+        zero_free = (cut[0] == cut[1]).all(axis=0)
         for i in range(1 << (B - b)):
-            at = i * block_bytes
-            for x, dst in zip(_classify(rank, cut[..., i], classes), (pw, nw)):
-                dst.view(np.uint8)[:, at : at + block_bytes] = np.packbits(x, axis=-1, bitorder="little")
+            at = slice(i * block_bytes, (i + 1) * block_bytes)
+            if zero_free[i]:
+                # no side of the block is zero: only the positive class is
+                # left to classify, and the nonzero class is all ones
+                np.greater_equal(rank, cut[0, :, i, None], out=classes[0])
+                pw[:, at] = np.packbits(classes[0], axis=-1, bitorder="little")
+                nw[:, at] = all_nonzero
+            else:
+                for x, dst in zip(_classify(rank, cut[..., i], classes), (pw, nw)):
+                    dst[:, at] = np.packbits(x, axis=-1, bitorder="little")
 
     def tally(k, cross, todo, first_edge):
         nonlocal counts, unsliced
@@ -299,13 +324,19 @@ def verify_slicing(c: Configuration) -> SlicingReport:
 
     for sb in range(1 << (n - B)):
         # the cuts of the superblock's blocks: column 0 for the base sides,
-        # then one per high axis k >= B whose bit k - B is clear (only
+        # then one per high axis k > B whose bit k - B is clear (only
         # those superblocks hold base vertices of axis k, and the other
         # endpoint's side is the base side plus 2*v_k, the endpoint identity)
-        axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
+        axes = [k for k in range(B + 1, n) if not (sb >> (k - B)) & 1]
         h = sb << (B - b)
         cuts = _cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
+        (pos, nz), (partner_pos, partner_nz) = packed[sb & 1], packed[~sb & 1]
         pack(cuts[:, :, 0], pos, nz)
+        if sb & 1:
+            # axis B: superblocks sb - 1 and sb differ in bit B alone, so
+            # the partner words still hold the partner classes, sb - 1's
+            cross = crossing_bits(pos, nz, partner_pos, partner_nz, relaxed, out=partner_pos)
+            tally(B, cross, valid, (sb >> 1) << B)
         for a, k in enumerate(axes, 1):
             # the partner words are idle until the word-internal passes
             pack(cuts[:, :, a], partner_pos, partner_nz)

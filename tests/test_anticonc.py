@@ -881,6 +881,18 @@ class TestGroupBound:
         with pytest.raises(BiasTooLarge):
             group_bound_check(LinearFormSpec((1,), (F(2, 3),)), 1, 8)
 
+    def test_alpha_checked_as_levy_q_checks_it(self):
+        # NaN and infinities compare false against every scale, and a
+        # negative alpha counts every scale
+        v = [0.5, 0.25, 0.125, 1 / 16]
+        assert group_bound_r(v, 0.01, 2) == 2
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteScalar):
+                group_bound_r(v, alpha, 2)
+        for alpha in (-1, F(-1, 2), -1.0):
+            with pytest.raises(NegativeAlpha):
+                group_bound_r(v, alpha, 2)
+
 
 class TestHoeffding:
     def test_bound_value(self):

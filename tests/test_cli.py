@@ -199,6 +199,8 @@ MALFORMED_INPUTS = {
     "negative_dimension": ('{"n": -3, "planes": []}', ["verify"], "DimensionZero"),
     "fractional_dimension": ('{"n": 2.5, "planes": [{"coeffs": [1, 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
     "boolean_dimension": ('{"n": true, "planes": [{"coeffs": [1], "threshold": 0}]}', ["verify"], "MalformedInput"),
+    "boolean_coefficient": ('{"n": 2, "planes": [{"coeffs": [true, 1], "threshold": 0}]}', ["verify"], "MalformedInput"),
+    "boolean_threshold": ('{"n": 2, "planes": [{"coeffs": [1, 1], "threshold": false}]}', ["verify"], "MalformedInput"),
     "string_dimension": ('{"n": "2", "planes": [{"coeffs": [1, 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
     "qfunc_junk_entry": (None, ["qfunc", "--v", "1,x", "--alpha", "1"], "MalformedInput"),
     "qfunc_double_dash_value": (None, ["qfunc", "--v=--", "--alpha", "1"], "MalformedInput"),

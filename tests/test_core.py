@@ -27,6 +27,7 @@ from cubeslicer.errors import (
     AllZeroCoefficients,
     DimensionMismatch,
     DimensionZero,
+    MalformedInput,
     MixedScalarKinds,
     NonFiniteScalar,
     UnknownConstruction,
@@ -385,6 +386,12 @@ class TestConfigurationJson:
                 2,
                 (make_hyperplane([1, 0], 0, "exact"), make_hyperplane([1.0, 0.0], 0.0, "float")),
             )
+
+    @pytest.mark.parametrize("coeffs, threshold", [([True, 1], False), ([1, 1], True), ([1.0, False], 0.5)])
+    def test_booleans_are_not_numbers(self, coeffs, threshold):
+        # bool is an int subclass; JSON true and false must not read as 1 and 0
+        with pytest.raises(MalformedInput):
+            config_from_json_dict({"n": 2, "planes": [{"coeffs": coeffs, "threshold": threshold}]})
 
     def test_plane_dimension_checked(self):
         with pytest.raises(DimensionMismatch):

@@ -277,9 +277,9 @@ def _check_bits(monkeypatch, c, pairs):
 
 class TestBlockedSweep:
     """Small blocks and superblocks put n = 3..8 over many of each, so the
-    high-axis endpoint identity, the packing of several blocks into one
-    superblock's words and the per-superblock edge offsets all run against
-    the per-edge reference."""
+    high-axis endpoint identity, the pairing of superblocks across bit B,
+    the packing of several blocks into one superblock's words and the
+    per-superblock edge offsets all run against the per-edge reference."""
 
     # (block bits b, pack bits B), with b >= 6 or b = B as the packing needs:
     # B = b (one block per superblock, under a word at b < 6), two blocks per
@@ -330,6 +330,19 @@ class TestBlockedSweep:
         self._check(monkeypatch, Configuration(1, ()))
         self._check(monkeypatch, construction("axis", 1))
 
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_zero_sides_in_some_blocks_only(self, monkeypatch, kind, mode):
+        # 2*x_{n-1} + x_0 + x_1 = 2 has zero sides only where x_{n-1} = +1,
+        # so the blocks below that half have none and the high-axis partners
+        # of theirs do; x_0 + x_2 = 1 has none anywhere.  The sweep skips
+        # the nonzero class exactly where no plane has a zero side.
+        cast = int if kind == "exact" else float
+        for n in range(3, 9):
+            rows = [[1, 1] + [0] * (n - 3) + [2], [1, 0, 1] + [0] * (n - 3)]
+            planes = [make_hyperplane([cast(x) for x in row], cast(t), kind) for row, t in zip(rows, (2, 1))]
+            self._check(monkeypatch, Configuration(n, tuple(planes), mode))
+
     @pytest.mark.parametrize(
         "n, unsliced_axes",
         [
@@ -368,6 +381,33 @@ class TestBlockedSweep:
         monkeypatch.setattr(verifier, "crossing_bits", counting)
         rep = verify_slicing(c)
         assert len(calls) == (B << (n - B)) + ((n - B) << (n - B - 1)) == 36
+        assert rep.unsliced_count == unsliced and list(rep.per_plane_crossings) == counts
+        assert list(rep.unsliced_sample) == _first_unsliced(c)
+
+    def test_one_classification_per_superblock_and_high_axis_above_B(self, monkeypatch):
+        # (b, B) = (6, 8) at n = 10, with the plane sum(x) = 0, which has
+        # zero sides in every block and every partner block, so no block
+        # skips its nonzero class.  Every superblock classifies its base
+        # sides, and each high axis k > B its partners' in the half of the
+        # superblocks that hold its base vertices.  Axis B classifies none:
+        # superblock 2t + 1's base classes are the partners of 2t's.
+        calls = []
+        classify = verifier._classify
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return classify(*args, **kwargs)
+
+        n, B = 10, 8
+        gen = np.random.default_rng(137)
+        planes = random_rational_config(gen, n, 2).planes + (make_hyperplane([1] * n, 0),)
+        c = Configuration(n, planes)
+        unsliced, counts = naive_slicing(c)
+        _set_bits(monkeypatch, 6, B)
+        monkeypatch.setattr(verifier, "_classify", counting)
+        rep = verify_slicing(c)
+        blocks = 1 << (B - 6)
+        assert len(calls) == blocks * ((1 << (n - B)) + ((n - B - 1) << (n - B - 1))) == blocks * 6
         assert rep.unsliced_count == unsliced and list(rep.per_plane_crossings) == counts
         assert list(rep.unsliced_sample) == _first_unsliced(c)
 
