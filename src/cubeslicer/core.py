@@ -359,18 +359,26 @@ def config_to_json_dict(c: Configuration) -> dict:
     }
 
 
+def _json_array(x, name: str) -> list:
+    if type(x) is not list:
+        raise MalformedInput(f"{name} must be a JSON array, got {x!r}")
+    return x
+
+
 def config_from_json_dict(d: dict) -> Configuration:
     """Parse the configuration schema.
 
     Scalars may be JSON numbers or strings "p/q"; each plane takes the
-    scalar_kind of its coefficients and threshold.
+    scalar_kind of its coefficients and threshold.  planes and every
+    coeffs must be JSON arrays, not strings or objects (MalformedInput).
     """
     n = d["n"]
     if type(n) is not int:
         raise MalformedInput(f"n must be a JSON integer, got {n!r}")
     mode = d.get("mode", STRICT)
     planes = []
-    for entry in d.get("planes", []):
-        kind = scalar_kind([*entry["coeffs"], entry["threshold"]])
-        planes.append(make_hyperplane(entry["coeffs"], entry["threshold"], kind))
+    for entry in _json_array(d.get("planes", []), "planes"):
+        coeffs = _json_array(entry["coeffs"], "coeffs")
+        kind = scalar_kind([*coeffs, entry["threshold"]])
+        planes.append(make_hyperplane(coeffs, entry["threshold"], kind))
     return Configuration(n, tuple(planes), mode)

@@ -204,19 +204,6 @@ def _scatter(block: np.ndarray, term_rows: np.ndarray, cols: slice, values) -> N
     block[term_rows[:, cols], np.arange(block.shape[1])] = values
 
 
-def _dense(term_rows: np.ndarray, term_vals: np.ndarray, K: int) -> np.ndarray:
-    W = np.zeros((K, term_rows.shape[1]), dtype=np.float64)
-    _scatter(W, term_rows, slice(None), term_vals)
-    return W
-
-
-def dyadic_terms(V: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The keys and the dense K x n term matrix W, so that a bias is
-    scale * alphas @ W: the reference the blocked product is checked against."""
-    keys, term_rows, term_vals = compact_terms(V)
-    return keys, _dense(term_rows, term_vals, len(keys))
-
-
 def column_blocks(n: int) -> list[slice]:
     """range(n) in order, as the fewest slices of at most BLOCK_COLS columns,
     of near-equal widths in whole multiples of 64 but the last."""
@@ -322,7 +309,10 @@ def bias_setup(c: Configuration) -> BiasSetup:
     _check_dims(c)
     V, t = normalized_float_planes(c)
     keys, term_rows, term_vals = compact_terms(V)
-    block = _dense(term_rows, term_vals, len(keys)) if c.n <= BLOCK_COLS else None
+    block = None
+    if c.n <= BLOCK_COLS:
+        block = np.zeros((len(keys), c.n), dtype=np.float64)
+        _scatter(block, term_rows, slice(None), term_vals)
     scale = 1.0 / (10.0 * math.sqrt(c.m * math.log(c.n)))
     return BiasSetup(V, t, keys, term_rows, term_vals, scale, block)
 

@@ -4,9 +4,10 @@ The sweep is blocked twice over the bits of the vertex mask.  A block holds
 the 2^b vertices that share their high n - b bits (b = min(n, _BLOCK_BITS)),
 and a superblock the 2^B vertices that share their high n - B bits
 (B = min(n, _PACK_BITS), b <= B), that is 2^(B-b) consecutive blocks.  A
-vertex's side value <v, u> - t is a low-part table entry plus a per-block
-offset; both tables come from the doubling recursion over coordinates (one
-flip adds or removes 2*v_k).
+vertex's side value <v, u> - t is a low-part table entry plus its block's
+offset, low + off, both tables from the doubling recursion over
+coordinates.  Every vertex the sweep classifies, as a base or as a
+partner, has that one side value, in float arithmetic too.
 
 Sides are classified by rank, never vertex by vertex.  Each plane's low-part
 table is sorted once per sweep, and every low vertex keeps its int16 rank in
@@ -16,28 +17,27 @@ monotone in low, floats included, since rounding is monotone.  So a block's
 positive sides are a suffix of the sorted order and its negative sides a
 prefix, and two cuts per plane and block, found by a binary search that
 evaluates side_bits on the sorted table, classify all of its vertices by
-int16 compares of the ranks.  cut[0] counts a plane's non-positive sides
-and cut[1] its negative ones, so where they agree on every plane no side
-of the block is zero: only its positive class is computed, and its
-nonzero words are the packed all-ones block (2^b one bits, the bits past
-them clear when b < 3, as in any packed block).  The classes are
-bit-packed into the superblock's 64-bit words, vertex lo at bit lo % 64 of
-word lo // 64.  The crossing rule (core.crossing_bits) then runs in four
-kinds of pass:
+int16 compares of the ranks (_classify).  cut[0] counts a plane's
+non-positive sides and cut[1] its negative ones, so where they agree on
+every plane no side of the block is zero: only its positive class is
+computed, and its nonzero words are the packed all-ones block (2^b one
+bits, the bits past them clear when b < 3, as in any packed block).  The
+classes are bit-packed into the superblock's 64-bit words, vertex lo at
+bit lo % 64 of word lo // 64.  The crossing rule (core.crossing_bits) then
+runs in four kinds of pass:
 - a word-internal axis k < 6 pairs each word with itself shifted right by
   2^k, under the mask of the positions whose bit k is clear;
 - a packed axis 6 <= k < B pairs the superblock's words 2^(k-6) apart;
 - axis B pairs superblocks 2t and 2t + 1, which differ in bit B alone:
   the two pack their classes into different pairs of word arrays, so the
   even one's classes are still there as the odd one's partners;
-- on a high axis k > B, only superblocks whose bit k - B is clear hold
-  base vertices, and the other endpoint's side is the base side plus
-  2*v_k (the endpoint identity).  (low + off) + 2*v_k is monotone in low
-  as well, so its cuts come from the same search, and its classes for the
-  whole superblock are packed into the partner words, idle until the
-  word-internal passes.
-The cuts of a superblock's blocks, for its base sides and each high axis
-k > B whose bit is clear, are searched together, so the sweep holds at
+- on a high axis k > B, only superblocks sb whose bit k - B is clear hold
+  base vertices, and the partners are the vertices of superblock
+  sb | 2^(k-B), classified by their own blocks' cuts and packed for the
+  whole superblock into the partner words, idle until the word-internal
+  passes.
+The cuts of a superblock's blocks and of its high-axis partners' blocks
+are searched together, one search per superblock, so the sweep holds at
 most 2 * m * max(1, n - B) * 2^(B-b) cuts at a time.  Per-plane counts are
 popcounts, the union is an OR over planes, and the unsliced bits are
 unpacked to edge indices only while the sample has room, and only up to
@@ -132,7 +132,7 @@ def _plane_stack(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray |
 
     Exact planes are int64 when 2 * (l1(v) + |t|) stays below the guard for
     every plane.  That bound covers every intermediate of the sweep (the
-    doubled partial sums, the offsets, 2 * v_k and every side value);
+    doubled partial sums, the offsets and every side value);
     otherwise the stack holds arbitrary-precision Python integers.  Float
     planes need the same bound to be a finite double (NonFiniteScalar
     otherwise).
@@ -143,8 +143,8 @@ def _plane_stack(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray |
         dtype = np.int64 if fits else object
         coeffs = np.array([cs for cs, _ in rows], dtype=dtype).reshape(c.m, c.n)
         return coeffs, np.array([t for _, t in rows], dtype=dtype), None
-    # the int64 guard's float twin: past it a side value, an offset or 2 * v_k
-    # is infinite, and inf - inf sides are NaN
+    # the int64 guard's float twin: past it a side value or an offset is
+    # infinite, and inf - inf sides are NaN
     if not all(math.isfinite(2 * (sum(abs(x) for x in h.coeffs) + abs(h.threshold))) for h in c.planes):
         raise NonFiniteScalar("2 * (l1(v) + |t|) overflows a double; use exact mode")
     coeffs = np.array([h.coeffs for h in c.planes], dtype=np.float64).reshape(c.m, c.n)
@@ -169,10 +169,9 @@ def _side_tables(coeffs, thresholds, b: int):
 
     side(h * 2^b + lo) = low[:, lo] + off[:, h], with low = 2*S_low - sum(v) - t
     and off = 2*S_high for the subset sums S of the low and the high
-    coefficients.  Returns each plane's low sides in sorted order, the int16
-    rank of every low vertex in that order (a stable argsort; ranks stay
-    below 2^b <= 2^13), off, and the shifts: column 0 adds nothing (the
-    base side) and column k + 1 adds 2 * v_k (the partner across axis k).
+    coefficients: the one side value of every vertex.  Returns each plane's
+    low sides in sorted order, the int16 rank of every low vertex in that
+    order (a stable argsort; ranks stay below 2^b <= 2^13) and off.
     """
     # off first: it is the largest table at n > 2b, and the sort's index
     # array would add to it
@@ -191,34 +190,31 @@ def _side_tables(coeffs, thresholds, b: int):
     for sides, idx in zip(low, order):
         np.take(sides, idx, out=row)
         sides[:] = row
-    shifts = np.concatenate([np.zeros_like(coeffs[:, :1]), 2 * coeffs], axis=1)
-    return low, rank, off, shifts
+    return low, rank, off
 
 
-def _cuts(ordered, offsets, shifts, tol):
+def _cuts(ordered, offsets, tol):
     """Where each block's classes change in the sorted low order.
 
-    For block offsets o = offsets[:, i] and shifts w = shifts[:, a], a
-    vertex's side is (low + o) + w, and side_bits' classes of it are
-    monotone in low (float rounding is monotone too): the positive sides
-    are a suffix of the sorted order and the negative ones a prefix.
-    cut[0, :, a, i] counts the sides that are not positive and cut[1, :, a, i]
-    the negative ones, each found by a binary search that evaluates
-    side_bits on the sweep's own arithmetic.  Returns int16 of shape
-    (2, m, shifts, blocks); tol is None or broadcasts against (m, 1, 1).
+    offsets is (m, superblocks, blocks): a vertex of the block with offset
+    o = offsets[:, s, i] has the side low + o, and side_bits' classes of it
+    are monotone in low (float rounding is monotone too): the positive
+    sides are a suffix of the sorted order and the negative ones a prefix.
+    cut[0, :, s, i] counts the sides that are not positive and
+    cut[1, :, s, i] the negative ones, each found by a binary search that
+    evaluates side_bits on the sweep's own arithmetic.  Returns int16 of
+    shape (2, *offsets.shape); tol is None or broadcasts against (m, 1, 1).
     """
     m, size = ordered.shape
     flat = ordered.reshape(-1)
     # the searches run on flat indices, from each plane's first entry
     first = np.arange(0, m * size, size)[:, None, None]
-    cut = np.broadcast_to(first, (2, m, shifts.shape[1], offsets.shape[1])).copy()
-    o, w = offsets[:, None, :], shifts[:, :, None]
+    cut = np.broadcast_to(first, (2, *offsets.shape)).copy()
     # binary lifting: steps size/2 .. 1 leave cut at min(count, size - 1),
     # and one more probe at cut itself settles count = size
     for step in [size >> i for i in range(1, size.bit_length())] + [1]:
         side = flat.take(cut + (step - 1))
-        side += o
-        side += w
+        side += offsets
         before, nz = side_bits(side, tol)
         np.invert(before, out=before)
         before[1] &= nz[1]
@@ -227,15 +223,19 @@ def _cuts(ordered, offsets, shifts, tol):
     return cut.astype(np.int16)
 
 
-def _classify(rank, cut, out):
+def _classify(rank, cut, zero_free, out):
     """(positive, nonzero) of the block whose cuts are cut (2, m), from the
     low vertices' ranks, into out (2, m, 2^b): positive is rank >= cut[0],
-    negative is rank < cut[1]."""
+    negative is rank < cut[1].  A zero_free block (cut[0] == cut[1] on every
+    plane) has no zero side, so its nonzero class is all ones and comes back
+    as None, not computed."""
     pos, nz = out
     np.greater_equal(rank, cut[0, :, None], out=pos)
+    if zero_free:
+        return pos, None
     np.less(rank, cut[1, :, None], out=nz)
     nz |= pos
-    return out
+    return pos, nz
 
 
 def _clear_bit_mask(k: int) -> int:
@@ -256,7 +256,9 @@ def verify_slicing(c: Configuration) -> SlicingReport:
     B = min(n, _PACK_BITS)
     b = min(B, _BLOCK_BITS)
     coeffs, thresholds, tol = _plane_stack(c)
-    ordered, rank, off, shifts = _side_tables(coeffs, thresholds, b)
+    ordered, rank, off = _side_tables(coeffs, thresholds, b)
+    # the offsets of superblock sb's blocks are off[:, sb]
+    off = off.reshape(m, 1 << (n - B), 1 << (B - b))
     tol = None if tol is None else tol[:, None, None]
     words, block_bytes = 1 << max(0, B - 6), 1 << max(0, b - 3)
     # the word bits that are superblock positions (all of them unless
@@ -285,20 +287,14 @@ def verify_slicing(c: Configuration) -> SlicingReport:
 
     def pack(cut, pw, nw):
         # classify the superblock's blocks by their cuts (2, m, 2^(B-b)),
-        # one block at a time, into the words of pw, nw
+        # one block at a time, into the words of pw, nw; a nonzero class
+        # left uncomputed (None) is the packed all-ones block
         pw, nw = pw.view(np.uint8), nw.view(np.uint8)
         zero_free = (cut[0] == cut[1]).all(axis=0)
         for i in range(1 << (B - b)):
             at = slice(i * block_bytes, (i + 1) * block_bytes)
-            if zero_free[i]:
-                # no side of the block is zero: only the positive class is
-                # left to classify, and the nonzero class is all ones
-                np.greater_equal(rank, cut[0, :, i, None], out=classes[0])
-                pw[:, at] = np.packbits(classes[0], axis=-1, bitorder="little")
-                nw[:, at] = all_nonzero
-            else:
-                for x, dst in zip(_classify(rank, cut[..., i], classes), (pw, nw)):
-                    dst[:, at] = np.packbits(x, axis=-1, bitorder="little")
+            for x, dst in zip(_classify(rank, cut[..., i], zero_free[i], classes), (pw, nw)):
+                dst[:, at] = all_nonzero if x is None else np.packbits(x, axis=-1, bitorder="little")
 
     def tally(k, cross, todo, first_edge):
         nonlocal counts, unsliced
@@ -323,13 +319,12 @@ def verify_slicing(c: Configuration) -> SlicingReport:
                 samples[k].extend((at + first_edge).tolist())
 
     for sb in range(1 << (n - B)):
-        # the cuts of the superblock's blocks: column 0 for the base sides,
-        # then one per high axis k > B whose bit k - B is clear (only
-        # those superblocks hold base vertices of axis k, and the other
-        # endpoint's side is the base side plus 2*v_k, the endpoint identity)
+        # the cuts of the blocks of sb, then of each partner superblock
+        # sb | 2^(k-B) for a high axis k > B whose bit k - B is clear in sb
+        # (only those superblocks hold base vertices of axis k), every
+        # block by its own offsets
         axes = [k for k in range(B + 1, n) if not (sb >> (k - B)) & 1]
-        h = sb << (B - b)
-        cuts = _cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
+        cuts = _cuts(ordered, off[:, [sb] + [sb | 1 << (k - B) for k in axes]], tol)
         (pos, nz), (partner_pos, partner_nz) = packed[sb & 1], packed[~sb & 1]
         pack(cuts[:, :, 0], pos, nz)
         if sb & 1:

@@ -11,8 +11,9 @@ whose masses are summed in another order.  blockwise_sum_runs is the
 oracle's in-place run sum with a heads array and np.add.reduceat for every
 block, the reference for the one that skips blocks holding no run.  The whole_chunk_* draws are the
 sampler's batch draws with every array of the batch in memory at once and
-the dense dyadic term matrix (sampler.dyadic_terms), for bitwise comparison
-with the sliced and blocked draws.  on_main_and_worker_threads runs one
+the dense dyadic term matrix (dyadic_terms, built from
+sampler.compact_terms), for bitwise comparison with the sliced and blocked
+draws.  on_main_and_worker_threads runs one
 call on the calling thread and on concurrent worker threads, so that a
 fixed-seed result can be checked independent of the thread it runs on.
 """
@@ -203,12 +204,22 @@ def whole_array_levy_q(values, probs, alpha):
     return float(max(masses.max(), probs.max())) if alpha > 0 else float(masses.max())
 
 
+def dyadic_terms(V):
+    """The keys and the dense K x n term matrix W of sampler.compact_terms,
+    so that a bias is scale * alphas @ W: the reference the blocked product
+    is checked against."""
+    keys, term_rows, term_vals = sampler_mod.compact_terms(V)
+    W = np.zeros((len(keys), V.shape[1]), dtype=np.float64)
+    W[term_rows, np.arange(V.shape[1])] = term_vals
+    return keys, W
+
+
 def whole_chunk_bias_conditioned(setup, gen, count):
     """Conditioned biases of count rows in one product with the dense term
     matrix, rejected rows redrawn round by round from gen; returns (P, rows
     redrawn in each round)."""
     K = len(setup.keys)
-    W = sampler_mod.dyadic_terms(setup.V)[1]
+    W = dyadic_terms(setup.V)[1]
     P = setup.scale * (gen.uniform(-1.0, 1.0, size=(count, K)) @ W)
     rounds = []
     for attempt in range(sampler_mod.MAX_RETRIES + 1):

@@ -202,6 +202,19 @@ MALFORMED_INPUTS = {
     "boolean_coefficient": ('{"n": 2, "planes": [{"coeffs": [true, 1], "threshold": 0}]}', ["verify"], "MalformedInput"),
     "boolean_threshold": ('{"n": 2, "planes": [{"coeffs": [1, 1], "threshold": false}]}', ["verify"], "MalformedInput"),
     "string_dimension": ('{"n": "2", "planes": [{"coeffs": [1, 0], "threshold": 0}]}', ["verify"], "MalformedInput"),
+    # coeffs and planes must be JSON arrays: a string or an object would
+    # iterate as characters or keys, so "12" would read as (1, 2)
+    "string_coefficients": ('{"n": 2, "planes": [{"coeffs": "12", "threshold": 0}]}', ["verify"], "MalformedInput"),
+    "object_coefficients": (
+        '{"n": 2, "planes": [{"coeffs": {"1": 0, "1/2": 5}, "threshold": 0}]}', ["verify"], "MalformedInput"
+    ),
+    "object_planes": ('{"n": 2, "planes": {"x": 1}}', ["verify"], "MalformedInput"),
+    "sample_string_coefficients": ('{"n": 2, "planes": [{"coeffs": "12", "threshold": 0}]}', ["sample"], "MalformedInput"),
+    "estimate_string_coefficients": (
+        '{"n": 2, "planes": [{"coeffs": "12", "threshold": 0}]}',
+        ["estimate", "evasion", "--config", "-", "--samples", "10"],
+        "MalformedInput",
+    ),
     "qfunc_junk_entry": (None, ["qfunc", "--v", "1,x", "--alpha", "1"], "MalformedInput"),
     "qfunc_double_dash_value": (None, ["qfunc", "--v=--", "--alpha", "1"], "MalformedInput"),
     "decompose_double_dash_value": (None, ["decompose", "--v=--"], "MalformedInput"),

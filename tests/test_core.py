@@ -393,6 +393,22 @@ class TestConfigurationJson:
         with pytest.raises(MalformedInput):
             config_from_json_dict({"n": 2, "planes": [{"coeffs": coeffs, "threshold": threshold}]})
 
+    @pytest.mark.parametrize(
+        "planes",
+        [
+            [{"coeffs": "12", "threshold": 0}],
+            [{"coeffs": {"1": 0, "1/2": 5}, "threshold": 0}],
+            {"x": 1},
+            "ab",
+        ],
+        ids=["string_coeffs", "object_coeffs", "object_planes", "string_planes"],
+    )
+    def test_planes_and_coeffs_are_json_arrays(self, planes):
+        # a string or an object iterates as characters or keys: coeffs "12"
+        # would read as the plane x_0 + 2*x_1 = 0
+        with pytest.raises(MalformedInput, match="must be a JSON array"):
+            config_from_json_dict({"n": 2, "planes": planes})
+
     def test_plane_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             Configuration(3, (make_hyperplane([1, 0], 0),))

@@ -27,11 +27,10 @@ from cubeslicer.sampler import (
     batch_evasive_edges,
     batch_mu,
     bias_setup,
-    dyadic_terms,
     row_max_abs,
 )
 from cubeslicer.lab import SweepCell, sweep
-from helpers import whole_chunk_bias_conditioned, whole_chunk_evasive_edges, whole_chunk_mu
+from helpers import dyadic_terms, whole_chunk_bias_conditioned, whole_chunk_evasive_edges, whole_chunk_mu
 
 
 def single_axis_config(n=8):

@@ -23,7 +23,7 @@ from cubeslicer import (
     max_crossings_bound,
     verify_slicing,
 )
-from cubeslicer.core import crossing_bits, side_bits
+from cubeslicer.core import Edge, Vertex, crossing_bits, side_bits
 from cubeslicer import verifier
 from cubeslicer.errors import DimensionTooLarge, NonFiniteScalar
 from helpers import naive_slicing, on_main_and_worker_threads, random_rational_config
@@ -277,7 +277,7 @@ def _check_bits(monkeypatch, c, pairs):
 
 class TestBlockedSweep:
     """Small blocks and superblocks put n = 3..8 over many of each, so the
-    high-axis endpoint identity, the pairing of superblocks across bit B,
+    high-axis partner superblocks, the pairing of superblocks across bit B,
     the packing of several blocks into one superblock's words and the
     per-superblock edge offsets all run against the per-edge reference."""
 
@@ -439,32 +439,117 @@ class TestWordBoundaryBlocks:
             _check_bits(monkeypatch, c, self.PAIRS)
 
 
+# planes whose high coefficients +-2^53 make float sides depend on the order
+# of their additions; every side is even
+_BIG = 2.0**53
+_BIG_ROWS = [
+    [1, 2, -1, 3, 1, -2, _BIG, -_BIG],
+    [3, -1, 1, 1, 2, 2, -_BIG, _BIG],
+    [1, 1, 1, 1, 1, 1, 2, 2],
+    [2, -3, 1, 1, -1, 2, _BIG / 2, -_BIG / 2],
+]
+
+
+def _census(c, b):
+    """c's report by brute force over the 2^n vertices: every vertex has the
+    one side low[lo] + off[h] of _side_tables at block bits b, classified by
+    side_bits, and every edge is decided by crossing_bits on its endpoints'
+    classes.  Returns the unsliced count, the per-plane counts and the first
+    100 unsliced edges in iter_edges order."""
+    n, m = c.n, c.m
+    coeffs, thresholds, tol = verifier._plane_stack(c)
+    ordered, rank, off = verifier._side_tables(coeffs, thresholds, b)
+    low = np.take_along_axis(ordered, rank.astype(np.intp), axis=1)
+    side = (low[:, None, :] + off[:, :, None]).reshape(m, 1 << n)
+    pos, nz = side_bits(side, None if tol is None else tol[:, None])
+    masks = np.arange(1 << n)
+    counts = np.zeros(m, dtype=np.int64)
+    unsliced = []
+    for k in range(n):
+        base = masks[(masks >> k) & 1 == 0]
+        top = base | 1 << k
+        cross = crossing_bits(pos[:, base], nz[:, base], pos[:, top], nz[:, top], c.mode == "relaxed")
+        counts += cross.sum(axis=1)
+        unsliced += [Edge(Vertex(n, int(u)), k) for u in base[~cross.any(axis=0)]]
+    return len(unsliced), counts.tolist(), unsliced[:100]
+
+
+class TestOneSidePerVertex:
+    """The report against a census in which every vertex has one side, its
+    own low + off, at each of TestBlockedSweep's (block, pack) bit pairs: a
+    high-axis partner takes the class the same vertex takes as a base.  On
+    the 2^53 planes float sides round with the split of the coordinates at
+    b, and the per-edge reference sums them in another order still, so the
+    census, not naive_slicing, is their reference."""
+
+    def _check(self, monkeypatch, c):
+        for block, pack in TestBlockedSweep.PAIRS:
+            _set_bits(monkeypatch, block, pack)
+            rep = verify_slicing(c)
+            got = (rep.unsliced_count, list(rep.per_plane_crossings), list(rep.unsliced_sample))
+            assert got == _census(c, min(c.n, pack, block)), (block, pack)
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    @pytest.mark.parametrize("threshold", [0.0, -18013.5, 18014.0])
+    def test_planes_at_2_to_53(self, monkeypatch, mode, threshold):
+        # the zero tolerance 1e-12 * l1(v) of the first two planes is about
+        # 18014.4, so thresholds near it put sides on both sides of it.  A
+        # partner side summed as (low + off) + 2*v_k rounds low + off to a
+        # multiple of 4 near 2^54 and can leave the class of the same vertex
+        # summed as its own low + off.
+        planes = tuple(make_hyperplane(row, threshold, "float") for row in _BIG_ROWS)
+        self._check(monkeypatch, Configuration(8, planes, mode))
+
+    def test_random_exact_configs(self, monkeypatch):
+        gen = np.random.default_rng(149)
+        for n in range(3, 9):
+            for mode in ("strict", "relaxed"):
+                self._check(monkeypatch, random_rational_config(gen, n, int(gen.integers(1, 4)), mode=mode))
+
+    def test_random_float_configs(self, monkeypatch):
+        # normal planes, and small integer ones with exact zero sides
+        gen = np.random.default_rng(151)
+        for n in range(3, 9):
+            rows = [gen.standard_normal(n), gen.integers(-2, 3, size=n) | np.eye(1, n, dtype=int)[0]]
+            planes = tuple(make_hyperplane([float(x) for x in r], float(gen.integers(-2, 3)), "float") for r in rows)
+            for mode in ("strict", "relaxed"):
+                self._check(monkeypatch, Configuration(n, planes, mode))
+
+
 def _check_rank_classes(coeffs, thresholds, tol, pairs):
     """The packed classes from ranks and cuts against side_bits + packbits on
-    the per-vertex sides (low + off, then + 2*v_k), block by block, for the
-    base sides and every high-axis partner, at each (block, pack) bit pair."""
-    n = coeffs.shape[1]
+    the per-vertex sides low + off, block by block, for each superblock's
+    blocks and its high-axis partners' blocks, each at its own offset, at
+    each (block, pack) bit pair."""
+    m, n = coeffs.shape
     tol = None if tol is None else tol[:, None, None]
     for block, pack in pairs:
         B = min(n, pack)
         b = min(B, block)
-        ordered, rank, off, shifts = verifier._side_tables(coeffs, thresholds, b)
+        ordered, rank, off = verifier._side_tables(coeffs, thresholds, b)
         low = 2 * verifier._subset_sums(coeffs[:, :b]) - coeffs.sum(axis=1)[:, None] - thresholds[:, None]
         assert (np.take_along_axis(ordered, rank.astype(np.intp), axis=1) == low).all()
+        off = off.reshape(m, 1 << (n - B), 1 << (B - b))
         for sb in range(1 << (n - B)):
-            axes = [k for k in range(B, n) if not (sb >> (k - B)) & 1]
-            h = sb << (B - b)
-            cuts = verifier._cuts(ordered, off[:, h : h + (1 << (B - b))], shifts[:, [0] + [k + 1 for k in axes]], tol)
-            assert cuts.dtype == np.int16
-            for i in range(1 << (B - b)):
-                base = low[:, None, :] + off[:, h + i, None, None]
-                for a, k in enumerate([None] + axes):
-                    side = base if k is None else base + 2 * coeffs[:, k, None, None]
-                    want = [np.packbits(x.reshape(len(low), -1), axis=-1) for x in side_bits(side, tol)]
-                    out = np.empty((2, *low.shape), dtype=bool)
-                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cuts[:, :, a, i], out)]
+            supers = [sb] + [sb | 1 << (k - B) for k in range(B + 1, n) if not (sb >> (k - B)) & 1]
+            cuts = verifier._cuts(ordered, off[:, supers], tol)
+            assert cuts.dtype == np.int16 and cuts.shape == (2, *off[:, supers].shape)
+            for a, s in enumerate(supers):
+                for i in range(1 << (B - b)):
+                    side = low[:, None, :] + off[:, s, i, None, None]
+                    classes = [x.reshape(m, -1) for x in side_bits(side, tol)]
+                    want = [np.packbits(x, axis=-1) for x in classes]
+                    cut = cuts[:, :, a, i]
+                    out = np.empty((2, m, 1 << b), dtype=bool)
+                    got = [np.packbits(x, axis=-1) for x in verifier._classify(rank, cut, False, out)]
                     for w, g in zip(want, got):
-                        assert np.array_equal(w, g), ((block, pack), sb, i, k)
+                        assert np.array_equal(w, g), ((block, pack), sb, s, i)
+                    # equal cuts on every plane: no zero side, and the
+                    # nonzero class is left uncomputed
+                    zero_free = bool((cut[0] == cut[1]).all())
+                    pos, nz = verifier._classify(rank, cut, zero_free, out)
+                    assert (nz is None) == zero_free == bool(classes[1].all())
+                    assert np.array_equal(np.packbits(pos, axis=-1), want[0])
 
 
 class TestSubsetSums:
@@ -501,7 +586,7 @@ class TestSubsetSums:
 
 
 class TestRankClasses:
-    """Ranks and cuts classify every unit exactly as side_bits does on the
+    """Ranks and cuts classify every block exactly as side_bits does on the
     per-vertex sides, bit for bit after packing."""
 
     PAIRS = TestBlockedSweep.PAIRS + TestWordBoundaryBlocks.PAIRS
@@ -542,15 +627,10 @@ class TestRankClasses:
     def test_float_sides_on_the_tolerance_and_one_ulp_inside(self):
         # even integer sides, with a tolerance of 2 (sides +-2 on it) and one
         # ulp above 2 (sides +-2 one ulp inside).  The high coefficients
-        # +-2^53 make the order of the additions matter: (low + off) + 2*v_k
-        # rounds the low part away where low + (off + 2*v_k) keeps it.
-        big = 2.0**53
-        coeffs = np.array([
-            [1, 2, -1, 3, 1, -2, big, -big],
-            [3, -1, 1, 1, 2, 2, -big, big],
-            [1, 1, 1, 1, 1, 1, 2, 2],
-            [2, -3, 1, 1, -1, 2, big / 2, -big / 2],
-        ])
+        # +-2^53 make the order of the additions matter: a partner block's
+        # side is its own low + off, where the base side plus 2*v_k would
+        # round the low part away.
+        coeffs = np.array(_BIG_ROWS)
         thresholds = np.zeros(4)
         sides = 2 * verifier._subset_sums(coeffs) - coeffs.sum(axis=1)[:, None]
         assert ((sides == 2).any(axis=1) & (sides == -2).any(axis=1)).all()
