@@ -139,7 +139,7 @@ def _load_config(args) -> Configuration:
     try:
         data = sys.stdin.read() if args.config == "-" else Path(args.config).read_text()
         config = config_from_json_dict(json.loads(data))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedInput(f"configuration {name}: {type(exc).__name__}: {exc}") from exc
     args._input_hashes = {name: hashlib.sha256(data.encode()).hexdigest()}
     return config

@@ -328,6 +328,12 @@ def canonical_base(k: int, comp):
     return ((comp >> k) << (k + 1)) | (comp & ((1 << k) - 1))
 
 
+def compressed_index(k: int, base):
+    """Compressed index of the canonical axis-k edge with base vertex mask base:
+    base's bits with bit k dropped (canonical_base's inverse).  Ints and arrays."""
+    return ((base >> (k + 1)) << k) | (base & ((1 << k) - 1))
+
+
 def iter_edges(n: int) -> Iterator[Edge]:
     """All edges once, in canonical form: base has coordinate -1 on the axis.
 
@@ -365,20 +371,27 @@ def _json_array(x, name: str) -> list:
     return x
 
 
+def _json_object(x, name: str, *keys: str) -> dict:
+    if type(x) is not dict or not x.keys() >= set(keys):
+        raise MalformedInput(f"{name} must be a JSON object with {', '.join(keys)}, got {x!r}")
+    return x
+
+
 def config_from_json_dict(d: dict) -> Configuration:
     """Parse the configuration schema.
 
     Scalars may be JSON numbers or strings "p/q"; each plane takes the
-    scalar_kind of its coefficients and threshold.  planes and every
-    coeffs must be JSON arrays, not strings or objects (MalformedInput).
+    scalar_kind of its coefficients and threshold.  The document and each
+    plane are JSON objects with their keys, planes and each coeffs JSON arrays
+    (MalformedInput otherwise: a string or an object would iterate).
     """
-    n = d["n"]
+    n = _json_object(d, "configuration", "n")["n"]
     if type(n) is not int:
         raise MalformedInput(f"n must be a JSON integer, got {n!r}")
     mode = d.get("mode", STRICT)
     planes = []
     for entry in _json_array(d.get("planes", []), "planes"):
-        coeffs = _json_array(entry["coeffs"], "coeffs")
+        coeffs = _json_array(_json_object(entry, "plane", "coeffs", "threshold")["coeffs"], "coeffs")
         kind = scalar_kind([*coeffs, entry["threshold"]])
         planes.append(make_hyperplane(coeffs, entry["threshold"], kind))
     return Configuration(n, tuple(planes), mode)

@@ -230,8 +230,7 @@ def random_unit_configuration(n: int, m: int, rng) -> Configuration:
     gen = as_generator(rng)
     planes = []
     for _ in range(m):
-        row = gen.standard_normal(n)
-        norm = math.sqrt(float(row @ row))
+        norm = 0.0
         while norm == 0.0:
             row = gen.standard_normal(n)
             norm = math.sqrt(float(row @ row))

@@ -24,18 +24,16 @@ computed, and its nonzero words are the packed all-ones block (2^b one
 bits, the bits past them clear when b < 3, as in any packed block).  The
 classes are bit-packed into the superblock's 64-bit words, vertex lo at
 bit lo % 64 of word lo // 64.  The crossing rule (core.crossing_bits) then
-runs in four kinds of pass:
+runs in three kinds of pass:
 - a word-internal axis k < 6 pairs each word with itself shifted right by
   2^k, under the mask of the positions whose bit k is clear;
 - a packed axis 6 <= k < B pairs the superblock's words 2^(k-6) apart;
-- axis B pairs superblocks 2t and 2t + 1, which differ in bit B alone:
-  the two pack their classes into different pairs of word arrays, so the
-  even one's classes are still there as the odd one's partners;
-- on a high axis k > B, only superblocks sb whose bit k - B is clear hold
-  base vertices, and the partners are the vertices of superblock
-  sb | 2^(k-B), classified by their own blocks' cuts and packed for the
-  whole superblock into the partner words, idle until the word-internal
-  passes.
+- a cross-superblock axis k >= B pairs each superblock sb whose bit k - B
+  is clear with sb | 2^(k-B), word for word.  On axis B the partners are
+  held: superblocks 2t and 2t + 1 pack into different pairs of word
+  arrays, so the even one's classes are the odd one's partners.  A high
+  axis packs its partners, classified by their own blocks' cuts, into the
+  partner words, idle until the word-internal passes.
 The cuts of a superblock's blocks and of its high-axis partners' blocks
 are searched together, one search per superblock, so the sweep holds at
 most 2 * m * max(1, n - B) * 2^(B-b) cuts at a time.  Per-plane counts are
@@ -80,6 +78,7 @@ from .core import (
     Hyperplane,
     Vertex,
     canonical_base,
+    compressed_index,
     crossing_bits,
     side_bits,
     total_edges,
@@ -238,11 +237,6 @@ def _classify(rank, cut, zero_free, out):
     return pos, nz
 
 
-def _clear_bit_mask(k: int) -> int:
-    """The positions 0..63 whose bit k is clear, as a 64-bit word."""
-    return sum(1 << p for p in range(64) if not (p >> k) & 1)
-
-
 def verify_slicing(c: Configuration) -> SlicingReport:
     """Test every edge of the n-cube against every plane under c.mode.
 
@@ -264,9 +258,8 @@ def verify_slicing(c: Configuration) -> SlicingReport:
     # the word bits that are superblock positions (all of them unless
     # B < 6), and for a word-internal axis k < 6 those whose bit k is
     # clear: the base vertices of the axis-k edges
-    valid = (1 << (1 << B)) - 1 if B < 6 else (1 << 64) - 1
-    bases = [np.uint64(_clear_bit_mask(k) & valid) for k in range(min(B, 6))]
-    valid = np.uint64(valid)
+    valid = np.uint64((1 << min(64, 1 << B)) - 1)
+    bases = [np.uint64(sum(1 << canonical_base(k, i) for i in range(min(32, 1 << (B - 1))))) for k in range(min(B, 6))]
     # per-plane crossings, unsliced count and, per axis, the first
     # _SAMPLE_CAP unsliced compressed indices
     counts = np.zeros(m, dtype=np.int64)
@@ -315,30 +308,24 @@ def verify_slicing(c: Configuration) -> SlicingReport:
                 at = np.flatnonzero(np.unpackbits(lost[:end].view(np.uint8), bitorder="little"))[:room]
                 if k < min(B, 6):
                     # word position -> index among the axis-k edges
-                    at = ((at >> (k + 1)) << k) | (at & ((1 << k) - 1))
+                    at = compressed_index(k, at)
                 samples[k].extend((at + first_edge).tolist())
 
     for sb in range(1 << (n - B)):
-        # the cuts of the blocks of sb, then of each partner superblock
-        # sb | 2^(k-B) for a high axis k > B whose bit k - B is clear in sb
-        # (only those superblocks hold base vertices of axis k), every
-        # block by its own offsets
+        # the cuts of sb's blocks, then of each partner superblock sb | 2^(k-B)
+        # of a high axis k > B whose bit k - B is clear in sb (only those
+        # superblocks hold base vertices of axis k), each by its own offsets
         axes = [k for k in range(B + 1, n) if not (sb >> (k - B)) & 1]
-        cuts = _cuts(ordered, off[:, [sb] + [sb | 1 << (k - B) for k in axes]], tol)
+        cuts = iter(np.moveaxis(_cuts(ordered, off[:, [sb] + [sb | 1 << (k - B) for k in axes]], tol), 2, 0))
         (pos, nz), (partner_pos, partner_nz) = packed[sb & 1], packed[~sb & 1]
-        pack(cuts[:, :, 0], pos, nz)
-        if sb & 1:
-            # axis B: superblocks sb - 1 and sb differ in bit B alone, so
-            # the partner words still hold the partner classes, sb - 1's
+        pack(next(cuts), pos, nz)
+        # axis B (odd sb) finds sb - 1's classes still in the partner words;
+        # a high axis packs its partners there, idle until the word-internal passes
+        for k in [B] * (sb & 1) + axes:
+            if k > B:
+                pack(next(cuts), partner_pos, partner_nz)
             cross = crossing_bits(pos, nz, partner_pos, partner_nz, relaxed, out=partner_pos)
-            tally(B, cross, valid, (sb >> 1) << B)
-        for a, k in enumerate(axes, 1):
-            # the partner words are idle until the word-internal passes
-            pack(cuts[:, :, a], partner_pos, partner_nz)
-            cross = crossing_bits(pos, nz, partner_pos, partner_nz, relaxed, out=partner_pos)
-            j = k - B
-            # sb with bit j removed, times 2^B
-            tally(k, cross, valid, (((sb >> (j + 1)) << j) | (sb & ((1 << j) - 1))) << B)
+            tally(k, cross, valid, compressed_index(k - B, sb) << B)
         for k in range(B):
             if k < 6:
                 # the partner of position p is p + 2^k in the same word

@@ -209,6 +209,8 @@ MALFORMED_INPUTS = {
         '{"n": 2, "planes": [{"coeffs": {"1": 0, "1/2": 5}, "threshold": 0}]}', ["verify"], "MalformedInput"
     ),
     "object_planes": ('{"n": 2, "planes": {"x": 1}}', ["verify"], "MalformedInput"),
+    "non_object_plane": ('{"n": 2, "planes": [5]}', ["verify"], "MalformedInput"),
+    "array_document": ('[{"n": 2, "planes": []}]', ["verify"], "MalformedInput"),
     "sample_string_coefficients": ('{"n": 2, "planes": [{"coeffs": "12", "threshold": 0}]}', ["sample"], "MalformedInput"),
     "estimate_string_coefficients": (
         '{"n": 2, "planes": [{"coeffs": "12", "threshold": 0}]}',

@@ -22,7 +22,7 @@ from cubeslicer import (
     total_edges,
     verify_slicing,
 )
-from cubeslicer.core import canonical_base, crossing_bits, side_bits, sign_pair_crossings, zero_tolerance
+from cubeslicer.core import canonical_base, compressed_index, crossing_bits, side_bits, sign_pair_crossings, zero_tolerance
 from cubeslicer.errors import (
     AllZeroCoefficients,
     DimensionMismatch,
@@ -214,6 +214,13 @@ class TestSignPairKernel:
                 expected = [mask for mask in range(1 << n) if not (mask >> k) & 1]
                 assert bases.tolist() == expected
                 assert [canonical_base(k, int(i)) for i in comp] == expected
+        # compressed_index is the inverse: it drops bit k, which canonical_base reinserts as 0
+        for n in range(1, 31):
+            masks = np.random.default_rng(n).integers(0, 1 << n, size=64)
+            for k in range(n):
+                for x in (masks, int(masks[0]), int(masks[-1])):
+                    assert np.array_equal(canonical_base(k, compressed_index(k, x)), x & ~(1 << k))
+                    assert np.array_equal(compressed_index(k, canonical_base(k, x >> 1)), x >> 1)
 
 
 def _side_value(h, u):
@@ -408,6 +415,25 @@ class TestConfigurationJson:
         # would read as the plane x_0 + 2*x_1 = 0
         with pytest.raises(MalformedInput, match="must be a JSON array"):
             config_from_json_dict({"n": 2, "planes": planes})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "planes": [5]},
+            {"n": 2, "planes": [[1, 0]]},
+            [{"n": 2}],
+            "n",
+            {"planes": []},
+            {"n": 2, "planes": [{"coeffs": [1, 0]}]},
+            {"n": 2, "planes": [{"threshold": 0}]},
+        ],
+        ids=["number_plane", "array_plane", "array_document", "string_document", "no_n", "no_threshold", "no_coeffs"],
+    )
+    def test_document_and_planes_are_json_objects(self, doc):
+        # indexing a number, an array or a string, or a missing key, would
+        # raise TypeError or KeyError
+        with pytest.raises(MalformedInput, match="JSON object"):
+            config_from_json_dict(doc)
 
     def test_plane_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
